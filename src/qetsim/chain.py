@@ -111,7 +111,8 @@ class LengthScan:
     """Edge-correlator magnitudes versus chain length at fixed field.
 
     `slope` and `r_squared` come from a least-squares line through
-    log |<i c_0 c_{L-1}>| versus log L.
+    log |<i c_0 c_{L-1}>| versus log L; they are None when fewer than two
+    distinct lengths leave nothing to fit.
     """
 
     h: float
@@ -119,8 +120,8 @@ class LengthScan:
     lengths: tuple
     xx_abs: tuple   # |<i b_0 b_{L-1}>|, the xx-correlator magnitude
     yy_abs: tuple   # |<i c_0 c_{L-1}>|, the yy-correlator magnitude
-    slope: float
-    r_squared: float
+    slope: float | None
+    r_squared: float | None
 
 
 def correlators_vs_length(h: float, k: float, lengths) -> LengthScan:
@@ -130,6 +131,8 @@ def correlators_vs_length(h: float, k: float, lengths) -> LengthScan:
     it smaller; the limit is regular even though exact zero modes are not).
     """
     lengths = sorted(int(L) for L in lengths)
+    if not lengths:
+        raise ValueError("at least one chain length is required")
     if any(L < 2 for L in lengths):
         raise ValueError("chain lengths must be at least 2")
     h_eff = h if h > 0 else SMALL_FIELD * k
@@ -139,13 +142,15 @@ def correlators_vs_length(h: float, k: float, lengths) -> LengthScan:
         bb, cc = edge_correlators(build_chain(L, h_eff, k))
         xx.append(abs(bb))
         yy.append(abs(cc))
-    log_l = np.log(np.asarray(lengths, dtype=float))
-    log_d = np.log(np.asarray(yy))
-    slope, intercept = np.polyfit(log_l, log_d, 1)
-    fitted = slope * log_l + intercept
-    ss_res = float(((log_d - fitted) ** 2).sum())
-    ss_tot = float(((log_d - log_d.mean()) ** 2).sum())
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope = r_squared = None
+    if len(set(lengths)) > 1:
+        log_l = np.log(np.asarray(lengths, dtype=float))
+        log_d = np.log(np.asarray(yy))
+        slope, intercept = np.polyfit(log_l, log_d, 1)
+        fitted = slope * log_l + intercept
+        ss_res = float(((log_d - fitted) ** 2).sum())
+        ss_tot = float(((log_d - log_d.mean()) ** 2).sum())
+        slope = float(slope)
+        r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return LengthScan(h=h, k=k, lengths=tuple(lengths), xx_abs=tuple(xx),
-                      yy_abs=tuple(yy), slope=float(slope),
-                      r_squared=r_squared)
+                      yy_abs=tuple(yy), slope=slope, r_squared=r_squared)

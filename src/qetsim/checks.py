@@ -213,17 +213,16 @@ def check_monotone_feedback_tilt(rng):
     for _ in range(12):
         h = rng.uniform(0.05, 2.0)
         gs = ground_state(ModelParams(h=float(h), k=1.0))
-        f = optimize_mod.direct_objective(gs, optimize_mod.TARGET_EXTRACTED)
+        coefficients = optimize_mod.sinusoid_engine(
+            gs, optimize_mod.TARGET_EXTRACTED)
         mu = rng.uniform(0.0, np.pi)
         nu = rng.uniform(0.0, 2.0 * np.pi)
         eta = rng.uniform(0.0, 2.0 * np.pi)
-        best = None
-        for xi in np.linspace(0.0, np.pi / 2.0, 13):
-            a, b, c = optimize_mod.theta_sinusoid(f, mu, nu, xi, eta)
-            envelope = a + np.hypot(b, c)   # max over theta
-            if best is not None:
-                worst = max(worst, best - envelope)
-            best = envelope
+        saxes = np.array([ops.axis_vector(xi, eta)
+                          for xi in np.linspace(0.0, np.pi / 2.0, 13)])
+        a, b, c = coefficients(ops.axis_vector(mu, nu)[None], saxes)
+        envelope = a[0] + np.hypot(b[0], c[0])   # max over theta
+        worst = max(worst, float(np.max(envelope[:-1] - envelope[1:])))
     return _result("extracted energy monotone in feedback tilt", worst, 1e-10)
 
 
@@ -231,8 +230,9 @@ def check_brute_force(rng=None, fields=(0.1, 0.5, 1.5),
                       resolution=optimize_mod.MIN_RESOLUTION):
     """Grid oracle agrees with the closed-form maxima, in value and at the
     claimed optimal parameters (so sign errors in the closed-form angles
-    cannot hide behind an even power)."""
+    cannot hide behind an even power), and its refinement converged."""
     worst = 0.0
+    unconverged = []
     for h in fields:
         gs = ground_state(ModelParams(h=float(h), k=1.0))
         for target, closed in (
@@ -246,6 +246,11 @@ def check_brute_force(rng=None, fields=(0.1, 0.5, 1.5),
                       else ledger.extracted_site)
             worst = max(worst, abs(cert.value - closed_cert.value),
                         abs(direct - closed_cert.value))
+            if not cert.converged:
+                unconverged.append(f"h={h:g} {target}")
+    if unconverged:
+        return _result("grid oracle matches closed forms", np.inf, 1e-8,
+                       detail="not converged: " + ", ".join(unconverged))
     return _result("grid oracle matches closed forms", worst, 1e-8)
 
 
@@ -444,8 +449,10 @@ CHECKS = (
 def run_all(seed: int = 0, resolution: int = optimize_mod.MIN_RESOLUTION):
     """Run every check with a fresh seeded generator; returns the results.
 
-    `resolution` feeds the grid-oracle check only.
+    `resolution` feeds the grid-oracle check only; it is validated before
+    any check runs.
     """
+    optimize_mod.validate_resolution(resolution)
     results = []
     for fn in CHECKS:
         rng = np.random.default_rng(seed)

@@ -100,7 +100,7 @@ def _chain_fields(args):
 
 
 def cmd_chain(args):
-    lengths = args.L_list if args.L_list else [args.L]
+    lengths = [args.L] if args.L_list is None else args.L_list
     header = ["L", "h", "xx_corr_abs", "yy_corr_abs", "slope", "r_squared",
               "ed_residual"]
     rows = []
@@ -184,7 +184,8 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sampled-property checks")
     p.add_argument("--grid", type=int, default=MIN_RESOLUTION,
-                   help="angle-grid resolution for the optimizer oracle")
+                   help="angle-grid resolution for the optimizer oracle "
+                        "(even, at least 64)")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -12,18 +12,31 @@ Both have closed-form maxima
 
 attained at measurement/feedback axes (y, x) and (x, y) respectively, with
 the rotation angle fixed by the ratio of the correlator gain to the site
-energy.  :func:`brute_force_max` cross-checks these against an exhaustive
-scan of the direct matrix-element objective; it never touches the closed
-forms, so agreement is a genuine two-route test.
+energy.  :func:`brute_force_max` cross-checks these by a search over all
+five angles that never reads a closed form, so agreement is a genuine
+two-route test.
 
-For fixed axes the direct objective is an exact sinusoid in 2 theta
-(conjugation by cos(theta) + i n sin(theta) s.sigma_B produces no higher
-harmonics), so three direct evaluations determine the whole theta
-dependence.  The scan therefore maximises theta exactly within every axis
-cell instead of enumerating a theta grid: the positive basin in theta
-narrows like the maximum itself and falls below any fixed grid spacing
-once the edge field is large, where a literal theta grid would see only
-non-positive values.
+The search runs on one matrix-element engine, :func:`sinusoid_engine`.
+For fixed axes the objective is an exact sinusoid in 2 theta (conjugation
+by cos(theta) + i n sin(theta) s.sigma_B produces no higher harmonics), and
+its three coefficients are contractions of a few precomputed matrix
+elements with the measurement axis r and the feedback axis s.  The engine
+maps a set of r and a set of s to the coefficients of every (r, s) pair,
+so theta is maximised exactly in every cell instead of on a theta grid:
+the positive basin in theta narrows like the maximum itself and falls
+below any fixed grid spacing once the edge field is large.
+
+* Halved scan.  r -> -r and s -> -s each map theta -> -theta, so the
+  theta envelope is even in r and in s.  On an even angle grid every
+  antipode is a grid point, and only the polar half mu, xi < pi/2 of each
+  axis grid is scanned: a quarter of the full grid's cells.
+* Zoom refinement.  A 5^4 local grid around the best cell is evaluated in
+  one contraction and recentred on its best point; the steps halve when
+  no neighbour gains, and the search stops when every step is below 1e-8.
+* Convergence.  The certificate records whether the refinement met that
+  step tolerance within its round limit, its round count and the number of
+  (r, s) cells evaluated; :func:`qetsim.checks.check_brute_force` fails on
+  a certificate that did not converge.
 """
 
 from __future__ import annotations
@@ -57,6 +70,12 @@ class Certificate:
     2 theta = -phase.  `bond_reduction` is the bond-term energy change at
     the reported parameters (zero when the extracted energy is maximised,
     strictly negative at the site-reduction optimum for h > 0).
+
+    `converged`, `rounds` and `evaluations` describe the search that found
+    the optimum: whether the refinement met its step tolerance, how many
+    refinement rounds it took, and how many (measurement axis, feedback
+    axis) cells the scan and the refinement evaluated.  Closed-form
+    certificates involve no search: converged, 0 rounds, 0 evaluations.
     """
 
     target: str
@@ -68,6 +87,9 @@ class Certificate:
     sin_2theta: float
     cos_2theta: float
     bond_reduction: float
+    converged: bool = True
+    rounds: int = 0
+    evaluations: int = 0
 
 
 def max_extracted_energy(state: GroundState) -> Certificate:
@@ -125,287 +147,198 @@ def max_site_reduction(state: GroundState) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# direct (matrix-element) objective and the grid oracle
+# the matrix-element engine and the grid oracle
 
 
-def direct_objective(state: GroundState, target: str):
-    """Pointwise objective f(mu, nu, xi, eta, theta) by matrix algebra.
+def sinusoid_engine(state: GroundState, target: str):
+    """Exact theta dependence of the objective for sets of axes.
 
-    Same matrix elements as :func:`qetsim.protocol.run_protocol`, organised
-    as matrix-vector products with the static operators hoisted out so the
-    refinement loop can afford tens of thousands of evaluations.
-    """
-    if target not in _TARGETS:
-        raise ValueError(f"unknown target {target!r}")
-    terms = build_hamiltonian(state.params)
-    H = terms.total
-    v = state.vector
-    sig_a_v = [ops.pauli(ops.SITE_A, ax) @ v for ax in "xyz"]
-    sig_b = [ops.pauli(ops.SITE_B, ax) for ax in "xyz"]
-    sig_b_v = [m @ v for m in sig_b]
-    site_b_energy = energy_decomposition(state).site_b
-    site_b_diag = np.diag(terms.site_b).copy()   # the site term is diagonal
+    Returns ``coefficients(raxes, saxes) -> (a, b, c)``: for measurement
+    axes `raxes` (shape (m, 3)) and feedback axes `saxes` (shape (n, 3)),
+    arrays of shape (m, n) with
 
-    def axes(mu, nu, xi, eta):
-        r = ops.axis_vector(mu, nu)
-        s = ops.axis_vector(xi, eta)
-        return r, s
-
-    if target == TARGET_EXTRACTED:
-        def f(mu, nu, xi, eta, theta):
-            r, s = axes(mu, nu, xi, eta)
-            cos_t, sin_t = np.cos(theta), np.sin(theta)
-            rv = r[0] * sig_a_v[0] + r[1] * sig_a_v[1] + r[2] * sig_a_v[2]
-            total = 0.0
-            for n in (1.0, -1.0):
-                pv = 0.5 * (v + n * rv)
-                spv = s[0] * (sig_b[0] @ pv) + s[1] * (sig_b[1] @ pv) \
-                    + s[2] * (sig_b[2] @ pv)
-                uv = cos_t * pv + 1j * n * sin_t * spv
-                total += (np.vdot(pv, H @ pv) - np.vdot(uv, H @ uv)).real
-            return total
-    else:
-        def f(mu, nu, xi, eta, theta):
-            r, s = axes(mu, nu, xi, eta)
-            cos_t, sin_t = np.cos(theta), np.sin(theta)
-            rv = r[0] * sig_a_v[0] + r[1] * sig_a_v[1] + r[2] * sig_a_v[2]
-            sv = s[0] * sig_b_v[0] + s[1] * sig_b_v[1] + s[2] * sig_b_v[2]
-            total = site_b_energy
-            for n in (1.0, -1.0):
-                pv = 0.5 * (v + n * rv)
-                uv = cos_t * v + 1j * n * sin_t * sv
-                y = site_b_diag * uv
-                sy = s[0] * (sig_b[0] @ y) + s[1] * (sig_b[1] @ y) \
-                    + s[2] * (sig_b[2] @ y)
-                back = cos_t * y - 1j * n * sin_t * sy
-                total -= np.vdot(pv, back).real
-            return total
-    return f
-
-
-def theta_sinusoid(f, mu, nu, xi, eta):
-    """Coefficients (a, b, c) of f(theta) = a + b cos 2 theta + c sin 2 theta
-    from direct evaluations at theta = 0 and +-pi/4."""
-    f0 = f(mu, nu, xi, eta, 0.0)
-    fp = f(mu, nu, xi, eta, np.pi / 4.0)
-    fm = f(mu, nu, xi, eta, -np.pi / 4.0)
-    a = 0.5 * (fp + fm)
-    c = 0.5 * (fp - fm)
-    b = f0 - a
-    return a, b, c
-
-
-_GRID_CACHE = {}
-
-
-def _grids(resolution):
-    if resolution in _GRID_CACHE:
-        return _GRID_CACHE[resolution]
-    n = resolution
-    mus = np.linspace(0.0, np.pi, n)
-    nus = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    xis = np.linspace(0.0, np.pi, n)
-    etas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    MU, NU = np.meshgrid(mus, nus, indexing="ij")
-    raxes = np.stack([(np.sin(MU) * np.cos(NU)).ravel(),
-                      (np.sin(MU) * np.sin(NU)).ravel(),
-                      np.cos(MU).ravel()], axis=1)
-    XI, ETA = np.meshgrid(xis, etas, indexing="ij")
-    saxes = np.stack([(np.sin(XI) * np.cos(ETA)).ravel(),
-                      (np.sin(XI) * np.sin(ETA)).ravel(),
-                      np.cos(XI).ravel()], axis=1)
-    spairs = np.einsum("na,nb->nab", saxes, saxes).reshape(-1, 9)
-    cache = {
-        "axes1d": (mus, nus, xis, etas),
-        "raxes": raxes,
-        "saxes": saxes,
-        "spairs": spairs,
-    }
-    _GRID_CACHE[resolution] = cache
-    return cache
-
-
-def _scan_tensors(state: GroundState, target: str):
-    """Coupling tensors that turn the direct objective into contractions.
+        objective(r_i, s_j, theta) = a + b cos 2 theta + c sin 2 theta.
 
     The post-measurement states P_A(n)|psi> are linear in (1, n r); the
     rotation is linear in (cos t, i n sin t s).  Sandwiching the relevant
-    Hamiltonian term therefore reduces, per grid point, to a bilinear
-    contraction of precomputed matrix elements of raw operators.
+    Hamiltonian term therefore reduces to bilinear contractions of
+    precomputed matrix elements of raw Pauli operators.
     """
+    if target not in _TARGETS:
+        raise ValueError(f"unknown target {target!r}")
     v = state.vector
     terms = build_hamiltonian(state.params)
-    H = terms.total
     sig_a = [ops.pauli(ops.SITE_A, ax) for ax in "xyz"]
-    sig_b = [ops.pauli(ops.SITE_B, ax) for ax in "xyz"]
+    rot = [ops.IDENTITY] + [ops.pauli(ops.SITE_B, ax) for ax in "xyz"]
     phi = np.stack([v] + [sa @ v for sa in sig_a], axis=1) / 2.0   # (16, 4)
-    rot = [ops.IDENTITY] + sig_b
     if target == TARGET_EXTRACTED:
+        # <rot_p phi_i| H |rot_q phi_j>, rows (i, j), columns (p, q)
         bp = np.stack([B @ phi for B in rot], axis=0)              # (4, 16, 4)
-        g4 = np.einsum("pdi,de,qej->piqj", bp.conj(), H, bp)
-        k_meas = phi.conj().T @ H @ phi
-        return {"g4": g4, "k_meas": k_meas}
-    # rotated site term applied to |psi>: rows (p, q), the rot factors are
-    # Hermitian so no conjugation is needed on the left one
-    rotated = np.stack([[bp @ terms.site_b @ bq @ v for bq in rot]
-                        for bp in rot], axis=0)                    # (4, 4, 16)
-    g3 = np.einsum("di,pqd->ipq", phi.conj(), rotated)
-    return {"g3": g3, "offset": energy_decomposition(state).site_b}
+        g4 = np.einsum("pdi,de,qej->ijpq", bp.conj(), terms.total, bp)
+        g4 = g4.reshape(16, 16)
+        k_meas = (phi.conj().T @ terms.total @ phi).real
+
+        def contract(w):
+            return np.einsum("wi,wj->wij", w, w).reshape(-1, 16) @ g4
+
+        def measured(wp, wm):   # energy after the measurement
+            return (np.einsum("wi,ij,wj->w", wp, k_meas, wp)
+                    + np.einsum("wi,ij,wj->w", wm, k_meas, wm))
+    else:
+        # <phi_i| rot_p site_B rot_q |psi>; the rot factors are Hermitian
+        g3 = np.einsum("di,pqd->ipq", phi.conj(), np.stack(
+            [[rp @ terms.site_b @ rq @ v for rq in rot] for rp in rot]))
+        g3 = g3.reshape(4, 16)
+        site_b = energy_decomposition(state).site_b
+
+        def contract(w):
+            return w @ g3
+
+        def measured(wp, wm):
+            return site_b
+
+    def coefficients(raxes, saxes):
+        ones = np.ones((len(raxes), 1))
+        wp = np.concatenate([ones, raxes], axis=1)
+        wm = np.concatenate([ones, -raxes], axis=1)
+        # energy after the rotation, both outcomes: the n = -1 term has the
+        # conjugate pattern of i n sin t, so conjugating it merges the two
+        tc = (contract(wp) + contract(wm).conj()).reshape(-1, 4, 4)
+        offset = measured(wp, wm)
+        # the energy after the rotation is E(t) = T cos^2 t + Q sin^2 t
+        # + D sin t cos t, with T at t = 0, Q = s.tc.s and D from the cross
+        # terms; the objective offset - E(t) in terms of 2 t needs T/2,
+        # Q/2 and -D/2
+        t00 = 0.5 * tc[:, 0, 0].real
+        pairs = np.einsum("na,nb->nab", saxes, saxes).reshape(-1, 9)
+        quad = 0.5 * tc[:, 1:, 1:].reshape(-1, 9).real @ pairs.T
+        cross = 0.5 * (tc[:, 0, 1:] - tc[:, 1:, 0]).imag @ saxes.T
+        return (offset - t00)[:, None] - quad, quad - t00[:, None], cross
+
+    return coefficients
 
 
-def _scan_grid(state: GroundState, target: str, resolution, chunk=512):
+def _envelope(a, b, c):
+    """Maximum over theta of a + b cos 2 theta + c sin 2 theta."""
+    return a + np.sqrt(b * b + c * c)
+
+
+def _axes(polar, azimuth):
+    """Unit vectors of the product grid polar x azimuth, polar-major."""
+    P, A = np.meshgrid(polar, azimuth, indexing="ij")
+    return np.stack([(np.sin(P) * np.cos(A)).ravel(),
+                     (np.sin(P) * np.sin(A)).ravel(),
+                     np.cos(P).ravel()], axis=1)
+
+
+def _best_cell(coefficients, raxes, saxes, chunk=64):
+    """Largest theta envelope over every (r, s) pair.
+
+    Returns (value, r index, s index); ties resolve to the first r index,
+    then the first s index.
+    """
+    best_val = np.empty(len(raxes))
+    best_s = np.empty(len(raxes), dtype=np.int64)
+    for lo in range(0, len(raxes), chunk):
+        a, b, c = coefficients(raxes[lo:lo + chunk], saxes)
+        envelope = _envelope(a, b, c)
+        s_idx = envelope.argmax(axis=1)
+        best_s[lo:lo + chunk] = s_idx
+        best_val[lo:lo + chunk] = envelope[np.arange(len(s_idx)), s_idx]
+    r_idx = int(best_val.argmax())
+    return float(best_val[r_idx]), r_idx, int(best_s[r_idx])
+
+
+def _scan_grid(coefficients, resolution):
     """Exhaustive scan over the axis grid with theta maximised exactly.
 
-    Returns (best value, best axis-angle tuple).  Ties resolve to the
-    lexicographically first grid cell in (mu, nu, xi, eta) order.
+    r -> -r and s -> -s each map theta -> -theta, so the envelope is even
+    in both axes.  For even `resolution` the antipode of grid point
+    (mu_i, nu_j) is the grid point (mu_{n-1-i}, nu_{j+n/2}), so only polar
+    indices i < n/2 are scanned on either axis.  Ties resolve to the
+    lexicographically first cell in (mu, nu, xi, eta) order; the kept cell
+    of each antipodal set is its lexicographically first member, so the
+    rule is the same as for the full grid.  Returns (value, axis angles).
     """
-    grids = _grids(resolution)
-    mus, nus, xis, etas = grids["axes1d"]
-    raxes, saxes, spairs = grids["raxes"], grids["saxes"], grids["spairs"]
     n = resolution
-    n_w = raxes.shape[0]
-    tensors = _scan_tensors(state, target)
-    wp = np.concatenate([np.ones((n_w, 1)), raxes], axis=1)
-    wm = np.concatenate([np.ones((n_w, 1)), -raxes], axis=1)
-    if target == TARGET_EXTRACTED:
-        k_meas = tensors["k_meas"]
-        offset = (np.einsum("wi,ij,wj->w", wp, k_meas, wp)
-                  + np.einsum("wi,ij,wj->w", wm, k_meas, wm)).real
-        g4 = tensors["g4"]
-
-        def t_combined(sel):
-            tp = np.einsum("piqj,wi,wj->pqw", g4, wp[sel], wp[sel])
-            tm = np.einsum("piqj,wi,wj->pqw", g4, wm[sel], wm[sel])
-            return tp + tm.conj()
-    else:
-        offset = np.full(n_w, tensors["offset"])
-        g3 = tensors["g3"]
-
-        def t_combined(sel):
-            tp = np.einsum("wi,ipq->pqw", wp[sel], g3)
-            tm = np.einsum("wi,ipq->pqw", wm[sel], g3)
-            return tp + tm.conj()
-
-    best_val = np.empty(n_w)
-    best_s = np.empty(n_w, dtype=np.int64)
-    for lo in range(0, n_w, chunk):
-        sel = slice(lo, min(lo + chunk, n_w))
-        tc = t_combined(sel)                       # (4, 4, c)
-        t00 = tc[0, 0].real                        # value at theta = 0
-        dvec = -(tc[0, 1:] - tc[1:, 0]).imag       # (3, c)
-        quad = tc[1:, 1:].reshape(9, -1).real      # (9, c)
-        # a + b cos(2t) + c sin(2t); exact minimum over theta is a - R
-        a = 0.5 * (t00[None, :] + spairs @ quad)
-        b = t00[None, :] - a
-        c = 0.5 * (saxes @ dvec)
-        gain = offset[sel][None, :] - (a - np.hypot(b, c))
-        s_idx = gain.argmax(axis=0)
-        cols = np.arange(gain.shape[1])
-        best_val[sel] = gain[s_idx, cols]
-        best_s[sel] = s_idx
-    w_idx = int(best_val.argmax())
-    s_idx = int(best_s[w_idx])
-    angles = (mus[w_idx // n], nus[w_idx % n], xis[s_idx // n], etas[s_idx % n])
-    return float(best_val[w_idx]), angles
+    polar = np.linspace(0.0, np.pi, n)[:n // 2]
+    azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    axes = _axes(polar, azimuth)
+    value, r_idx, s_idx = _best_cell(coefficients, axes, axes)
+    return value, (polar[r_idx // n], azimuth[r_idx % n],
+                   polar[s_idx // n], azimuth[s_idx % n])
 
 
-def _golden_section(g, lo, hi, tol=1e-12):
-    """Golden-section minimiser of g on [lo, hi]; returns (x, g(x))."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    g1, g2 = g(x1), g(x2)
-    while hi - lo > tol:
-        if g1 <= g2:
-            hi, x2, g2 = x2, x1, g1
-            x1 = hi - invphi * (hi - lo)
-            g1 = g(x1)
-        else:
-            lo, x1, g1 = x1, x2, g2
-            x2 = lo + invphi * (hi - lo)
-            g2 = g(x2)
-    xm = 0.5 * (lo + hi)
-    return xm, g(xm)
+_ZOOM = np.arange(-2.0, 3.0)       # local grid offsets, in steps
+_CENTRE = (len(_ZOOM) ** 4 - 1) // 2   # flat index of the 5^4 grid's centre
 
 
-def _refine(f, axis_angles, steps, tol=1e-12, max_rounds=80):
-    """Cyclic golden-section ascent over the four axis angles.
+def _zoom(coefficients, angles, steps, tol=1e-15, min_step=1e-8,
+          max_rounds=200):
+    """Coarse-to-fine local grid ascent over the four axis angles.
 
-    The rotation angle is maximised exactly at every probe through the
-    three-point sinusoid reconstruction, which removes the curved ridge
-    that couples the feedback tilt to the rotation angle.  Brackets shrink
-    once a full cycle stops improving; the search ends when a cycle gains
-    less than `tol`.
+    Each round evaluates the 5^4 grid x + steps * {-2..2}^4 in one
+    contraction and recentres on its best cell; the steps halve when that
+    cell is the centre or gains less than `tol`.  Returns (angles, rounds,
+    converged), converged meaning every step fell below `min_step`.
     """
-    clamp = {0: (0.0, np.pi), 2: (0.0, np.pi)}  # polar angles
-
-    def envelope(axes):
-        a, b, c = theta_sinusoid(f, *axes)
-        return a + np.hypot(b, c)
-
-    x = list(axis_angles)
-    value = envelope(x)
-    deltas = list(steps)
-    for _ in range(max_rounds):
-        previous = value
-        for i in range(4):
-            lo, hi = x[i] - deltas[i], x[i] + deltas[i]
-            if i in clamp:
-                lo, hi = max(lo, clamp[i][0]), min(hi, clamp[i][1])
-
-            def section(t, i=i):
-                trial = list(x)
-                trial[i] = t
-                return -envelope(trial)
-
-            best_t, neg = _golden_section(section, lo, hi, tol=1e-11)
-            if -neg > value:
-                x[i], value = best_t, -neg
-        if value - previous < tol:
-            if max(deltas) < 1e-7:
-                break
-            deltas = [d * 0.25 for d in deltas]
-    _, b, c = theta_sinusoid(f, *x)
-    theta = 0.5 * np.arctan2(c, b)
-    return f(*x, theta), (*x, theta)
+    x = np.array(angles, dtype=float)
+    steps = np.array(steps, dtype=float)
+    width = len(_ZOOM)
+    for rounds in range(1, max_rounds + 1):
+        grid = x[:, None] + steps[:, None] * _ZOOM
+        grid[[0, 2]] = np.clip(grid[[0, 2]], 0.0, np.pi)   # polar angles
+        a, b, c = coefficients(_axes(grid[0], grid[1]),
+                               _axes(grid[2], grid[3]))
+        envelope = _envelope(a, b, c).ravel()
+        best = int(envelope.argmax())
+        r_idx, s_idx = divmod(best, width**2)
+        x = grid[np.arange(4), [*divmod(r_idx, width), *divmod(s_idx, width)]]
+        if envelope[best] - envelope[_CENTRE] < tol:
+            steps *= 0.5
+        if steps.max() < min_step:
+            return tuple(x), rounds, True
+    return tuple(x), max_rounds, False
 
 
-def _normalize_angles(angles):
-    mu, nu, xi, eta, theta = angles
-    nu %= 2.0 * np.pi
-    eta %= 2.0 * np.pi
-    two_theta = np.arctan2(np.sin(2.0 * theta), np.cos(2.0 * theta))
-    return mu, nu, xi, eta, 0.5 * two_theta
+def validate_resolution(resolution: int) -> None:
+    """Reject an oracle grid resolution below 64 or odd (the halved scan
+    needs the antipode of every grid axis on the grid)."""
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be at least {MIN_RESOLUTION}")
+    if resolution % 2:
+        raise ValueError(f"resolution must be even, got {resolution}: the "
+                         f"halved scan needs the antipode of every grid "
+                         f"axis on the grid")
 
 
 def brute_force_max(state: GroundState, target: str,
                     resolution: int = MIN_RESOLUTION) -> Certificate:
-    """Grid scan plus local refinement of the direct objective.
+    """Grid scan plus local refinement of the matrix-element objective.
 
-    `resolution` is the number of points per angle (at least 64).  The
-    certificate's sinusoid fields come from direct evaluations at the
+    `resolution` is the number of points per angle: even, and at least
+    64.  The certificate's sinusoid fields come from the engine at the
     optimal axes, keeping the whole oracle independent of the closed forms.
     """
-    if target not in _TARGETS:
-        raise ValueError(f"unknown target {target!r}")
-    if resolution < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be at least {MIN_RESOLUTION}")
-    f = direct_objective(state, target)
-    _, axis_angles = _scan_grid(state, target, resolution)
-    steps = (np.pi / resolution, 2.0 * np.pi / resolution,
-             np.pi / resolution, 2.0 * np.pi / resolution)
-    value, angles = _refine(f, axis_angles, steps)
-    mu, nu, xi, eta, theta = _normalize_angles(angles)
-    a, b, c = theta_sinusoid(f, mu, nu, xi, eta)
-    amplitude, cross = a, c
-    root = np.hypot(amplitude, cross)
-    phase = np.arctan2(-cross, -amplitude) if root > 0.0 else 0.0
-    pp = ProtocolParams(mu, nu, xi, eta, theta)
+    validate_resolution(resolution)
+    coefficients = sinusoid_engine(state, target)
+    _, angles = _scan_grid(coefficients, resolution)
+    steps = (np.pi / resolution, 2.0 * np.pi / resolution) * 2
+    (mu, nu, xi, eta), rounds, converged = _zoom(coefficients, angles, steps)
+    a, b, c = (float(x[0, 0]) for x in coefficients(
+        ops.axis_vector(mu, nu)[None], ops.axis_vector(xi, eta)[None]))
+    theta = 0.5 * np.arctan2(c, b)
+    root = np.hypot(a, c)
+    phase = np.arctan2(-c, -a) if root > 0.0 else 0.0
+    pp = ProtocolParams(mu, nu % (2.0 * np.pi), xi, eta % (2.0 * np.pi), theta)
     bond = run_protocol(state, pp).extracted_bond
-    return Certificate(target=target, params=pp, value=value,
-                       amplitude=amplitude, cross_amplitude=cross, phase=phase,
+    return Certificate(target=target, params=pp, value=_envelope(a, b, c),
+                       amplitude=a, cross_amplitude=c, phase=phase,
                        sin_2theta=np.sin(2.0 * theta),
-                       cos_2theta=np.cos(2.0 * theta), bond_reduction=bond)
+                       cos_2theta=np.cos(2.0 * theta), bond_reduction=bond,
+                       converged=converged, rounds=rounds,
+                       evaluations=(resolution**2 // 2)**2
+                       + rounds * len(_ZOOM)**4)
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +395,19 @@ class PeakEstimate:
     ratio_to_injected: float
 
 
-def _closed_values(h, k):
-    return ground_state(ModelParams(h=float(h), k=k))
-
-
 def peak_extracted_energy(k: float = 1.0, spacing: float = 0.005) -> PeakEstimate:
     """Peak of the extracted-energy maximum over h, by quadratic
     interpolation around the best point of a uniform grid."""
     hs = np.arange(spacing, 1.0 + spacing / 2.0, spacing) * k
-    vals = np.array([max_extracted_energy(_closed_values(h, k)).value for h in hs])
+    vals = np.array([max_extracted_energy(
+        ground_state(ModelParams(h=float(h), k=k))).value for h in hs])
     i = int(vals.argmax())
     i = min(max(i, 1), len(hs) - 2)
     y0, y1, y2 = vals[i - 1:i + 2]
     denom = y0 - 2.0 * y1 + y2
     shift = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
     h_peak = hs[i] + shift * spacing * k
-    state = _closed_values(h_peak, k)
+    state = ground_state(ModelParams(h=float(h_peak), k=k))
     value = max_extracted_energy(state).value
     ratio = value / injected_energy(state, "y")
     return PeakEstimate(h_peak=float(h_peak), value=float(value),
@@ -490,7 +420,7 @@ def crossover_field(k: float = 1.0, spacing: float = 0.005) -> float:
     hs = np.arange(spacing, 1.0 + spacing / 2.0, spacing) * k
 
     def gap(h):
-        state = _closed_values(h, k)
+        state = ground_state(ModelParams(h=float(h), k=k))
         return injected_energy(state, "x") - max_site_reduction(state).value
 
     gaps = np.array([gap(h) for h in hs])

@@ -78,14 +78,20 @@ def test_criterion_02_algebraic_invariants():
 
 def test_criterion_03_optimizer_equivalence():
     worst = 0.0
+    rounds = []
     for h in OPTIMIZER_GRID:
         state = gs(h)
         for target, closed in ((TARGET_EXTRACTED, max_extracted_energy),
                                (TARGET_SITE, max_site_reduction)):
             cert = brute_force_max(state, target)
             worst = max(worst, abs(cert.value - closed(state).value))
+            if not cert.converged:
+                worst = np.inf
+            assert cert.evaluations > cert.rounds > 0
+            rounds.append(cert.rounds)
     report(3, "grid search vs closed-form maxima", worst, 1e-8,
-           extra=f"({len(OPTIMIZER_GRID)} fields, both targets)")
+           extra=f"({len(OPTIMIZER_GRID)} fields, both targets, "
+                 f"{min(rounds)}-{max(rounds)} refinement rounds)")
 
 
 def test_criterion_04_sweep_landmarks():

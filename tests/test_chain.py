@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,15 @@ class TestLengthScan:
         assert np.all(np.diff(scan.yy_abs) < 0.0)
         assert scan.r_squared > 0.99
         assert scan.slope < 0.0
+
+    def test_fit_needs_two_distinct_lengths(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lengths in ([16], [16, 16]):
+                scan = correlators_vs_length(0.5, 1.0, lengths)
+                assert scan.slope is None and scan.r_squared is None
+        with pytest.raises(ValueError):
+            correlators_vs_length(0.5, 1.0, [])
 
     def test_rejects_tiny_lengths(self):
         with pytest.raises(ValueError):

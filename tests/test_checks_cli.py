@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,17 @@ class TestChecks:
         monkeypatch.setattr(optimize_mod, "correlators_closed", flipped)
         result = checks.check_brute_force(fields=(0.5,))
         assert not result.passed
+
+    def test_unconverged_oracle_fails(self, monkeypatch):
+        original = optimize_mod._zoom
+
+        def stalled(*args, **kwargs):
+            return original(*args, **kwargs, max_rounds=3)
+
+        monkeypatch.setattr(optimize_mod, "_zoom", stalled)
+        result = checks.check_brute_force(fields=(0.5,))
+        assert not result.passed
+        assert "not converged" in result.detail
 
 
 class TestCli:
@@ -87,6 +99,24 @@ class TestCli:
         row8 = lines[2].split(",")
         assert float(row4[-1]) < 1e-10
         assert row8[-1] == ""
+
+    def test_chain_single_length_has_no_fit(self, tmp_path):
+        out = tmp_path / "chain.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["chain", "--h", "0.5", "--L", "16",
+                             "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[:2] == ["16", "5.000000000000e-01"]
+        assert row[4:6] == ["", ""]
+
+    def test_chain_empty_length_list_exit_code(self, capsys):
+        assert cli.main(["chain", "--L-list", ""]) == 2
+        assert "chain length" in capsys.readouterr().err
+
+    def test_verify_odd_grid_exit_code(self, capsys):
+        assert cli.main(["verify", "--grid", "65"]) == 2
+        assert "even" in capsys.readouterr().err
 
     def test_io_error_exit_code(self, tmp_path):
         missing_dir = tmp_path / "nope" / "out.csv"

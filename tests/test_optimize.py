@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from qetsim import optimize
 from qetsim.model import ModelParams, energy_decomposition, ground_state
-from qetsim.optimize import (TARGET_EXTRACTED, TARGET_SITE, brute_force_max,
-                             crossover_field, direct_objective,
+from qetsim.operators import axis_vector
+from qetsim.optimize import (MIN_RESOLUTION, TARGET_EXTRACTED, TARGET_SITE,
+                             brute_force_max, crossover_field,
                              max_extracted_energy, max_site_reduction,
                              peak_extracted_energy, protocol_sweep,
-                             theta_sinusoid)
-from qetsim.protocol import correlators_closed, run_protocol
+                             sinusoid_engine)
+from qetsim.protocol import ProtocolParams, correlators_closed, run_protocol
 
 # landmarks of the closed forms, frozen from a high-precision evaluation
 PEAK_FIELD = 0.176023978166
@@ -100,20 +102,23 @@ class TestLandmarks:
 
 
 class TestSinusoid:
-    def test_direct_objective_is_a_pure_sinusoid(self):
+    def test_engine_matches_run_protocol(self):
+        # two routes: the engine's contraction coefficients against the
+        # pointwise matrix algebra of run_protocol, at random angles
         rng = np.random.default_rng(12)
         state = gs(0.8)
         for target in (TARGET_EXTRACTED, TARGET_SITE):
-            f = direct_objective(state, target)
+            coefficients = sinusoid_engine(state, target)
             mu, nu, xi, eta = rng.uniform(0, np.pi, 4) * [1, 2, 1, 2]
-            a, b, c = theta_sinusoid(f, mu, nu, xi, eta)
+            a, b, c = (float(x[0, 0]) for x in coefficients(
+                axis_vector(mu, nu)[None], axis_vector(xi, eta)[None]))
             for theta in rng.uniform(-np.pi / 2, np.pi / 2, 5):
+                ledger = run_protocol(state,
+                                      ProtocolParams(mu, nu, xi, eta, theta))
+                direct = (ledger.extracted if target == TARGET_EXTRACTED
+                          else ledger.extracted_site)
                 expected = a + b * np.cos(2 * theta) + c * np.sin(2 * theta)
-                assert abs(f(mu, nu, xi, eta, theta) - expected) < 1e-13
-
-    def test_unknown_target(self):
-        with pytest.raises(ValueError):
-            direct_objective(gs(0.5), "nonsense")
+                assert abs(direct - expected) < 1e-13
 
 
 class TestBruteForce:
@@ -135,9 +140,31 @@ class TestBruteForce:
         cert = brute_force_max(state, TARGET_EXTRACTED)
         assert abs(cert.value) < 1e-10
 
+    def test_unknown_target(self):
+        with pytest.raises(ValueError):
+            brute_force_max(gs(0.5), "nonsense")
+
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             brute_force_max(gs(0.5), TARGET_EXTRACTED, resolution=32)
+
+    def test_odd_resolution_rejected(self):
+        with pytest.raises(ValueError, match="antipode"):
+            brute_force_max(gs(0.5), TARGET_EXTRACTED, resolution=65)
+
+    @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
+    @pytest.mark.parametrize("h", [0.3, 1.5])
+    def test_halved_scan_picks_the_full_grid_cell(self, h, target):
+        n = MIN_RESOLUTION
+        coefficients = sinusoid_engine(gs(h), target)
+        polar = np.linspace(0.0, np.pi, n)
+        azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        axes = optimize._axes(polar, azimuth)
+        full, r_idx, s_idx = optimize._best_cell(coefficients, axes, axes)
+        value, angles = optimize._scan_grid(coefficients, n)
+        assert angles == (polar[r_idx // n], azimuth[r_idx % n],
+                          polar[s_idx // n], azimuth[s_idx % n])
+        assert abs(value - full) < 1e-15
 
     def test_deterministic(self):
         state = gs(0.3)

@@ -45,11 +45,21 @@ class TestBuildChain:
         with pytest.raises(ValueError):
             build_chain(4, 0.5, 0.0)
 
+    @pytest.mark.parametrize("h, k", [(np.nan, 1.0), (np.inf, 1.0),
+                                      (0.5, np.nan), (0.5, np.inf)])
+    def test_rejects_non_finite_field_and_coupling(self, h, k):
+        with pytest.raises(ValueError, match="finite"):
+            build_chain(4, h, k)
+        with pytest.raises(ValueError, match="finite"):
+            correlators_vs_length(h, k, [4, 50])
+
 
 class TestGroundCovariance:
     def test_requires_positive_field(self):
-        with pytest.raises(ValueError):
-            ground_covariance(build_chain(4, 0.0, 1.0))
+        for solve in (ground_covariance, edge_correlators,
+                      ground_energy_from_filling):
+            with pytest.raises(ValueError):
+                solve(build_chain(4, 0.0, 1.0))
 
     @pytest.mark.parametrize("L", [4, 9, 32])
     def test_pure_antisymmetric(self, L):
@@ -66,11 +76,30 @@ class TestGroundCovariance:
             assert np.sort(svals)[1] >= 1.0 - 1e-10
 
     def test_odd_length_edge_correlator_vanishes(self):
-        # the unpaired mode spans the two edge b's, forcing their
-        # correlator to zero for every odd length
-        for L in (9, 15):
-            bb, _ = edge_correlators(build_chain(L, 0.5, 1.0))
-            assert abs(bb) < 1e-12
+        # for odd L each edge pair sits on one sublattice of the path,
+        # where the covariance vanishes identically
+        for L in (3, 9, 15):
+            for h in (SMALL_FIELD, 0.5):
+                assert edge_correlators(build_chain(L, h, 1.0)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("L, h", [(16, 1e-6), (16, 1e-5), (50, 1.0)])
+    def test_matches_high_precision_polar_factor(self, L, h):
+        # reference: the polar factor P = B (B^T B)^(-1/2) of the coupling
+        # block between the path's sublattices, at 50 digits; then
+        # <i b_0 b_{L-1}> = -P[0, -1] and <i c_0 c_{L-1}> = P[-1, 0]
+        mp = pytest.importorskip("mpmath")
+        spec = build_chain(L, h, 1.0)
+        path = [L] + list(range(L)) + [L + 1]
+        even, odd = path[0::2], path[1::2]
+        with mp.workdps(50):
+            b = mp.matrix([[mp.mpf(float(spec.coupling[i, j])) for j in odd]
+                           for i in even])
+            vals, vecs = mp.eigsy(b.T * b)
+            p = b * vecs * mp.diag([1 / mp.sqrt(v) for v in vals]) * vecs.T
+            want = (float(-p[0, len(odd) - 1]), float(p[len(even) - 1, 0]))
+        got = edge_correlators(spec)
+        assert abs(got[0] - want[0]) < 1e-14
+        assert abs(got[1] - want[1]) < 1e-14
 
     @pytest.mark.parametrize("h", [0.1, 0.5, 1.0, 2.0])
     def test_four_site_chain_matches_exact_diagonalisation(self, h):
@@ -130,6 +159,23 @@ class TestLengthScan:
                 assert scan.slope is None and scan.r_squared is None
         with pytest.raises(ValueError):
             correlators_vs_length(0.5, 1.0, [])
+
+    def test_fit_skips_odd_lengths(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed = correlators_vs_length(0.5, 1.0, [4, 5, 50, 100])
+        even = correlators_vs_length(0.5, 1.0, [4, 50, 100])
+        assert mixed.yy_abs[1] == 0.0
+        assert np.isfinite(mixed.slope)
+        assert mixed.slope == even.slope
+        assert mixed.r_squared == even.r_squared
+        for lengths in ([5, 9], [4, 5], [4, 4, 7]):
+            scan = correlators_vs_length(0.5, 1.0, lengths)
+            assert scan.slope is None and scan.r_squared is None
+
+    def test_rejects_negative_field(self):
+        with pytest.raises(ValueError):
+            correlators_vs_length(-0.5, 1.0, [4, 50])
 
     def test_rejects_tiny_lengths(self):
         with pytest.raises(ValueError):

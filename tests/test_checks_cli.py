@@ -110,6 +110,27 @@ class TestCli:
         assert row[:2] == ["16", "5.000000000000e-01"]
         assert row[4:6] == ["", ""]
 
+    def test_chain_odd_lengths_leave_the_fit_unchanged(self, tmp_path):
+        mixed, even = tmp_path / "mixed.csv", tmp_path / "even.csv"
+        assert cli.main(["chain", "--h", "0.5", "--L-list", "4,5,50,100",
+                         "--out", str(mixed)]) == 0
+        assert cli.main(["chain", "--h", "0.5", "--L-list", "4,50,100",
+                         "--out", str(even)]) == 0
+        rows = [line.split(",") for line in mixed.read_text().splitlines()[1:]]
+        fit = even.read_text().splitlines()[1].split(",")[4:6]
+        assert float(fit[0]) < 0.0
+        assert all(row[4:6] == fit for row in rows)
+        assert rows[1][2:4] == ["0.000000000000e+00"] * 2
+
+    @pytest.mark.parametrize("args", [["--h", "nan"], ["--k", "inf"],
+                                      ["--h-min", "nan", "--h-max", "1"]])
+    def test_chain_non_finite_input_exit_code(self, tmp_path, capsys, args):
+        out = tmp_path / "chain.csv"
+        assert cli.main(["chain", *args, "--L-list", "4,50",
+                         "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_chain_empty_length_list_exit_code(self, capsys):
         assert cli.main(["chain", "--L-list", ""]) == 2
         assert "chain length" in capsys.readouterr().err

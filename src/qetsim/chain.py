@@ -70,9 +70,11 @@ class ChainSpec:
 
 
 def _check_field(h, k):
-    if not (math.isfinite(h) and math.isfinite(k)):
-        raise ValueError(f"edge field h and coupling k must be finite, "
-                         f"got h={h}, k={k}")
+    # the coupling matrix holds 2h and 2k
+    for name, value in (("edge field h", h), ("coupling k", k)):
+        if not math.isfinite(2.0 * value):
+            raise ValueError(f"{name} must be finite, also when doubled; "
+                             f"got {name[-1]}={value}")
     if k <= 0:
         raise ValueError(f"coupling k must be positive, got {k}")
     if h < 0:
@@ -151,8 +153,9 @@ class LengthScan:
     """Edge-correlator magnitudes versus chain length at fixed field.
 
     `slope` and `r_squared` come from a least-squares line through
-    log |<i c_0 c_{L-1}>| versus log L over the even lengths; they are None
-    when fewer than two distinct even lengths leave nothing to fit.
+    log |<i c_0 c_{L-1}>| versus log L over the even lengths with a non-zero
+    correlator; they are None when fewer than two distinct such lengths
+    leave nothing to fit.
     """
 
     h: float
@@ -170,7 +173,8 @@ def correlators_vs_length(h: float, k: float, lengths) -> LengthScan:
     h = 0 is evaluated at a small substitute field (stable against making
     it smaller; the limit is regular even though exact zero modes are not).
     The fit runs over the even lengths only: odd lengths have structurally
-    zero correlators.
+    zero correlators.  Even lengths whose |yy| underflowed to 0.0 (huge
+    fields) are left out of the fit too.
     """
     lengths = sorted(int(L) for L in lengths)
     if not lengths:
@@ -186,7 +190,9 @@ def correlators_vs_length(h: float, k: float, lengths) -> LengthScan:
         xx.append(abs(bb))
         yy.append(abs(cc))
     slope = r_squared = None
-    fit = [(L, d) for L, d in zip(lengths, yy) if L % 2 == 0]
+    # odd lengths are structural zeros; an even-length |yy| that underflowed
+    # to 0.0 has no logarithm
+    fit = [(L, d) for L, d in zip(lengths, yy) if L % 2 == 0 and d > 0.0]
     if len({L for L, _ in fit}) > 1:
         log_l, log_d = np.log(np.asarray(fit, dtype=float)).T
         slope, intercept = np.polyfit(log_l, log_d, 1)

@@ -17,6 +17,7 @@ success, 1 on verification failure, 2 for argument or I/O errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -48,6 +49,9 @@ def _write_csv(path, header, rows):
 
 
 def _field_grid(args):
+    if not all(map(math.isfinite, (args.h_min, args.h_max, args.k))):
+        raise ValueError(f"--h-min, --h-max and --k must be finite, got "
+                         f"{args.h_min}, {args.h_max}, {args.k}")
     if args.h_steps < 2:
         raise ValueError("--h-steps must be at least 2")
     if args.h_min > args.h_max:

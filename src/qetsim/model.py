@@ -18,6 +18,7 @@ k (alpha - beta) = 2 h alpha beta and alpha beta = (e - k)/(e + k).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +37,9 @@ class ModelParams:
     k: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.h) and math.isfinite(self.k)):
+            raise ValueError(f"edge field h and coupling k must be finite, "
+                             f"got h={self.h}, k={self.k}")
         if not self.k > 0:
             raise ValueError(f"coupling k must be positive, got {self.k}")
         if self.h < 0:
@@ -113,21 +117,20 @@ class GroundEnergies:
     bond_right: float
 
 
-def build_pauli(site, axis):
-    """Pauli operator at `site` on the four-site space (thin re-export)."""
-    return ops.pauli(site, axis)
-
-
 @lru_cache(maxsize=512)
 def build_hamiltonian(params: ModelParams) -> HamiltonianTerms:
+    """The five terms of H; cached, so the arrays are returned read-only."""
     h, k = params.h, params.k
-    return HamiltonianTerms(
+    terms = HamiltonianTerms(
         site_a=h * ops.pauli(0, "z"),
         bond_left=k * ops.pauli(0, "x") @ ops.pauli(1, "x"),
         bond_center=k * ops.pauli(1, "y") @ ops.pauli(2, "y"),
         bond_right=k * ops.pauli(2, "x") @ ops.pauli(3, "x"),
         site_b=h * ops.pauli(3, "z"),
     )
+    for array in vars(terms).values():
+        array.flags.writeable = False
+    return terms
 
 
 def build_symmetries() -> SymmetrySet:

@@ -16,22 +16,30 @@ energy.  :func:`brute_force_max` cross-checks these by a search over all
 five angles that never reads a closed form, so agreement is a genuine
 two-route test.
 
-The search runs on one matrix-element engine, :func:`sinusoid_engine`.
-For fixed axes the objective is an exact sinusoid in 2 theta (conjugation
-by cos(theta) + i n sin(theta) s.sigma_B produces no higher harmonics), and
-its three coefficients are contractions of a few precomputed matrix
-elements with the measurement axis r and the feedback axis s.  The engine
-maps a set of r and a set of s to the coefficients of every (r, s) pair,
-so theta is maximised exactly in every cell instead of on a theta grid:
-the positive basin in theta narrows like the maximum itself and falls
-below any fixed grid spacing once the edge field is large.
+The search runs on one matrix-element engine.  For fixed axes the
+objective is an exact sinusoid a + b cos 2 theta + c sin 2 theta
+(conjugation by cos(theta) + i n sin(theta) s.sigma_B produces no higher
+harmonics), and its coefficients are contractions of a few precomputed
+matrix elements with the measurement axis r and the feedback axis s, so
+theta is maximised exactly in every cell instead of on a theta grid: the
+positive basin in theta narrows like the maximum itself and falls below
+any fixed grid spacing once the edge field is large.
 
+* Row stage.  One pass over a set of measurement axes gives, per r, the
+  row constant delta, ten coefficients bq with b = bq . (s (x) s, 1) and
+  three coefficients cr with c = cr . s; then a = delta - b.  For a set
+  of feedback axes, b and c are two matrix products with one basis.
+  :func:`sinusoid_engine` returns (a, b, c) as a view over this stage.
+* Fused envelope kernel.  The maximum over theta,
+  sqrt(b^2 + c^2) - b + delta, is evaluated with in-place ufuncs in
+  preallocated buffers of `_CHUNK` measurement axes, followed by the row
+  argmax; the scan and the zoom both run on it.
 * Halved scan.  r -> -r and s -> -s each map theta -> -theta, so the
   theta envelope is even in r and in s.  On an even angle grid every
   antipode is a grid point, and only the polar half mu, xi < pi/2 of each
   axis grid is scanned: a quarter of the full grid's cells.
 * Zoom refinement.  A 5^4 local grid around the best cell is evaluated in
-  one contraction and recentred on its best point; the steps halve when
+  one kernel call and recentred on its best point; the steps halve when
   no neighbour gains, and the search stops when every step is below 1e-8.
 * Convergence.  The certificate records whether the refinement met that
   step tolerance within its round limit, its round count and the number of
@@ -150,19 +158,22 @@ def max_site_reduction(state: GroundState) -> Certificate:
 # the matrix-element engine and the grid oracle
 
 
-def sinusoid_engine(state: GroundState, target: str):
-    """Exact theta dependence of the objective for sets of axes.
+def _row_engine(state: GroundState, target: str):
+    """The row stage: per-measurement-axis coefficients of the objective.
 
-    Returns ``coefficients(raxes, saxes) -> (a, b, c)``: for measurement
-    axes `raxes` (shape (m, 3)) and feedback axes `saxes` (shape (n, 3)),
-    arrays of shape (m, n) with
+    Returns ``rows(raxes) -> (delta, bq, cr)`` with shapes (m,), (m, 10)
+    and (m, 3) for measurement axes `raxes` of shape (m, 3), such that for
+    a feedback axis s
 
-        objective(r_i, s_j, theta) = a + b cos 2 theta + c sin 2 theta.
+        b = bq . (s (x) s, 1),   c = cr . s,   a = delta - b,
+
+    and objective(r, s, theta) = a + b cos 2 theta + c sin 2 theta.
 
     The post-measurement states P_A(n)|psi> are linear in (1, n r); the
     rotation is linear in (cos t, i n sin t s).  Sandwiching the relevant
     Hamiltonian term therefore reduces to bilinear contractions of
-    precomputed matrix elements of raw Pauli operators.
+    precomputed matrix elements of raw Pauli operators, done here once per
+    measurement axis.
     """
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}")
@@ -197,59 +208,119 @@ def sinusoid_engine(state: GroundState, target: str):
         def measured(wp, wm):
             return site_b
 
-    def coefficients(raxes, saxes):
+    def rows(raxes):
         ones = np.ones((len(raxes), 1))
         wp = np.concatenate([ones, raxes], axis=1)
         wm = np.concatenate([ones, -raxes], axis=1)
         # energy after the rotation, both outcomes: the n = -1 term has the
         # conjugate pattern of i n sin t, so conjugating it merges the two
         tc = (contract(wp) + contract(wm).conj()).reshape(-1, 4, 4)
-        offset = measured(wp, wm)
         # the energy after the rotation is E(t) = T cos^2 t + Q sin^2 t
         # + D sin t cos t, with T at t = 0, Q = s.tc.s and D from the cross
         # terms; the objective offset - E(t) in terms of 2 t needs T/2,
         # Q/2 and -D/2
         t00 = 0.5 * tc[:, 0, 0].real
-        pairs = np.einsum("na,nb->nab", saxes, saxes).reshape(-1, 9)
-        quad = 0.5 * tc[:, 1:, 1:].reshape(-1, 9).real @ pairs.T
-        cross = 0.5 * (tc[:, 0, 1:] - tc[:, 1:, 0]).imag @ saxes.T
-        return (offset - t00)[:, None] - quad, quad - t00[:, None], cross
+        bq = np.concatenate([0.5 * tc[:, 1:, 1:].reshape(-1, 9).real,
+                             -t00[:, None]], axis=1)
+        cr = 0.5 * (tc[:, 0, 1:] - tc[:, 1:, 0]).imag
+        return measured(wp, wm) - 2.0 * t00, bq, cr
 
-    return coefficients
+    return rows
 
 
-def _envelope(a, b, c):
-    """Maximum over theta of a + b cos 2 theta + c sin 2 theta."""
-    return a + np.sqrt(b * b + c * c)
+def _feedback_basis(saxes):
+    """(13, n) basis (s (x) s, 1, s) of the feedback axes s, one column per
+    axis, so that b = bq @ basis[:10] and c = cr @ basis[10:] are each one
+    matrix product."""
+    pairs = (saxes[:, :, None] * saxes[:, None, :]).reshape(-1, 9)
+    return np.ascontiguousarray(np.concatenate(
+        [pairs, np.ones((len(saxes), 1)), saxes], axis=1).T)
+
+
+def sinusoid_engine(state: GroundState, target: str):
+    """Exact theta dependence of the objective for sets of axes.
+
+    Returns ``coefficients(raxes, saxes) -> (a, b, c)``: for measurement
+    axes `raxes` (shape (m, 3)) and feedback axes `saxes` (shape (n, 3)),
+    arrays of shape (m, n) with
+
+        objective(r_i, s_j, theta) = a + b cos 2 theta + c sin 2 theta.
+
+    A view over the row stage of the oracle (:func:`_row_engine`).
+    """
+    rows = _row_engine(state, target)
+    return lambda raxes, saxes: _coefficients(rows(raxes), saxes)
+
+
+def _coefficients(row, saxes):
+    """(a, b, c), each of shape (m, n), from the row stage `row` of m
+    measurement axes and the feedback axes `saxes`."""
+    delta, bq, cr = row
+    basis = _feedback_basis(saxes)
+    b = bq @ basis[:10]
+    return delta[:, None] - b, b, cr @ basis[10:]
+
+
+def _envelope_into(buffers, row, basis):
+    """The fused envelope kernel: max over theta of a + b cos 2t + c sin 2t,
+    that is delta + sqrt(b^2 + c^2) - b, for every (row, feedback axis)
+    pair.
+
+    `row` is the row stage ``(delta, bq, cr)`` of m measurement axes and
+    `basis` the :func:`_feedback_basis` of n feedback axes.  Works in place
+    in the preallocated `buffers` of shape (3, >= m, n) and returns the
+    (m, n) envelope, a view into them.
+    """
+    delta, bq, cr = row
+    out, b, c = buffers[:, :len(delta)]
+    np.matmul(bq, basis[:10], out=b)
+    np.matmul(cr, basis[10:], out=c)
+    np.multiply(c, c, out=c)
+    np.multiply(b, b, out=out)
+    out += c
+    np.sqrt(out, out=out)
+    out -= b
+    out += delta[:, None]
+    return out
 
 
 def _axes(polar, azimuth):
     """Unit vectors of the product grid polar x azimuth, polar-major."""
-    P, A = np.meshgrid(polar, azimuth, indexing="ij")
-    return np.stack([(np.sin(P) * np.cos(A)).ravel(),
-                     (np.sin(P) * np.sin(A)).ravel(),
-                     np.cos(P).ravel()], axis=1)
+    sin_p = np.sin(polar)
+    return np.stack([np.outer(sin_p, np.cos(azimuth)).ravel(),
+                     np.outer(sin_p, np.sin(azimuth)).ravel(),
+                     np.repeat(np.cos(polar), len(azimuth))], axis=1)
 
 
-def _best_cell(coefficients, raxes, saxes, chunk=64):
+# measurement axes per kernel call in the scan.  The 64-point scan on a
+# 2-core Xeon with 2 MB of L2 per core took 27 ms at 16 and 32, 4 % more
+# at 8, 19 % more at 64 and 35-40 % more at 4 and 128; three (16, 2048)
+# float64 buffers take 768 kB
+_CHUNK = 16
+
+
+def _best_cell(rows, raxes, saxes):
     """Largest theta envelope over every (r, s) pair.
 
     Returns (value, r index, s index); ties resolve to the first r index,
     then the first s index.
     """
+    row = rows(raxes)
+    basis = _feedback_basis(saxes)
+    buffers = np.empty((3, _CHUNK, len(saxes)))
     best_val = np.empty(len(raxes))
     best_s = np.empty(len(raxes), dtype=np.int64)
-    for lo in range(0, len(raxes), chunk):
-        a, b, c = coefficients(raxes[lo:lo + chunk], saxes)
-        envelope = _envelope(a, b, c)
+    for lo in range(0, len(raxes), _CHUNK):
+        hi = lo + _CHUNK
+        envelope = _envelope_into(buffers, [x[lo:hi] for x in row], basis)
         s_idx = envelope.argmax(axis=1)
-        best_s[lo:lo + chunk] = s_idx
-        best_val[lo:lo + chunk] = envelope[np.arange(len(s_idx)), s_idx]
+        best_s[lo:hi] = s_idx
+        best_val[lo:hi] = envelope[np.arange(len(s_idx)), s_idx]
     r_idx = int(best_val.argmax())
     return float(best_val[r_idx]), r_idx, int(best_s[r_idx])
 
 
-def _scan_grid(coefficients, resolution):
+def _scan_grid(rows, resolution):
     """Exhaustive scan over the axis grid with theta maximised exactly.
 
     r -> -r and s -> -s each map theta -> -theta, so the envelope is even
@@ -264,7 +335,7 @@ def _scan_grid(coefficients, resolution):
     polar = np.linspace(0.0, np.pi, n)[:n // 2]
     azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     axes = _axes(polar, azimuth)
-    value, r_idx, s_idx = _best_cell(coefficients, axes, axes)
+    value, r_idx, s_idx = _best_cell(rows, axes, axes)
     return value, (polar[r_idx // n], azimuth[r_idx % n],
                    polar[s_idx // n], azimuth[s_idx % n])
 
@@ -273,24 +344,25 @@ _ZOOM = np.arange(-2.0, 3.0)       # local grid offsets, in steps
 _CENTRE = (len(_ZOOM) ** 4 - 1) // 2   # flat index of the 5^4 grid's centre
 
 
-def _zoom(coefficients, angles, steps, tol=1e-15, min_step=1e-8,
+def _zoom(rows, angles, steps, tol=1e-15, min_step=1e-8,
           max_rounds=200):
     """Coarse-to-fine local grid ascent over the four axis angles.
 
-    Each round evaluates the 5^4 grid x + steps * {-2..2}^4 in one
-    contraction and recentres on its best cell; the steps halve when that
+    Each round evaluates the 5^4 grid x + steps * {-2..2}^4 in one kernel
+    call and recentres on its best cell; the steps halve when that
     cell is the centre or gains less than `tol`.  Returns (angles, rounds,
     converged), converged meaning every step fell below `min_step`.
     """
     x = np.array(angles, dtype=float)
     steps = np.array(steps, dtype=float)
     width = len(_ZOOM)
+    buffers = np.empty((3, width**2, width**2))
     for rounds in range(1, max_rounds + 1):
         grid = x[:, None] + steps[:, None] * _ZOOM
         grid[[0, 2]] = np.clip(grid[[0, 2]], 0.0, np.pi)   # polar angles
-        a, b, c = coefficients(_axes(grid[0], grid[1]),
-                               _axes(grid[2], grid[3]))
-        envelope = _envelope(a, b, c).ravel()
+        envelope = _envelope_into(buffers, rows(_axes(grid[0], grid[1])),
+                                  _feedback_basis(_axes(grid[2], grid[3])))
+        envelope = envelope.ravel()
         best = int(envelope.argmax())
         r_idx, s_idx = divmod(best, width**2)
         x = grid[np.arange(4), [*divmod(r_idx, width), *divmod(s_idx, width)]]
@@ -321,19 +393,20 @@ def brute_force_max(state: GroundState, target: str,
     optimal axes, keeping the whole oracle independent of the closed forms.
     """
     validate_resolution(resolution)
-    coefficients = sinusoid_engine(state, target)
-    _, angles = _scan_grid(coefficients, resolution)
+    rows = _row_engine(state, target)
+    _, angles = _scan_grid(rows, resolution)
     steps = (np.pi / resolution, 2.0 * np.pi / resolution) * 2
-    (mu, nu, xi, eta), rounds, converged = _zoom(coefficients, angles, steps)
-    a, b, c = (float(x[0, 0]) for x in coefficients(
-        ops.axis_vector(mu, nu)[None], ops.axis_vector(xi, eta)[None]))
+    (mu, nu, xi, eta), rounds, converged = _zoom(rows, angles, steps)
+    a, b, c = (float(x[0, 0]) for x in _coefficients(
+        rows(ops.axis_vector(mu, nu)[None]), ops.axis_vector(xi, eta)[None]))
     theta = 0.5 * np.arctan2(c, b)
     root = np.hypot(a, c)
     phase = np.arctan2(-c, -a) if root > 0.0 else 0.0
     pp = ProtocolParams(mu, nu % (2.0 * np.pi), xi, eta % (2.0 * np.pi), theta)
     bond = run_protocol(state, pp).extracted_bond
-    return Certificate(target=target, params=pp, value=_envelope(a, b, c),
-                       amplitude=a, cross_amplitude=c, phase=phase,
+    return Certificate(target=target, params=pp,
+                       value=a + np.sqrt(b * b + c * c), amplitude=a,
+                       cross_amplitude=c, phase=phase,
                        sin_2theta=np.sin(2.0 * theta),
                        cos_2theta=np.cos(2.0 * theta), bond_reduction=bond,
                        converged=converged, rounds=rounds,

@@ -53,6 +53,14 @@ class TestBuildChain:
         with pytest.raises(ValueError, match="finite"):
             correlators_vs_length(h, k, [4, 50])
 
+    @pytest.mark.parametrize("h, k, name", [(1e308, 1.0, "h"),
+                                            (0.5, 1e308, "k")])
+    def test_rejects_overflowing_coupling(self, h, k, name):
+        with pytest.raises(ValueError, match=rf"{name}=1e\+308"):
+            build_chain(4, h, k)
+        with pytest.raises(ValueError, match=rf"{name}=1e\+308"):
+            correlators_vs_length(h, k, [4, 50])
+
 
 class TestGroundCovariance:
     def test_requires_positive_field(self):
@@ -172,6 +180,13 @@ class TestLengthScan:
         for lengths in ([5, 9], [4, 5], [4, 4, 7]):
             scan = correlators_vs_length(0.5, 1.0, lengths)
             assert scan.slope is None and scan.r_squared is None
+
+    def test_fit_skips_underflowed_lengths(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan = correlators_vs_length(1e200, 1.0, [50, 100])
+        assert scan.yy_abs == (0.0, 0.0)
+        assert scan.slope is None and scan.r_squared is None
 
     def test_rejects_negative_field(self):
         with pytest.raises(ValueError):

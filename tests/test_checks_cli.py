@@ -123,10 +123,23 @@ class TestCli:
         assert rows[1][2:4] == ["0.000000000000e+00"] * 2
 
     @pytest.mark.parametrize("args", [["--h", "nan"], ["--k", "inf"],
-                                      ["--h-min", "nan", "--h-max", "1"]])
+                                      ["--h-min", "nan", "--h-max", "1"],
+                                      ["--k", "1e308"]])
     def test_chain_non_finite_input_exit_code(self, tmp_path, capsys, args):
         out = tmp_path / "chain.csv"
         assert cli.main(["chain", *args, "--L-list", "4,50",
+                         "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "sweep", "thermo"])
+    @pytest.mark.parametrize("args", [["--h-min", "nan", "--h-max", "1"],
+                                      ["--h-min", "0.1", "--h-max", "inf"],
+                                      ["--k", "inf"], ["--k", "nan"]])
+    def test_field_grid_non_finite_input_exit_code(self, tmp_path, capsys,
+                                                   command, args):
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, *args, "--h-steps", "3",
                          "--out", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()

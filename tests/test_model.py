@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from qetsim import operators as ops
-from qetsim.model import (ModelParams, build_hamiltonian, build_pauli,
-                          build_symmetries, energy_decomposition,
-                          even_sector_spectrum, ground_energy, ground_state,
-                          numeric_ground_state, odd_sector_spectrum,
-                          term_expectations)
+from qetsim.model import (ModelParams, build_hamiltonian, build_symmetries,
+                          energy_decomposition, even_sector_spectrum,
+                          ground_energy, ground_state, numeric_ground_state,
+                          odd_sector_spectrum, term_expectations)
 
 SQRT5 = np.sqrt(5.0)
 
@@ -26,29 +25,29 @@ class TestPauli:
     def test_sz_on_vacuum(self):
         vac = np.zeros(16, dtype=complex)
         vac[0] = 1.0
-        assert np.allclose(build_pauli(0, "z") @ vac, -vac)
+        assert np.allclose(ops.pauli(0, "z") @ vac, -vac)
 
     def test_involution(self):
-        sx = build_pauli(1, "x")
+        sx = ops.pauli(1, "x")
         assert np.allclose(sx @ sx, np.eye(16))
 
     def test_traceless(self):
-        assert abs(np.trace(build_pauli(1, "y"))) == 0.0
+        assert abs(np.trace(ops.pauli(1, "y"))) == 0.0
 
     def test_hermitian_unitary(self):
         for site in range(4):
             for axis in "xyz":
-                p = build_pauli(site, axis)
+                p = ops.pauli(site, axis)
                 assert np.allclose(p, p.conj().T)
                 assert np.allclose(p @ p.conj().T, np.eye(16))
 
     def test_site_out_of_range(self):
         with pytest.raises(ValueError):
-            build_pauli(4, "x")
+            ops.pauli(4, "x")
         with pytest.raises(ValueError):
-            build_pauli(-1, "z")
+            ops.pauli(-1, "z")
         with pytest.raises(ValueError):
-            build_pauli(0, "w")
+            ops.pauli(0, "w")
 
 
 class TestParams:
@@ -58,8 +57,22 @@ class TestParams:
         with pytest.raises(ValueError):
             ModelParams(h=-0.1, k=1.0)
 
+    @pytest.mark.parametrize("h, k", [(np.nan, 1.0), (np.inf, 1.0),
+                                      (0.5, np.nan), (0.5, np.inf)])
+    def test_rejects_non_finite_field_and_coupling(self, h, k):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(h=h, k=k)
+
 
 class TestHamiltonian:
+    def test_cached_terms_are_read_only(self):
+        terms = build_hamiltonian(ModelParams(h=0.4))
+        with pytest.raises(ValueError, match="read-only"):
+            terms.site_b *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            terms.bond_center[0, 0] = 1.0
+        assert build_hamiltonian(ModelParams(h=0.4)).site_b[0, 0] == -0.4
+
     def test_traceless(self):
         for h in (0.0, 0.3, 2.0):
             H = build_hamiltonian(ModelParams(h=h)).total

@@ -155,16 +155,41 @@ class TestBruteForce:
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h", [0.3, 1.5])
     def test_halved_scan_picks_the_full_grid_cell(self, h, target):
+        # reference: every cell of the full 64^4 axis grid through the
+        # public (a, b, c) view and a plain envelope, not the fused kernel
         n = MIN_RESOLUTION
-        coefficients = sinusoid_engine(gs(h), target)
+        state = gs(h)
+        coefficients = sinusoid_engine(state, target)
         polar = np.linspace(0.0, np.pi, n)
         azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        axes = optimize._axes(polar, azimuth)
-        full, r_idx, s_idx = optimize._best_cell(coefficients, axes, axes)
-        value, angles = optimize._scan_grid(coefficients, n)
+        axes = np.array([axis_vector(p, a) for p in polar for a in azimuth])
+        full, r_idx, s_idx = -np.inf, 0, 0
+        for lo in range(0, len(axes), 256):
+            a, b, c = coefficients(axes[lo:lo + 256], axes)
+            envelope = a + np.sqrt(b * b + c * c)
+            i, j = np.unravel_index(envelope.argmax(), envelope.shape)
+            if envelope[i, j] > full:
+                full, r_idx, s_idx = envelope[i, j], lo + i, j
+        value, angles = optimize._scan_grid(
+            optimize._row_engine(state, target), n)
         assert angles == (polar[r_idx // n], azimuth[r_idx % n],
                           polar[s_idx // n], azimuth[s_idx % n])
         assert abs(value - full) < 1e-15
+
+    @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
+    def test_fused_envelope_matches_plain(self, target):
+        rng = np.random.default_rng(5)
+        raxes, saxes = (v / np.linalg.norm(v, axis=1, keepdims=True)
+                        for v in (rng.normal(size=(40, 3)),
+                                  rng.normal(size=(50, 3))))
+        for h in (0.05, 0.8, 3.0):
+            state = gs(h)
+            a, b, c = sinusoid_engine(state, target)(raxes, saxes)
+            fused = optimize._envelope_into(
+                np.empty((3, 40, 50)),
+                optimize._row_engine(state, target)(raxes),
+                optimize._feedback_basis(saxes))
+            assert np.abs(fused - (a + np.sqrt(b * b + c * c))).max() <= 1e-15
 
     def test_deterministic(self):
         state = gs(0.3)

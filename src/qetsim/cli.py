@@ -131,8 +131,9 @@ def cmd_verify(args):
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         all_passed &= r.passed
+        detail = f"  {r.detail}" if r.detail else ""
         print(f"{status}  {r.name:<{width}}  residual {r.residual:.3e}"
-              f"  (tolerance {r.tolerance:.0e})")
+              f"  (tolerance {r.tolerance:.0e}){detail}")
     print(f"{'all checks passed' if all_passed else 'VERIFICATION FAILED'}")
     return 0 if all_passed else 1
 

@@ -18,7 +18,6 @@ k (alpha - beta) = 2 h alpha beta and alpha beta = (e - k)/(e + k).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +26,10 @@ import numpy as np
 from . import operators as ops
 
 SQRT5 = np.sqrt(5.0)
+
+# Largest accepted h and k: the characteristic cubic cubes 3k + 2h, which
+# overflows float64 near 2.8e102.
+MAX_PARAMETER = 1e100
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,9 @@ class ModelParams:
     k: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.h) and math.isfinite(self.k)):
-            raise ValueError(f"edge field h and coupling k must be finite, "
+        if not (abs(self.h) <= MAX_PARAMETER and abs(self.k) <= MAX_PARAMETER):
+            raise ValueError(f"edge field h and coupling k must be finite and "
+                             f"at most {MAX_PARAMETER:g}, "
                              f"got h={self.h}, k={self.k}")
         if not self.k > 0:
             raise ValueError(f"coupling k must be positive, got {self.k}")

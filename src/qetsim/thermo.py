@@ -34,8 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroundState, energy_decomposition
-from .protocol import ProtocolParams, projector
+from .model import GroundState, ModelParams, energy_decomposition, ground_state
+from .optimize import max_site_reduction
+from .protocol import (ProtocolParams, correlators_closed, projector,
+                       run_protocol)
 
 # outcomes with probability below this are reported as unreachable rather
 # than divided by
@@ -244,9 +246,6 @@ class ThermoReport:
 
 
 def second_law_report(state: GroundState) -> ThermoReport:
-    from .optimize import max_site_reduction
-    from .protocol import run_protocol
-
     pp_measure = ProtocolParams.from_vectors((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
     rho_i = reduced_state_initial(state)
     entropy_initial = von_neumann_entropy(rho_i)
@@ -286,8 +285,6 @@ def second_law_report(state: GroundState) -> ThermoReport:
 def purity_from_energy(state: GroundState) -> float:
     """g recovered from the site energy and the xx correlator:
     g = sqrt((e_B / h)^2 + xx^2); equals :func:`measured_state_purity`."""
-    from .protocol import correlators_closed
-
     h = state.params.h
     if h <= 0:
         raise ValueError("undefined at h = 0")
@@ -318,10 +315,6 @@ class ThermoRow:
 
 
 def thermo_sweep(h_values, k: float = 1.0):
-    from .model import ModelParams, ground_state
-    from .optimize import max_site_reduction
-    from .protocol import correlators_closed
-
     rows = []
     for h in h_values:
         if h <= 0:

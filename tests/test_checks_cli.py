@@ -6,14 +6,13 @@ import pytest
 
 from qetsim import checks, cli
 from qetsim import optimize as optimize_mod
+from qetsim import thermo as thermo_mod
 
 
 class TestChecks:
-    def test_full_suite_passes(self):
-        results = checks.run_all(seed=0)
-        failed = [r.name for r in results if not r.passed]
+    def test_full_suite_passes(self, verify_results):
+        failed = [r.name for r in verify_results.values() if not r.passed]
         assert failed == []
-        assert len(results) == len(checks.CHECKS)
 
     def test_seed_does_not_change_outcome(self):
         # rerun only the sampled-property checks under a different seed
@@ -35,6 +34,16 @@ class TestChecks:
         monkeypatch.setattr(optimize_mod, "correlators_closed", flipped)
         result = checks.check_brute_force(fields=(0.5,))
         assert not result.passed
+
+    def test_negative_mutual_information_fails(self, monkeypatch):
+        original = thermo_mod.second_law_report
+
+        def negative(state):
+            return dataclasses.replace(original(state),
+                                       mutual_information=-1e-11)
+
+        monkeypatch.setattr(thermo_mod, "second_law_report", negative)
+        assert not checks.check_second_law().passed
 
     def test_unconverged_oracle_fails(self, monkeypatch):
         original = optimize_mod._zoom
@@ -124,7 +133,7 @@ class TestCli:
 
     @pytest.mark.parametrize("args", [["--h", "nan"], ["--k", "inf"],
                                       ["--h-min", "nan", "--h-max", "1"],
-                                      ["--k", "1e308"]])
+                                      ["--k", "1e308"], ["--h", "1e200"]])
     def test_chain_non_finite_input_exit_code(self, tmp_path, capsys, args):
         out = tmp_path / "chain.csv"
         assert cli.main(["chain", *args, "--L-list", "4,50",
@@ -135,7 +144,8 @@ class TestCli:
     @pytest.mark.parametrize("command", ["spectrum", "sweep", "thermo"])
     @pytest.mark.parametrize("args", [["--h-min", "nan", "--h-max", "1"],
                                       ["--h-min", "0.1", "--h-max", "inf"],
-                                      ["--k", "inf"], ["--k", "nan"]])
+                                      ["--k", "inf"], ["--k", "nan"],
+                                      ["--h-min", "1e200", "--h-max", "1e200"]])
     def test_field_grid_non_finite_input_exit_code(self, tmp_path, capsys,
                                                    command, args):
         out = tmp_path / f"{command}.csv"
@@ -168,6 +178,9 @@ class TestCli:
                                      tolerance=1.0)
         failing = checks.CheckResult(name="stub", passed=False, residual=2.0,
                                      tolerance=1.0)
+        unconverged = checks.CheckResult(
+            name="oracle", passed=False, residual=np.inf, tolerance=1e-8,
+            detail="not converged: h=0.5 extracted")
         monkeypatch.setattr(checks, "run_all",
                             lambda seed=0, resolution=64: [passing])
         assert cli.main(["verify"]) == 0
@@ -176,6 +189,11 @@ class TestCli:
                             lambda seed=0, resolution=64: [passing, failing])
         assert cli.main(["verify"]) == 1
         assert "FAIL" in capsys.readouterr().out
+        monkeypatch.setattr(checks, "run_all",
+                            lambda seed=0, resolution=64: [unconverged])
+        assert cli.main(["verify"]) == 1
+        assert ("(tolerance 1e-08)  not converged: h=0.5 extracted"
+                in capsys.readouterr().out)
 
     def test_verify_forwards_seed_and_grid(self, monkeypatch):
         captured = {}

@@ -58,7 +58,8 @@ class TestParams:
             ModelParams(h=-0.1, k=1.0)
 
     @pytest.mark.parametrize("h, k", [(np.nan, 1.0), (np.inf, 1.0),
-                                      (0.5, np.nan), (0.5, np.inf)])
+                                      (0.5, np.nan), (0.5, np.inf),
+                                      (1e101, 1.0), (0.5, 1e101)])
     def test_rejects_non_finite_field_and_coupling(self, h, k):
         with pytest.raises(ValueError, match="finite"):
             ModelParams(h=h, k=k)

@@ -24,8 +24,7 @@ from .optimize import Certificate, brute_force_max, crossover_field, \
     max_extracted_energy, max_site_reduction, peak_extracted_energy, \
     protocol_sweep
 from .protocol import EdgeCorrelators, EnergyLedger, ProtocolParams, \
-    correlators, feedback_unitary, measurement_energy, no_feedback_reduction, \
-    projector, run_protocol
+    correlators, no_feedback_reduction, project, rotate, run_protocol
 from .thermo import EffectiveThermal, ThermoReport, effective_temperature, \
     entropy_minimization_scan, qc_mutual_information, second_law_report, \
     thermo_sweep, von_neumann_entropy

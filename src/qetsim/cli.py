@@ -39,6 +39,12 @@ def _fmt(value):
 
 
 def _write_csv(path, header, rows):
+    """Write the CSV; a non-finite float cell raises before any output."""
+    for row in rows:
+        for name, value in zip(header, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} = {value} at {header[0]} = {row[0]}: "
+                                 f"outside the range the model resolves")
     text = "\n".join([",".join(header)]
                      + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
     if path is None:
@@ -154,7 +160,9 @@ def _build_parser():
 
     def common(p, h_min, h_max, h_steps):
         p.add_argument("--k", type=float, default=1.0,
-                       help="coupling strength; all energies in units of k")
+                       help="coupling strength k; --h-min and --h-max are "
+                            "in units of k, while the CSV holds the absolute "
+                            "field h and absolute energies")
         p.add_argument("--h-min", dest="h_min", type=float, default=h_min)
         p.add_argument("--h-max", dest="h_max", type=float, default=h_max)
         p.add_argument("--h-steps", dest="h_steps", type=int, default=h_steps)

@@ -34,20 +34,28 @@ MAX_PARAMETER = 1e100
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Edge field h and coupling k, both in the same energy units."""
+    """Edge field h and coupling k, both in the same energy units; either
+    may be an ndarray, for a batch of states (see :class:`GroundState`)."""
 
     h: float
     k: float = 1.0
 
     def __post_init__(self):
-        if not (abs(self.h) <= MAX_PARAMETER and abs(self.k) <= MAX_PARAMETER):
+        (h_lo, h_hi), (k_lo, k_hi) = _extremes(self.h), _extremes(self.k)
+        if not (abs(h_lo) <= MAX_PARAMETER and abs(h_hi) <= MAX_PARAMETER
+                and abs(k_lo) <= MAX_PARAMETER and abs(k_hi) <= MAX_PARAMETER):
             raise ValueError(f"edge field h and coupling k must be finite and "
                              f"at most {MAX_PARAMETER:g}, "
                              f"got h={self.h}, k={self.k}")
-        if not self.k > 0:
+        if not k_lo > 0:
             raise ValueError(f"coupling k must be positive, got {self.k}")
-        if self.h < 0:
+        if h_lo < 0:
             raise ValueError(f"edge field h must be non-negative, got {self.h}")
+
+
+def _extremes(x):
+    """(min, max) of a number or of an array (NaN propagates)."""
+    return (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,8 @@ class SymmetrySet:
 
 @dataclass(frozen=True)
 class GroundState:
-    """Closed-form ground-state record for given (h, k).
+    """Closed-form ground-state record for given (h, k); for array-valued
+    parameters each field has their broadcast shape (`vector` plus 16).
 
     energy  lowest even-sector eigenvalue
     alpha   amplitude ratio of the fully/edge occupied component pair
@@ -110,7 +119,8 @@ class GroundState:
 
 @dataclass(frozen=True)
 class GroundEnergies:
-    """Ground-state expectation values of the Hamiltonian terms."""
+    """Ground-state expectation values of the Hamiltonian terms (or, from
+    :func:`term_expectations`, their matrix elements)."""
 
     total: float
     site_a: float
@@ -159,8 +169,14 @@ def ground_energy(params: ModelParams) -> float:
     The root lies in [-3k - 2h, -sqrt(5) k]: the cubic is negative at the
     left end, positive at the right end for h > 0, and increasing below the
     bracket, so bisection cannot miss it or pick a different branch.
+    Array-valued parameters are bisected one element at a time, so every
+    root is the one a scalar call returns.
     """
     h, k = params.h, params.k
+    if isinstance(h, np.ndarray) or isinstance(k, np.ndarray):
+        return np.vectorize(
+            lambda h, k: ground_energy(ModelParams(h=float(h), k=float(k))),
+            otypes=[float])(h, k)
     if h == 0.0:
         return -SQRT5 * k
     lo, hi = -3.0 * k - 2.0 * h, -SQRT5 * k
@@ -181,42 +197,34 @@ def _amplitudes(params: ModelParams, energy):
     h, k = params.h, params.k
     alpha = 2.0 * k / (energy + k - 2.0 * h)
     beta = 2.0 * k / (energy + k + 2.0 * h)
-    norm = 1.0 / np.sqrt(4.0 + 2.0 * alpha**2 + 2.0 * beta**2)
+    norm = 1.0 / np.sqrt(4.0 + 2.0 * (alpha * alpha) + 2.0 * (beta * beta))
     return alpha, beta, norm
 
 # Basis indices of the eight components of the ground state, grouped by
 # amplitude: Z * (|eeff> + |efef> + |ffee> + |fefe>)
 #          + Z*alpha * (|ffff> + |feef>) + Z*beta * (|eeee> + |effe>).
-_UNIT_COMPONENTS = (0b0011, 0b0101, 0b1100, 0b1010)
-_ALPHA_COMPONENTS = (0b1111, 0b1001)
-_BETA_COMPONENTS = (0b0000, 0b0110)
+_UNIT_COMPONENTS = np.array([0b0011, 0b0101, 0b1100, 0b1010])
+_ALPHA_COMPONENTS = np.array([0b1111, 0b1001])
+_BETA_COMPONENTS = np.array([0b0000, 0b0110])
 
 
 def _assemble_vector(alpha, beta, norm):
-    v = np.zeros(ops.DIM, dtype=complex)
-    v[list(_UNIT_COMPONENTS)] = norm
-    v[list(_ALPHA_COMPONENTS)] = norm * alpha
-    v[list(_BETA_COMPONENTS)] = norm * beta
+    v = np.zeros(np.shape(norm) + (ops.DIM,), dtype=complex)
+    # v.T puts the component axis first and reverses the batch axes, as
+    # .T does to the amplitudes
+    v.T[_UNIT_COMPONENTS] = norm.T
+    v.T[_ALPHA_COMPONENTS] = (norm * alpha).T
+    v.T[_BETA_COMPONENTS] = (norm * beta).T
     return v
 
 
-def ground_state(params: ModelParams, numeric: bool = False) -> GroundState:
-    """Even-sector ground state; closed form by default.
-
-    With ``numeric=True`` the state vector is replaced by the lowest
-    eigenvector of the even-sector Hamiltonian block (phase-aligned with
-    the closed form) for cross-validation; the scalar record is unchanged.
-    """
+def ground_state(params: ModelParams) -> GroundState:
+    """Even-sector ground state in closed form; array-valued h or k give a
+    batch of states (see :class:`GroundState`)."""
     energy = ground_energy(params)
     alpha, beta, norm = _amplitudes(params, energy)
-    vector = _assemble_vector(alpha, beta, norm)
-    if numeric:
-        energy_num, vector_num = numeric_ground_state(params)
-        overlap = np.vdot(vector_num, vector)
-        vector = vector_num * (overlap / abs(overlap))
-        energy = energy_num
     return GroundState(params=params, energy=energy, alpha=alpha, beta=beta,
-                       norm=norm, vector=vector)
+                       norm=norm, vector=_assemble_vector(alpha, beta, norm))
 
 
 def _sector_block(params: ModelParams, indices):
@@ -279,21 +287,27 @@ def energy_decomposition(state: GroundState) -> GroundEnergies:
     )
 
 
-def term_expectations(state: GroundState) -> GroundEnergies:
-    """Same decomposition measured directly as matrix elements."""
-    terms = build_hamiltonian(state.params)
-    v = state.vector
-    site_a = ops.expectation(terms.site_a, v)
-    site_b = ops.expectation(terms.site_b, v)
-    left = ops.expectation(terms.bond_left, v)
-    center = ops.expectation(terms.bond_center, v)
-    right = ops.expectation(terms.bond_right, v)
-    return GroundEnergies(
-        total=site_a + site_b + left + center + right,
-        site_a=site_a,
-        site_b=site_b,
-        interaction=left + center + right,
-        bond_left=left,
-        bond_center=center,
-        bond_right=right,
-    )
+# the five terms of H at h = k = 1 in field order, each transposed, side by
+# side: for (..., 16) row vectors v, v @ _UNIT_TERMS holds the products T v
+_UNIT_TERMS = np.concatenate([t.T for t in vars(build_hamiltonian(
+    ModelParams(h=1.0, k=1.0))).values()], axis=1)
+
+
+def term_expectations(state: GroundState, bra=None, ket=None) -> GroundEnergies:
+    """The decomposition measured directly as matrix elements: Re <bra| T |ket>
+    for every term T of H and (..., 16) vectors, by default the state's own.
+
+    Unit-coupling matrix elements scaled by the state's h (site terms) and
+    k (bonds), so array-valued parameters broadcast against the vectors.
+    """
+    bra = state.vector if bra is None else bra
+    ket = bra if ket is None else ket
+    tk = (ket @ _UNIT_TERMS).reshape(ket.shape[:-1] + (5, ops.DIM))
+    elements = (tk @ bra.conj()[..., None])[..., 0].real
+    h, k = state.params.h, state.params.k
+    site_a, site_b = h * elements[..., 0], h * elements[..., 4]
+    left, center, right = (k * elements[..., i] for i in (1, 2, 3))
+    return GroundEnergies(total=site_a + site_b + left + center + right,
+                          site_a=site_a, site_b=site_b,
+                          interaction=left + center + right, bond_left=left,
+                          bond_center=center, bond_right=right)

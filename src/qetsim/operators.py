@@ -123,8 +123,9 @@ def axis_vector(polar, azimuth):
 
 
 def expectation(operator, state):
-    """Real part of <state|operator|state> (states need not be normalised)."""
-    return float(np.vdot(state, operator @ state).real)
+    """Real part of <state|operator|state> for (..., 16) states (states need
+    not be normalised)."""
+    return (state.conj() * (state @ operator.T)).sum(axis=-1).real
 
 
 def operator_norm(matrix):

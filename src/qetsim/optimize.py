@@ -55,7 +55,7 @@ import numpy as np
 
 from . import operators as ops
 from .model import (GroundState, ModelParams, build_hamiltonian,
-                    energy_decomposition, ground_state)
+                    energy_decomposition, ground_state, term_expectations)
 from .protocol import (ProtocolParams, correlators_closed,
                        measurement_energy_closed, run_protocol)
 
@@ -100,30 +100,33 @@ class Certificate:
     evaluations: int = 0
 
 
+def _closed_certificate(target, amplitude, cross, raxis, saxis,
+                        bond=lambda sin2, cos2: 0.0):
+    """Certificate at the optimum of the :class:`Certificate` sinusoid with
+    amplitude W and cross amplitude X, at axes `raxis` and `saxis`:
+    (sin 2 theta, cos 2 theta) = (X, -W) / hypot(W, X), or theta = phase = 0
+    where W = X = 0 (h = 0); `bond(sin2, cos2)` is the bond reduction."""
+    root = np.hypot(amplitude, cross)
+    zero = root == 0.0   # adding or multiplying by it is exact elsewhere
+    sin2, cos2 = cross / (root + zero), -amplitude / (root + zero) + zero
+    theta = 0.5 * np.arctan2(sin2, cos2)
+    return Certificate(
+        target=target, params=ProtocolParams.from_vectors(raxis, saxis, theta),
+        value=root - abs(amplitude), amplitude=amplitude, cross_amplitude=cross,
+        phase=np.arctan2(-cross, -amplitude) * ~zero, sin_2theta=sin2,
+        cos_2theta=cos2, bond_reduction=bond(sin2, cos2))
+
+
 def max_extracted_energy(state: GroundState) -> Certificate:
     """Closed-form maximum of the extracted energy.
 
     Optimal axes: measurement along y, feedback along x.  At h = 0 the
     maximum is zero and theta is not unique; theta = 0 is reported.
     """
-    h = state.params.h
-    e = energy_decomposition(state)
-    c = correlators_closed(state)
-    gain = h * c.yy
-    root = np.hypot(e.site_b, gain)
-    value = root - abs(e.site_b)
-    if root > 0.0:
-        sin2, cos2 = gain / root, -e.site_b / root
-    else:
-        sin2, cos2 = 0.0, 1.0
-    theta = 0.5 * np.arctan2(sin2, cos2)
-    pp = ProtocolParams.from_vectors((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), theta)
-    amplitude = e.site_b
-    cross = gain
-    phase = np.arctan2(-cross, -amplitude) if root > 0.0 else 0.0
-    return Certificate(target=TARGET_EXTRACTED, params=pp, value=value,
-                       amplitude=amplitude, cross_amplitude=cross, phase=phase,
-                       sin_2theta=sin2, cos_2theta=cos2, bond_reduction=0.0)
+    gain = state.params.h * correlators_closed(state).yy
+    return _closed_certificate(TARGET_EXTRACTED,
+                               energy_decomposition(state).site_b, gain,
+                               (0.0, 1.0, 0.0), (1.0, 0.0, 0.0))
 
 
 def max_site_reduction(state: GroundState) -> Certificate:
@@ -133,25 +136,12 @@ def max_site_reduction(state: GroundState) -> Certificate:
     bond term e_R (1 - cos 2 theta) + k xxz sin 2 theta is negative for
     every h > 0, so this optimum always releases heat.
     """
-    h, k = state.params.h, state.params.k
     e = energy_decomposition(state)
     c = correlators_closed(state)
-    gain = h * c.xx
-    root = np.hypot(e.site_b, gain)
-    value = root - abs(e.site_b)
-    if root > 0.0:
-        sin2, cos2 = -gain / root, -e.site_b / root
-    else:
-        sin2, cos2 = 0.0, 1.0
-    theta = 0.5 * np.arctan2(sin2, cos2)
-    pp = ProtocolParams.from_vectors((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), theta)
-    bond = e.bond_right * (1.0 - cos2) + k * c.xxz * sin2
-    amplitude = e.site_b
-    cross = -gain
-    phase = np.arctan2(-cross, -amplitude) if root > 0.0 else 0.0
-    return Certificate(target=TARGET_SITE, params=pp, value=value,
-                       amplitude=amplitude, cross_amplitude=cross, phase=phase,
-                       sin_2theta=sin2, cos_2theta=cos2, bond_reduction=bond)
+    return _closed_certificate(
+        TARGET_SITE, e.site_b, -(state.params.h * c.xx), (1.0, 0.0, 0.0),
+        (0.0, 1.0, 0.0), lambda sin2, cos2: (e.bond_right * (1.0 - cos2)
+                                             + state.params.k * c.xxz * sin2))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +190,7 @@ def _row_engine(state: GroundState, target: str):
         g3 = np.einsum("di,pqd->ipq", phi.conj(), np.stack(
             [[rp @ terms.site_b @ rq @ v for rq in rot] for rp in rot]))
         g3 = g3.reshape(4, 16)
-        site_b = energy_decomposition(state).site_b
+        site_b = term_expectations(state).site_b
 
         def contract(w):
             return w @ g3
@@ -472,8 +462,7 @@ def peak_extracted_energy(k: float = 1.0, spacing: float = 0.005) -> PeakEstimat
     """Peak of the extracted-energy maximum over h, by quadratic
     interpolation around the best point of a uniform grid."""
     hs = np.arange(spacing, 1.0 + spacing / 2.0, spacing) * k
-    vals = np.array([max_extracted_energy(
-        ground_state(ModelParams(h=float(h), k=k))).value for h in hs])
+    vals = max_extracted_energy(ground_state(ModelParams(h=hs, k=k))).value
     i = int(vals.argmax())
     i = min(max(i, 1), len(hs) - 2)
     y0, y1, y2 = vals[i - 1:i + 2]
@@ -491,12 +480,8 @@ def crossover_field(k: float = 1.0, spacing: float = 0.005) -> float:
     """Field where the x-axis measurement cost overtakes the site-reduction
     maximum, by quadratic interpolation of their difference."""
     hs = np.arange(spacing, 1.0 + spacing / 2.0, spacing) * k
-
-    def gap(h):
-        state = ground_state(ModelParams(h=float(h), k=k))
-        return injected_energy(state, "x") - max_site_reduction(state).value
-
-    gaps = np.array([gap(h) for h in hs])
+    states = ground_state(ModelParams(h=hs, k=k))
+    gaps = injected_energy(states, "x") - max_site_reduction(states).value
     signs = np.sign(gaps)
     flips = np.where(np.diff(signs) != 0)[0]
     if flips.size == 0:

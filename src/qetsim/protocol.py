@@ -17,6 +17,13 @@ from Bob's site term and a piece from the adjoining bond,
 and dE_bond doubles as the heat exchanged by Bob's local system.  Closed
 forms for all of these involve only the term energies and the three
 ground-state correlators returned by :func:`correlators`.
+
+Batches: every function here takes ground states of an array-valued field
+(vectors of shape (..., 16)) and/or array-valued angles and returns
+results of their broadcast shape, on one code path.  The measurement and
+the rotation act on the vectors (:func:`project`, :func:`rotate`); the
+ledger builds no 16 x 16 matrix and reads no closed form, its term
+energies being unit-coupling matrix elements scaled by h and k.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .model import GroundEnergies, GroundState, build_hamiltonian, energy_decomposition
+from .model import (GroundEnergies, GroundState, energy_decomposition,
+                    term_expectations)
 
 OUTCOMES = (1, -1)
 
@@ -38,7 +46,8 @@ class ProtocolParams:
 
     mu, xi are polar angles in [0, pi]; nu, eta azimuthal in [0, 2 pi);
     theta in (-pi/2, pi/2].  Antipodal axis pairs describe the same
-    measurement and are accepted as input.
+    measurement and are accepted as input.  Array-valued angles describe
+    a batch of protocols; the axes then have shape (3, ...).
     """
 
     mu: float
@@ -117,39 +126,58 @@ class EdgeCorrelators:
     xxz: float
 
 
-def _check_outcome(n):
-    if n not in OUTCOMES:
-        raise ValueError(f"measurement outcome must be +1 or -1, got {n!r}")
+# sigma^x, sigma^y, sigma^z of one site, flattened, one per column
+_PAULI_COLUMNS = np.array([ops.local_pauli(ax).ravel() for ax in "xyz"]).T
+_OUTCOME_AXIS = np.array(OUTCOMES)
 
 
-def projector(pp: ProtocolParams, n) -> np.ndarray:
-    """Rank-8 projector (1 + n r.sigma_A)/2 on the full space."""
-    _check_outcome(n)
-    r = pp.measure_axis
-    r_dot_sigma = sum(r[i] * ops.pauli(ops.SITE_A, ax) for i, ax in enumerate("xyz"))
-    return 0.5 * (ops.IDENTITY + n * r_dot_sigma)
+def _sigma_dot(axis):
+    """axis . sigma on one site, as (..., 2, 2) matrices in the (|e>, |f>)
+    basis, for axis components of shape (3, ...)."""
+    axis = np.asarray(axis)
+    return (_PAULI_COLUMNS @ axis.reshape(3, -1)).T.reshape(
+        axis.shape[1:] + (2, 2))
 
 
-def feedback_unitary(pp: ProtocolParams, n) -> np.ndarray:
-    """Conditioned rotation cos(theta) + i n sin(theta) s.sigma_B."""
-    _check_outcome(n)
-    s = pp.feedback_axis
-    s_dot_sigma = sum(s[i] * ops.pauli(ops.SITE_B, ax) for i, ax in enumerate("xyz"))
-    return np.cos(pp.theta) * ops.IDENTITY + 1j * n * np.sin(pp.theta) * s_dot_sigma
+def _outcomes(n):
+    """Validated outcomes, shaped to scale one-site (..., 2, 2) matrices."""
+    n = np.asarray(n)
+    if not (abs(n) == 1).all():
+        raise ValueError(f"measurement outcome must be +1 or -1, "
+                         f"got {n.tolist()}")
+    return n[..., None, None]
 
 
-def outcome_probability(state: GroundState, pp: ProtocolParams, n) -> float:
-    return ops.expectation(projector(pp, n), state.vector)
+def _both_outcomes(pp: ProtocolParams, v):
+    """Outcomes +1, -1 on a leading axis, ahead of every batch axis of `pp`
+    and of the (..., 16) vectors v."""
+    batch = max(v.ndim - 1, np.broadcast(*vars(pp).values()).ndim)
+    return _OUTCOME_AXIS.reshape((2,) + (1,) * batch)
 
 
-def measurement_energy(state: GroundState, pp: ProtocolParams):
-    """(energy after measurement, injected energy), by direct matrix elements."""
-    H = build_hamiltonian(state.params).total
-    after = 0.0
-    for n in OUTCOMES:
-        P = projector(pp, n)
-        after += ops.expectation(P @ H @ P, state.vector)
-    return after, after - state.energy
+def project(pp: ProtocolParams, n, v):
+    """Alice's rank-8 projector (1 + n r.sigma_A)/2 applied to (..., 16)
+    vectors v; n is +1, -1 or an array of them that broadcasts against the
+    batch.  Applied to the rows of ``np.eye(16)`` it gives the transposed
+    matrix."""
+    local = 0.5 * (ops.IDENTITY2 + _outcomes(n) * _sigma_dot(pp.measure_axis))
+    out = local @ v.reshape(v.shape[:-1] + (2, 8))
+    return out.reshape(out.shape[:-2] + (ops.DIM,))
+
+
+def rotate(pp: ProtocolParams, n, v):
+    """Bob's conditioned rotation cos(theta) + i n sin(theta) s.sigma_B
+    applied to (..., 16) vectors v; n as for :func:`project`."""
+    theta = np.asarray(pp.theta)[..., None, None]
+    local = (np.cos(theta) * ops.IDENTITY2 + 1j * _outcomes(n) * np.sin(theta)
+             * _sigma_dot(pp.feedback_axis))
+    out = v.reshape(v.shape[:-1] + (8, 2)) @ np.swapaxes(local, -1, -2)
+    return out.reshape(out.shape[:-2] + (ops.DIM,))
+
+
+def outcome_probability(state: GroundState, pp: ProtocolParams, n):
+    v = state.vector
+    return (v.conj() * project(pp, n, v)).sum(axis=-1).real
 
 
 def measurement_energy_closed(state: GroundState, pp: ProtocolParams):
@@ -164,34 +192,28 @@ def measurement_energy_closed(state: GroundState, pp: ProtocolParams):
 
 
 def run_protocol(state: GroundState, pp: ProtocolParams) -> EnergyLedger:
-    """Full ledger of one round, computed by direct matrix algebra."""
-    terms = build_hamiltonian(state.params)
-    H = terms.total
+    """Full ledger of one round (or a batch), by direct matrix elements;
+    both outcomes are evaluated at once, on a leading axis, and summed."""
     v = state.vector
-    ground = energy_decomposition(state)
-    after_measurement = 0.0
-    after_feedback = 0.0
-    site_sum = 0.0
-    bond_sum = 0.0
-    for n in OUTCOMES:
-        P = projector(pp, n)
-        U = feedback_unitary(pp, n)
-        pv = P @ v
-        uv = U @ pv
-        after_measurement += ops.expectation(H, pv)
-        after_feedback += ops.expectation(H, uv)
-        # single-projector matrix elements; equal to the sandwiched form
-        # because P_A commutes with anything supported away from site A
-        site_sum += np.vdot(pv, U.conj().T @ terms.site_b @ U @ v).real
-        bond_sum += np.vdot(pv, U.conj().T @ terms.bond_right @ U @ v).real
+    n = _both_outcomes(pp, v)
+    pv = project(pp, n, v)
+    upv, uv = rotate(pp, n, np.array([pv, np.broadcast_to(v, pv.shape)]))
+    ground = term_expectations(state)
+    # rows: the measured state, the rotated state, and the single-projector
+    # elements <P psi| U+ T U |psi>, equal to the sandwiched form because
+    # P_A commutes with anything supported away from site A
+    pv = np.broadcast_to(pv, upv.shape)
+    rows = term_expectations(state, np.array([pv, upv, upv]),
+                             np.array([pv, upv, uv]))
+    after_measurement, after_feedback = rows.total[:2].sum(axis=1)
     return EnergyLedger(
         ground=ground,
         after_measurement=after_measurement,
-        injected=after_measurement - state.energy,
+        injected=after_measurement - ground.total,
         after_feedback=after_feedback,
         extracted=after_measurement - after_feedback,
-        extracted_site=ground.site_b - site_sum,
-        extracted_bond=ground.bond_right - bond_sum,
+        extracted_site=ground.site_b - rows.site_b[2].sum(axis=0),
+        extracted_bond=ground.bond_right - rows.bond_right[2].sum(axis=0),
     )
 
 
@@ -223,18 +245,12 @@ def no_feedback_reduction(state: GroundState, pp: ProtocolParams, fixed_n):
     correlator gain disappears, leaving only the non-positive rotation
     cost on the site and bond terms.
     """
-    _check_outcome(fixed_n)
-    terms = build_hamiltonian(state.params)
-    v = state.vector
-    e = energy_decomposition(state)
-    U = feedback_unitary(pp, fixed_n)
-    site_sum = 0.0
-    bond_sum = 0.0
-    for n in OUTCOMES:
-        P = projector(pp, n)
-        site_sum += np.vdot(P @ v, U.conj().T @ terms.site_b @ U @ v).real
-        bond_sum += np.vdot(P @ v, U.conj().T @ terms.bond_right @ U @ v).real
-    return e.site_b - site_sum, e.bond_right - bond_sum
+    ground = term_expectations(state)
+    uv = rotate(pp, fixed_n, state.vector)
+    puv = project(pp, _both_outcomes(pp, uv), uv)
+    cross = term_expectations(state, puv, uv)
+    return (ground.site_b - cross.site_b.sum(axis=0),
+            ground.bond_right - cross.bond_right.sum(axis=0))
 
 
 def correlators(state: GroundState) -> EdgeCorrelators:

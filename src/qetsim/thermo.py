@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import operators as ops
 from .model import GroundState, ModelParams, energy_decomposition, ground_state
 from .optimize import max_site_reduction
-from .protocol import (ProtocolParams, correlators_closed, projector,
-                       run_protocol)
+from .protocol import ProtocolParams, correlators_closed, project, run_protocol
 
 # outcomes with probability below this are reported as unreachable rather
 # than divided by
@@ -57,7 +57,7 @@ def reduced_state_measured(state: GroundState, pp: ProtocolParams, n):
 
     Unreachable outcomes (probability below the floor) return (None, p).
     """
-    pv = projector(pp, n) @ state.vector
+    pv = project(pp, n, state.vector)
     p = float(np.vdot(pv, pv).real)
     if p < PROBABILITY_FLOOR:
         return None, p
@@ -66,26 +66,29 @@ def reduced_state_measured(state: GroundState, pp: ProtocolParams, n):
 
 
 def measured_state_closed(state: GroundState, axis, n):
-    """Same state from the (w, kappa) closed form for a general axis."""
+    """Same state from the (w, kappa) closed form for a general axis, or
+    (..., 2, 2) states for axis components of shape (3, ...).  Unreachable
+    outcomes give (None, p), or in a batch finite placeholder states."""
     rx, ry, rz = axis
     z2 = state.norm**2
     alpha, beta = state.alpha, state.beta
     denom = 1.0 + 2.0 * n * rz * (alpha**2 - beta**2) * z2
     p = 0.5 * denom
-    if p < PROBABILITY_FLOOR:
+    if np.ndim(p) == 0 and p < PROBABILITY_FLOOR:
         return None, p
+    denom = np.where(p < PROBABILITY_FLOOR, 1.0, denom)
     w = 2.0 * z2 * ((1.0 - n * rz) + alpha**2 * (1.0 + n * rz)) / denom
     kappa = 2.0 * n * z2 * ((rx + 1j * ry) + alpha * beta * (rx - 1j * ry)) / denom
     rho = np.array([[1.0 - w, kappa], [np.conj(kappa), w]])
-    return rho, p
+    return np.moveaxis(rho, (0, 1), (-2, -1)), p
 
 
 def entropy_from_eigenvalues(lams) -> float:
-    """Shannon entropy with the 0 log 0 = 0 convention; tiny negative
-    eigenvalues from partial-trace roundoff are clipped to zero."""
+    """Shannon entropy over the last axis with the 0 log 0 = 0 convention;
+    tiny negative eigenvalues from partial-trace roundoff are clipped to
+    zero."""
     lams = np.clip(np.asarray(lams, dtype=float), 0.0, 1.0)
-    positive = lams[lams > 0.0]
-    return float(-(positive * np.log(positive)).sum())
+    return -(lams * np.log(np.where(lams > 0.0, lams, 1.0))).sum(axis=-1)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -138,15 +141,17 @@ class EffectiveThermal:
 def effective_temperature(state: GroundState) -> EffectiveThermal:
     """Effective inverse temperature of Bob's site for h > 0.
 
-    At h = 0 the measured state is pure, the matching temperature is zero
-    (beta diverges) and no thermal description exists; that singular case
-    raises instead of propagating infinities.
+    Where the measured state is pure, at h = 0 or where lambda_- rounds to
+    zero at huge h, the matching temperature is zero (beta diverges) and no
+    thermal description exists; that singular case raises instead of
+    propagating infinities.
     """
-    h = state.params.h
-    if h <= 0:
-        raise ValueError("effective temperature is undefined at h = 0 "
-                         "(the measured state is pure, beta diverges)")
+    h, k = state.params.h, state.params.k
     lam_p, lam_m = measured_eigenvalues(state)
+    if not lam_m > 0.0:
+        raise ValueError(f"effective temperature is undefined at h = {h:g}, "
+                         f"k = {k:g}: lambda_- = {lam_m:g} is not positive "
+                         f"(the measured state is pure), beta diverges")
     beta = float(np.log(np.sqrt(lam_p / lam_m)) / h)
     partition = float(1.0 / np.sqrt(lam_p * lam_m))
     sigma = np.diag([lam_p, lam_m]).astype(complex)
@@ -168,13 +173,15 @@ class EntropyScan:
 
 
 def average_measured_entropy(state: GroundState, axis) -> float:
-    """sum_n p_n S(rho_m(n)) for one measurement axis, from closed forms."""
+    """sum_n p_n S(rho_m(n)) from the closed forms, for one measurement axis
+    or for axis components of shape (3, ...); unreachable outcomes add
+    nothing."""
     total = 0.0
     for n in _OUTCOMES:
         rho, p = measured_state_closed(state, axis, n)
-        if rho is None:
-            continue
-        total += p * von_neumann_entropy(rho)
+        if rho is not None:
+            total += (np.where(p < PROBABILITY_FLOOR, 0.0, p)
+                      * von_neumann_entropy(rho))
     return total
 
 
@@ -187,34 +194,11 @@ def entropy_minimization_scan(state: GroundState, n_polar: int = 64,
     """
     polar = np.linspace(0.0, np.pi, n_polar)
     azimuth = np.linspace(0.0, 2.0 * np.pi, n_azimuth, endpoint=False)
-    sp = np.sin(polar)[:, None]
-    rx = sp * np.cos(azimuth)[None, :]
-    ry = sp * np.sin(azimuth)[None, :]
-    rz = np.broadcast_to(np.cos(polar)[:, None], rx.shape)
-    z2 = state.norm**2
-    alpha, beta = state.alpha, state.beta
-    values = np.zeros_like(rx)
-    for n in _OUTCOMES:
-        denom = 1.0 + 2.0 * n * rz * (alpha**2 - beta**2) * z2
-        p = 0.5 * denom
-        w = 2.0 * z2 * ((1.0 - n * rz) + alpha**2 * (1.0 + n * rz)) / denom
-        kap2 = (4.0 * z2**2 * ((rx * (1.0 + alpha * beta)) ** 2
-                               + (ry * (1.0 - alpha * beta)) ** 2)) / denom**2
-        radius = np.sqrt(np.clip(1.0 - 4.0 * w * (1.0 - w) + 4.0 * kap2,
-                                 0.0, 1.0))
-        lam_p = np.clip(0.5 * (1.0 + radius), 0.0, 1.0)
-        lam_m = np.clip(0.5 * (1.0 - radius), 0.0, 1.0)
-        ent = np.zeros_like(lam_p)
-        for lam in (lam_p, lam_m):
-            mask = lam > 0.0
-            ent[mask] -= lam[mask] * np.log(lam[mask])
-        values += p * ent
+    axes = ops.axis_vector(*np.meshgrid(polar, azimuth, indexing="ij"))
+    values = average_measured_entropy(state, axes)
     i, j = np.unravel_index(int(values.argmin()), values.shape)
-    best_axis = np.array([np.sin(polar[i]) * np.cos(azimuth[j]),
-                          np.sin(polar[i]) * np.sin(azimuth[j]),
-                          np.cos(polar[i])])
     return EntropyScan(polar=polar, azimuth=azimuth, values=values,
-                       best_axis=best_axis)
+                       best_axis=axes[:, i, j])
 
 
 # ---------------------------------------------------------------------------

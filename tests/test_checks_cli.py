@@ -1,9 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qetsim
 from qetsim import checks, cli
 from qetsim import optimize as optimize_mod
 from qetsim import thermo as thermo_mod
@@ -21,6 +26,18 @@ class TestChecks:
                    checks.check_thermo_states)
         for fn in sampled:
             assert fn(np.random.default_rng(12345)).passed
+
+    def test_batch_draws_equal_sequential_scalar_draws(self):
+        # the sampled checks draw all rounds at once; the samples (and so
+        # the residuals) are those of rounds drawn one scalar at a time
+        rng = np.random.default_rng(0)
+        sequential = [[rng.uniform(0.0, 3.0), rng.uniform(0.0, np.pi),
+                       rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, np.pi),
+                       rng.uniform(0.0, 2.0 * np.pi),
+                       rng.uniform(-np.pi / 2.0, np.pi / 2.0)]
+                      for _ in range(1000)]
+        batch = checks._random_rounds(np.random.default_rng(0), 1000)
+        assert np.array_equal(batch, sequential)
 
     def test_mutation_is_caught(self, monkeypatch):
         # flip the sign of the correlator gain inside the closed-form route;
@@ -208,3 +225,47 @@ class TestCli:
         monkeypatch.setattr(checks, "run_all", fake_run_all)
         assert cli.main(["verify", "--seed", "7", "--grid", "96"]) == 0
         assert captured == {"seed": 7, "resolution": 96}
+
+    def test_non_finite_cell_writes_nothing(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        with pytest.raises(ValueError, match="x = nan at h = 1.0"):
+            cli._write_csv(str(out), ["h", "x"], [[0.5, 1.0],
+                                                  [1.0, float("nan")]])
+        assert not out.exists()
+
+    def test_field_is_read_in_units_of_k(self, tmp_path):
+        # --h-min/--h-max are in units of k; the CSV holds the absolute
+        # field and absolute energies, so doubling k doubles both
+        def sweep(k):
+            out = tmp_path / f"sweep_k{k}.csv"
+            assert cli.main(["sweep", "--h-min", "1", "--h-max", "1",
+                             "--h-steps", "2", "--k", str(k),
+                             "--out", str(out)]) == 0
+            header, row = out.read_text(encoding="utf-8").splitlines()[:2]
+            return dict(zip(header.split(","), map(float, row.split(","))))
+
+        unit, double = sweep(1.0), sweep(2.0)
+        assert (unit["h"], double["h"]) == (1.0, 2.0)
+        for energy in ("injected_axis_y", "injected_axis_x", "extracted_max",
+                       "site_reduction_max", "net_at_site_optimum"):
+            assert double[energy] == pytest.approx(2.0 * unit[energy],
+                                                   rel=1e-12)
+        for correlator in ("xx_corr", "yy_corr"):
+            assert double[correlator] == pytest.approx(unit[correlator],
+                                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("command, field", [("sweep", "1e16"),
+                                            ("thermo", "1e16"),
+                                            ("thermo", "1e30")])
+def test_unresolvable_field_exits_2_without_rows(command, field):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qetsim.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "qetsim.cli", command,
+                           "--h-min", field, "--h-max", field,
+                           "--h-steps", "2"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error: " in proc.stderr

@@ -3,13 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qetsim import model
 from qetsim import operators as ops
+from qetsim import protocol
 from qetsim.model import ModelParams, energy_decomposition, ground_state
+from qetsim.optimize import max_extracted_energy, max_site_reduction
 from qetsim.protocol import (ProtocolParams, correlators, correlators_closed,
-                             feedback_unitary, measurement_energy,
                              measurement_energy_closed, no_feedback_reduction,
-                             outcome_probability, projector, reduction_closed,
-                             run_protocol)
+                             outcome_probability, project, reduction_closed,
+                             rotate, run_protocol)
 
 SQRT5 = np.sqrt(5.0)
 
@@ -19,6 +21,14 @@ YY_AT_ZERO_FIELD = -0.447213595499957939
 
 def gs(h, k=1.0):
     return ground_state(ModelParams(h=h, k=k))
+
+
+def projector(pp, n):
+    return project(pp, n, np.eye(16)).T
+
+
+def feedback_unitary(pp, n):
+    return rotate(pp, n, np.eye(16)).T
 
 
 def pp_random(rng):
@@ -99,7 +109,7 @@ class TestMeasurementEnergy:
         state = gs(0.7)
         e = energy_decomposition(state)
         pp = ProtocolParams(mu=0.0, nu=0.0, xi=0.0, eta=0.0, theta=0.0)
-        _, injected = measurement_energy(state, pp)
+        injected = run_protocol(state, pp).injected
         assert abs(injected - (-e.bond_left)) < 1e-12
         assert injected > 0.0
 
@@ -107,14 +117,15 @@ class TestMeasurementEnergy:
         state = gs(0.7)
         e = energy_decomposition(state)
         pp = ProtocolParams.from_vectors((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), 0.0)
-        _, injected = measurement_energy(state, pp)
+        injected = run_protocol(state, pp).injected
         assert abs(injected - (-e.site_a - e.bond_left)) < 1e-12
 
     def test_two_routes_agree(self, rng=np.random.default_rng(6)):
         for _ in range(50):
             state = gs(rng.uniform(0.0, 3.0))
             pp = pp_random(rng)
-            after, injected = measurement_energy(state, pp)
+            ledger = run_protocol(state, pp)
+            after, injected = ledger.after_measurement, ledger.injected
             after_c, injected_c = measurement_energy_closed(state, pp)
             assert abs(after - after_c) < 1e-12
             assert abs(injected - injected_c) < 1e-12
@@ -207,3 +218,89 @@ class TestCorrelators:
         k = state.params.k
         assert abs(k * meas.xxz - h * meas.xx + h * meas.yy) < 1e-12
         assert abs(meas.xx) > abs(meas.yy)
+
+
+class TestBatch:
+    """One code path serves a single round and a batch of rounds."""
+
+    @pytest.fixture
+    def batch(self):
+        rng = np.random.default_rng(21)
+        h = np.concatenate([[0.0], rng.uniform(0.0, 3.0, 39)])
+        angles = rng.uniform((0.0, 0.0, 0.0, 0.0, -np.pi / 2),
+                             (np.pi, 2 * np.pi, np.pi, 2 * np.pi, np.pi / 2),
+                             size=(40, 5))
+        return h, angles
+
+    @staticmethod
+    def rounds(batch):
+        h, angles = batch
+        for i in range(len(h)):
+            yield i, gs(float(h[i])), ProtocolParams(*angles[i])
+
+    def test_ledger_matches_scalar_rounds(self, batch):
+        h, angles = batch
+        ledger = run_protocol(gs(h), ProtocolParams(*angles.T))
+        for i, state, pp in self.rounds(batch):
+            single = run_protocol(state, pp)
+            for field in ("after_measurement", "injected", "after_feedback",
+                          "extracted", "extracted_site", "extracted_bond"):
+                assert abs(getattr(ledger, field)[i]
+                           - getattr(single, field)) <= 1e-15, field
+            for field in ("total", "site_b", "bond_right"):
+                assert abs(getattr(ledger.ground, field)[i]
+                           - getattr(single.ground, field)) <= 1e-15, field
+
+    def test_no_feedback_and_probability_match_scalar_rounds(self, batch):
+        h, angles = batch
+        state, pp = gs(h), ProtocolParams(*angles.T)
+        for n in (1, -1):
+            site, bond = no_feedback_reduction(state, pp, n)
+            prob = outcome_probability(state, pp, n)
+            for i, single, pp_i in self.rounds(batch):
+                site_i, bond_i = no_feedback_reduction(single, pp_i, n)
+                assert abs(site[i] - site_i) <= 1e-15
+                assert abs(bond[i] - bond_i) <= 1e-15
+                assert abs(prob[i] - outcome_probability(single, pp_i, n)) \
+                    <= 1e-15
+
+    def test_maxima_match_scalar_calls(self, batch):
+        h, _ = batch
+        state = gs(h)
+        for closed in (max_extracted_energy, max_site_reduction):
+            cert = closed(state)
+            for i, single, _ in self.rounds(batch):
+                ref = closed(single)
+                for field in ("value", "sin_2theta", "cos_2theta", "phase",
+                              "bond_reduction"):
+                    batched = np.broadcast_to(getattr(cert, field), h.shape)
+                    assert abs(batched[i] - getattr(ref, field)) <= 1e-15, \
+                        field
+            assert cert.value[0] == 0.0 and cert.cos_2theta[0] == 1.0
+
+    def test_one_state_many_protocols(self, batch):
+        _, angles = batch
+        state = gs(0.8)
+        ledger = run_protocol(state, ProtocolParams(*angles.T))
+        assert ledger.extracted.shape == (len(angles),)
+        for i, pp in enumerate(ProtocolParams(*a) for a in angles):
+            assert abs(ledger.extracted[i]
+                       - run_protocol(state, pp).extracted) <= 1e-15
+
+    def test_ledger_reads_no_closed_form(self, monkeypatch):
+        def closed_form(*args):
+            raise AssertionError("the ledger read a closed form")
+
+        state = gs(0.6)
+        pp = ProtocolParams(mu=0.4, nu=1.1, xi=1.3, eta=0.2, theta=0.3)
+        site_c, bond_c = reduction_closed(state, pp)
+        for module in (model, protocol):
+            monkeypatch.setattr(module, "energy_decomposition", closed_form)
+        monkeypatch.setattr(protocol, "correlators_closed", closed_form)
+        ledger = run_protocol(state, pp)
+        site, bond = no_feedback_reduction(state, pp, 1)
+        assert abs(ledger.extracted_site - site_c) < 1e-12
+        assert abs(ledger.extracted_bond - bond_c) < 1e-12
+        assert abs(ledger.injected + ledger.ground.total
+                   - ledger.after_measurement) < 1e-15
+        assert site <= 1e-12 and bond <= 1e-12

@@ -130,6 +130,11 @@ class TestEffectiveTemperature:
         with pytest.raises(ValueError):
             effective_temperature(gs(0.0))
 
+    def test_pure_measured_state_is_singular(self):
+        # at h = 1e30 lambda_- rounds to zero, and beta would divide by it
+        with pytest.raises(ValueError, match="not positive"):
+            effective_temperature(gs(1e30))
+
     def test_pinned_beta(self):
         thermal = effective_temperature(gs(0.5))
         assert abs(thermal.beta - BETA_EFF_H05) < 1e-12

@@ -65,6 +65,15 @@ _TARGETS = (TARGET_EXTRACTED, TARGET_SITE)
 
 MIN_RESOLUTION = 64
 
+# angles of the constant axes of the closed forms, computed once: the
+# conversion from vectors costs more than the closed forms themselves.
+# The theta of these parameters is a placeholder.
+_X, _Y, _Z = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+_AXES_EXTRACTED = ProtocolParams.from_vectors(_Y, _X, 0.0)
+_AXES_SITE = ProtocolParams.from_vectors(_X, _Y, 0.0)
+_AXIS_MEASUREMENTS = {name: ProtocolParams.from_vectors(vec, _Z, 0.0)
+                      for name, vec in (("x", _X), ("y", _Y), ("z", _Z))}
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -100,10 +109,10 @@ class Certificate:
     evaluations: int = 0
 
 
-def _closed_certificate(target, amplitude, cross, raxis, saxis,
+def _closed_certificate(target, amplitude, cross, axes,
                         bond=lambda sin2, cos2: 0.0):
     """Certificate at the optimum of the :class:`Certificate` sinusoid with
-    amplitude W and cross amplitude X, at axes `raxis` and `saxis`:
+    amplitude W and cross amplitude X, at the axes of `axes`:
     (sin 2 theta, cos 2 theta) = (X, -W) / hypot(W, X), or theta = phase = 0
     where W = X = 0 (h = 0); `bond(sin2, cos2)` is the bond reduction."""
     root = np.hypot(amplitude, cross)
@@ -111,7 +120,8 @@ def _closed_certificate(target, amplitude, cross, raxis, saxis,
     sin2, cos2 = cross / (root + zero), -amplitude / (root + zero) + zero
     theta = 0.5 * np.arctan2(sin2, cos2)
     return Certificate(
-        target=target, params=ProtocolParams.from_vectors(raxis, saxis, theta),
+        target=target, params=ProtocolParams(axes.mu, axes.nu, axes.xi,
+                                             axes.eta, theta),
         value=root - abs(amplitude), amplitude=amplitude, cross_amplitude=cross,
         phase=np.arctan2(-cross, -amplitude) * ~zero, sin_2theta=sin2,
         cos_2theta=cos2, bond_reduction=bond(sin2, cos2))
@@ -126,7 +136,7 @@ def max_extracted_energy(state: GroundState) -> Certificate:
     gain = state.params.h * correlators_closed(state).yy
     return _closed_certificate(TARGET_EXTRACTED,
                                energy_decomposition(state).site_b, gain,
-                               (0.0, 1.0, 0.0), (1.0, 0.0, 0.0))
+                               _AXES_EXTRACTED)
 
 
 def max_site_reduction(state: GroundState) -> Certificate:
@@ -139,9 +149,9 @@ def max_site_reduction(state: GroundState) -> Certificate:
     e = energy_decomposition(state)
     c = correlators_closed(state)
     return _closed_certificate(
-        TARGET_SITE, e.site_b, -(state.params.h * c.xx), (1.0, 0.0, 0.0),
-        (0.0, 1.0, 0.0), lambda sin2, cos2: (e.bond_right * (1.0 - cos2)
-                                             + state.params.k * c.xxz * sin2))
+        TARGET_SITE, e.site_b, -(state.params.h * c.xx), _AXES_SITE,
+        lambda sin2, cos2: (e.bond_right * (1.0 - cos2)
+                            + state.params.k * c.xxz * sin2))
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +436,7 @@ class SweepRow:
 
 def injected_energy(state: GroundState, axis: str) -> float:
     """Measurement cost for an axis-aligned measurement ('x', 'y' or 'z')."""
-    vec = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}[axis]
-    pp = ProtocolParams.from_vectors(vec, (0.0, 0.0, 1.0), 0.0)
-    return measurement_energy_closed(state, pp)[1]
+    return measurement_energy_closed(state, _AXIS_MEASUREMENTS[axis])[1]
 
 
 def protocol_sweep(h_values, k: float = 1.0):

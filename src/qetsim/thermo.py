@@ -44,6 +44,8 @@ from .protocol import ProtocolParams, correlators_closed, project, run_protocol
 PROBABILITY_FLOOR = 1e-14
 
 _OUTCOMES = (1, -1)
+# measurement along x, the site-reduction optimum; converted once
+_MEASURE_X = ProtocolParams.from_vectors((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
 
 
 def reduced_state_initial(state: GroundState) -> np.ndarray:
@@ -230,13 +232,12 @@ class ThermoReport:
 
 
 def second_law_report(state: GroundState) -> ThermoReport:
-    pp_measure = ProtocolParams.from_vectors((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
     rho_i = reduced_state_initial(state)
     entropy_initial = von_neumann_entropy(rho_i)
     entropies = []
     probabilities = []
     for n in _OUTCOMES:
-        rho, p = reduced_state_measured(state, pp_measure, n)
+        rho, p = reduced_state_measured(state, _MEASURE_X, n)
         probabilities.append(p)
         entropies.append(von_neumann_entropy(rho) if rho is not None else 0.0)
     mutual = entropy_initial - sum(p * s for p, s in zip(probabilities, entropies))

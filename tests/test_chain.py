@@ -27,6 +27,21 @@ class TestBuildChain:
             a[j, i] -= val
         assert np.allclose(spec.coupling, a)
 
+    @pytest.mark.parametrize("L", [2, 5, 16, 1000])
+    def test_matches_per_bond_assembly(self, L):
+        h, k = 0.7, 1.3
+        a = np.zeros((L + 2, L + 2))
+
+        def add(i, j, t):
+            a[i, j] += 2.0 * t
+            a[j, i] -= 2.0 * t
+
+        add(L, 0, h)
+        for l in range(L - 1):
+            add(l, l + 1, -k * (-1.0) ** l)
+        add(L - 1, L + 1, h)
+        assert np.array_equal(build_chain(L, h, k).coupling, a)
+
     def test_antisymmetric(self):
         for L in (2, 5, 16, 37):
             spec = build_chain(L, 0.4, 1.0)
@@ -108,6 +123,59 @@ class TestGroundCovariance:
         got = edge_correlators(spec)
         assert abs(got[0] - want[0]) < 1e-14
         assert abs(got[1] - want[1]) < 1e-14
+
+    def test_yy_relative_accuracy_against_high_precision_integral(self):
+        # reference: the end-to-end resolvent integral of the module
+        # docstring at 30 digits, (2/pi) int_0^inf w^2 prod' |s_p| / D(w) dw
+        # with D from p_j = w p_{j-1} + s_{j-2}^2 p_{j-2}; the recurrence
+        # is summed by mpmath's own quadrature, not by the solver's grid
+        mp = pytest.importorskip("mpmath")
+        L = 200
+        spec = build_chain(L, 1.0, 1.0)
+        path = [L] + list(range(L)) + [L + 1]
+        bonds = [abs(float(spec.coupling[i, j]))
+                 for i, j in zip(path[:-1], path[1:])]
+        with mp.workdps(30):
+            bonds = [mp.mpf(b) for b in bonds]
+            inner = mp.fprod(bonds[1:-1])
+
+            def integrand(w):
+                p_prev, p = mp.mpf(1), w
+                for b in bonds:
+                    p_prev, p = p, w * p + b * b * p_prev
+                return w * w * inner / p
+
+            want = 2 / mp.pi * mp.quad(integrand, [0, 0.01, 1, 10, mp.inf])
+            got = abs(edge_correlators(spec)[1])
+            assert abs(got - want) / want <= 1e-12
+
+    @pytest.mark.parametrize("L", [2, 4, 6, 16, 50, 200, 1000])
+    def test_resolvent_matches_covariance_route(self, L):
+        # edge_correlators takes Q from the resolvent, ground_covariance
+        # from the SVD; Gamma[b_0, b_{L-1}] and Gamma[c_0, c_{L-1}]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (1e-100, 1.0, 1e100):
+                for ratio in (1e-6, 0.05, 0.5, 2.0, 1e5):
+                    spec = build_chain(L, ratio * k, k)
+                    gamma = ground_covariance(spec)
+                    bb, cc = edge_correlators(spec)
+                    assert abs(bb - gamma[L, L + 1]) <= 1e-13
+                    assert abs(cc - gamma[0, L - 1]) <= 1e-13
+
+    @pytest.mark.parametrize("L", [2, 4, 50])
+    @pytest.mark.parametrize("k", [1e-100, 1.0, 1e100])
+    def test_sign_and_magnitude_at_tiny_field(self, L, k):
+        # the smallest singular value, ~h^2 / k, is far below double
+        # resolution at h = 1e-150 k; the signs come from the bond signs
+        # alone and must match those at h = 1e-6 k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = edge_correlators(build_chain(L, 1e-150 * k, k))
+            small = edge_correlators(build_chain(L, 1e-6 * k, k))
+        assert np.array_equal(np.sign(tiny), np.sign(small))
+        assert abs(abs(tiny[0]) - 1.0) < 1e-14
+        assert abs(tiny[1] - small[1]) < 1e-10
 
     @pytest.mark.parametrize("h", [0.1, 0.5, 1.0, 2.0])
     def test_four_site_chain_matches_exact_diagonalisation(self, h):

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import checks as checks_mod
-from .model import ModelParams, even_sector_spectrum, ground_state
+from .model import (MAX_PARAMETER, ModelParams, even_sector_spectrum,
+                    ground_state)
 from .optimize import MIN_RESOLUTION, protocol_sweep
 from .protocol import correlators_closed
 from .thermo import thermo_sweep
@@ -65,6 +66,26 @@ def _field_grid(args):
     return np.linspace(args.h_min, args.h_max, args.h_steps) * args.k
 
 
+# largest --h-max (h/k) of `sweep` and `thermo`: the range over which the
+# closed forms are tested to 1e-13 relative against a 60-digit reference
+MAX_FIELD_RATIO = 1e4
+
+
+def _closed_form_grid(args):
+    """The field grid of `sweep` and `thermo`.  Refused before any
+    arithmetic unless 0 <= --h-min, --h-max <= MAX_FIELD_RATIO and
+    1/MAX_PARAMETER <= --k <= MAX_PARAMETER, so that no field, energy or
+    inverse temperature of an accepted grid can overflow."""
+    if not (0.0 <= args.h_min and args.h_max <= MAX_FIELD_RATIO
+            and 1.0 / MAX_PARAMETER <= args.k <= MAX_PARAMETER):
+        raise ValueError(f"--h-min and --h-max must be finite and in "
+                         f"[0, {MAX_FIELD_RATIO:g}] (in units of k), where "
+                         f"the closed forms are accurate, and --k in "
+                         f"[{1.0 / MAX_PARAMETER:g}, {MAX_PARAMETER:g}]; "
+                         f"got {args.h_min}, {args.h_max}, {args.k}")
+    return _field_grid(args)
+
+
 def cmd_spectrum(args):
     rows = []
     for h in _field_grid(args):
@@ -81,7 +102,7 @@ def cmd_sweep(args):
     rows = [[r.h, r.xx, r.yy, r.h_xx, r.h_yy, r.injected_axis_y,
              r.injected_axis_x, r.extracted_max, r.site_reduction_max,
              r.net_at_site_optimum]
-            for r in protocol_sweep(_field_grid(args), k=args.k)]
+            for r in protocol_sweep(_closed_form_grid(args), k=args.k)]
     _write_csv(args.out, header, rows)
     return 0
 
@@ -92,7 +113,7 @@ def cmd_thermo(args):
     header = ["h", "site_reduction_max", "rotation_cost", "correlator_gain",
               "kl_over_beta", "info_over_beta", "budget_residual"]
     rows = []
-    for r in thermo_sweep(_field_grid(args), k=args.k):
+    for r in thermo_sweep(_closed_form_grid(args), k=args.k):
         residual = abs(r.site_reduction_max - r.kl_over_beta - r.info_over_beta)
         rows.append([r.h, r.site_reduction_max, r.rotation_cost,
                      r.correlator_gain, r.kl_over_beta, r.info_over_beta,

@@ -26,6 +26,7 @@ even-parity sector because i b_A b_B = sx_A sx_B (-P) as operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +45,9 @@ class MajoranaOps:
     c: tuple
 
 
+@lru_cache(maxsize=None)
 def build_majorana_ops() -> MajoranaOps:
+    """The eight operators, built once; the arrays are returned read-only."""
     b = [None] * ops.N_SITES
     c = [None] * ops.N_SITES
     for site in range(ops.N_SITES):
@@ -55,6 +58,8 @@ def build_majorana_ops() -> MajoranaOps:
             b[site], c[site] = symmetric, antisymmetric
         else:
             c[site], b[site] = symmetric, antisymmetric
+    for array in b + c:
+        array.flags.writeable = False
     return MajoranaOps(b=tuple(b), c=tuple(c))
 
 

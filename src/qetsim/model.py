@@ -26,9 +26,11 @@ import numpy as np
 from . import operators as ops
 
 SQRT5 = np.sqrt(5.0)
+_SQRT3 = np.sqrt(3.0)
+_EPS = np.finfo(float).eps
 
-# Largest accepted h and k: the characteristic cubic cubes 3k + 2h, which
-# overflows float64 near 2.8e102.
+# Largest accepted h, k and h/k: the Newton step of the ground-energy root
+# cubes x ~ -2 h/k, which overflows float64 near h/k = 2.8e102.
 MAX_PARAMETER = 1e100
 
 
@@ -51,6 +53,9 @@ class ModelParams:
             raise ValueError(f"coupling k must be positive, got {self.k}")
         if h_lo < 0:
             raise ValueError(f"edge field h must be non-negative, got {self.h}")
+        if np.any(self.h > MAX_PARAMETER * self.k):
+            raise ValueError(f"h/k must be at most {MAX_PARAMETER:g}, "
+                             f"got h={self.h}, k={self.k}")
 
 
 def _extremes(x):
@@ -163,40 +168,51 @@ def characteristic_cubic(energy, params: ModelParams):
     return (e + k) * (e * e - 5.0 * k * k) - 4.0 * h * h * (e - k)
 
 
-def ground_energy(params: ModelParams) -> float:
-    """Most negative root of the characteristic cubic.
+def ground_energy(params: ModelParams):
+    """Most negative root of the characteristic cubic, e = k x, where x is
+    the most negative root of the same cubic in t = h/k,
+
+        x^3 + x^2 - (5 + 4 t^2) x + (4 t^2 - 5) = 0.
+
+    All three roots are real (they are eigenvalues of a real symmetric
+    block).  With x = y - 1/3 the cubic becomes y^3 - 3 r^2 y + 4 r^2 -
+    280/27, r = hypot(4/3, 2 t / sqrt 3), whose Viete roots are
+    y_j = 2 r cos((phi - 2 pi j)/3), j = 0, 1, 2, with cos phi = -2/r +
+    140/(27 r^3) in [-0.48, 11/16], well inside the domain of arccos.  The
+    j = 2 branch has its cosine in [-1, -1/2] and is the most negative
+    root.  Nothing in this form overflows; one Newton step on the cubic
+    then brings x to within about an ulp.  At h = 0 the root is -sqrt(5)
+    exactly.
 
     The root lies in [-3k - 2h, -sqrt(5) k]: the cubic is negative at the
-    left end, positive at the right end for h > 0, and increasing below the
-    bracket, so bisection cannot miss it or pick a different branch.
-    Array-valued parameters are bisected one element at a time, so every
-    root is the one a scalar call returns.
+    left end, positive at the right end for h > 0, and increasing below
+    the bracket.  The bracket is asserted up to 2 ulps of roundoff (above
+    h/k ~ 3e16 it is narrower than an ulp of the root), so a wrong branch
+    cannot pass silently.  Scalars and arrays take the same numpy path, so
+    every element of a batch is the root a scalar call returns.
     """
-    h, k = params.h, params.k
-    if isinstance(h, np.ndarray) or isinstance(k, np.ndarray):
-        return np.vectorize(
-            lambda h, k: ground_energy(ModelParams(h=float(h), k=float(k))),
-            otypes=[float])(h, k)
-    if h == 0.0:
-        return -SQRT5 * k
-    lo, hi = -3.0 * k - 2.0 * h, -SQRT5 * k
-    flo = characteristic_cubic(lo, params)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = characteristic_cubic(mid, params)
-        if flo * fmid <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo <= 1e-15 * abs(mid):
-            break
-    return 0.5 * (lo + hi)
+    h, k = np.asarray(params.h, dtype=float), np.asarray(params.k, dtype=float)
+    t = h / k
+    r = np.hypot(4.0 / 3.0, t * (2.0 / _SQRT3))
+    phi = np.arccos((140.0 / 27.0) / r**3 - 2.0 / r)
+    x = 2.0 * r * np.cos((phi + 2.0 * np.pi) / 3.0) - 1.0 / 3.0
+    tt = 4.0 * (t * t)
+    x = x - ((((x + 1.0) * x - (5.0 + tt)) * x + (tt - 5.0))
+             / ((3.0 * x + 2.0) * x - (5.0 + tt)))
+    x = np.where(t > 0.0, x, -SQRT5)
+    slack = 2.0 * _EPS * abs(x)
+    assert ((x >= -3.0 - 2.0 * t - slack) & (x <= slack - SQRT5)).all(), \
+        f"root {x} outside the bracket [-3 - 2 h/k, -sqrt(5)]"
+    return (k * x)[()]
 
 
 def _amplitudes(params: ModelParams, energy):
+    """alpha, beta and Z of the closed-form state.  beta comes from the
+    identity alpha beta = (e - k)/(e + k), not from 2k/(e + k + 2h), whose
+    denominator cancels to zero once h/k exceeds ~1e16."""
     h, k = params.h, params.k
     alpha = 2.0 * k / (energy + k - 2.0 * h)
-    beta = 2.0 * k / (energy + k + 2.0 * h)
+    beta = (energy - k) / ((energy + k) * alpha)
     norm = 1.0 / np.sqrt(4.0 + 2.0 * (alpha * alpha) + 2.0 * (beta * beta))
     return alpha, beta, norm
 

@@ -110,11 +110,16 @@ class Certificate:
 
 
 def _closed_certificate(target, amplitude, cross, axes,
-                        bond=lambda sin2, cos2: 0.0):
+                        bond=lambda sin2, versine: 0.0):
     """Certificate at the optimum of the :class:`Certificate` sinusoid with
     amplitude W and cross amplitude X, at the axes of `axes`:
     (sin 2 theta, cos 2 theta) = (X, -W) / hypot(W, X), or theta = phase = 0
-    where W = X = 0 (h = 0); `bond(sin2, cos2)` is the bond reduction."""
+    where W = X = 0 (h = 0); `bond(sin2, versine)` is the bond reduction,
+    with versine = 1 - cos 2 theta.
+
+    Where |X| << |W| (large h/k) the value hypot(W, X) - |W| and
+    1 - cos 2 theta cancel, so they are taken as X^2 / (hypot(W, X) + |W|)
+    and 2 sin^2 theta."""
     root = np.hypot(amplitude, cross)
     zero = root == 0.0   # adding or multiplying by it is exact elsewhere
     sin2, cos2 = cross / (root + zero), -amplitude / (root + zero) + zero
@@ -122,9 +127,10 @@ def _closed_certificate(target, amplitude, cross, axes,
     return Certificate(
         target=target, params=ProtocolParams(axes.mu, axes.nu, axes.xi,
                                              axes.eta, theta),
-        value=root - abs(amplitude), amplitude=amplitude, cross_amplitude=cross,
+        value=cross * cross / (root + abs(amplitude) + zero),
+        amplitude=amplitude, cross_amplitude=cross,
         phase=np.arctan2(-cross, -amplitude) * ~zero, sin_2theta=sin2,
-        cos_2theta=cos2, bond_reduction=bond(sin2, cos2))
+        cos_2theta=cos2, bond_reduction=bond(sin2, 2.0 * np.sin(theta)**2))
 
 
 def max_extracted_energy(state: GroundState) -> Certificate:
@@ -150,8 +156,8 @@ def max_site_reduction(state: GroundState) -> Certificate:
     c = correlators_closed(state)
     return _closed_certificate(
         TARGET_SITE, e.site_b, -(state.params.h * c.xx), _AXES_SITE,
-        lambda sin2, cos2: (e.bond_right * (1.0 - cos2)
-                            + state.params.k * c.xxz * sin2))
+        lambda sin2, versine: (e.bond_right * versine
+                               + state.params.k * c.xxz * sin2))
 
 
 # ---------------------------------------------------------------------------

@@ -264,11 +264,13 @@ def correlators(state: GroundState) -> EdgeCorrelators:
 
 
 def correlators_closed(state: GroundState) -> EdgeCorrelators:
-    """Same correlators from the amplitude ratios."""
+    """Same correlators from the amplitude ratios.  With alpha beta =
+    (E - k)/(E + k), xx = 8 E Z^2/(E + k) and yy = 8 k Z^2/(E + k), which
+    avoid the cancellation in 1 -+ alpha beta at large h/k."""
     z2 = state.norm**2
-    ab = state.alpha * state.beta
+    e, k = state.energy, state.params.k
     return EdgeCorrelators(
-        xx=4.0 * z2 * (1.0 + ab),
-        yy=4.0 * z2 * (1.0 - ab),
+        xx=8.0 * z2 * e / (e + k),
+        yy=8.0 * z2 * k / (e + k),
         xxz=4.0 * z2 * (state.alpha - state.beta),
     )

@@ -311,7 +311,8 @@ def thermo_sweep(h_values, k: float = 1.0):
         rows.append(ThermoRow(
             h=float(h),
             site_reduction_max=cert.value,
-            rotation_cost=site_b * (1.0 - cert.cos_2theta),
+            # 1 - cos 2 theta as 2 sin^2 theta, which does not cancel
+            rotation_cost=site_b * 2.0 * np.sin(cert.params.theta)**2,
             correlator_gain=-float(h) * correlators_closed(state).xx * cert.sin_2theta,
             kl_over_beta=report.divergence / report.beta_eff,
             info_over_beta=report.mutual_information / report.beta_eff,

@@ -20,6 +20,12 @@ def gs(h, k=1.0):
 
 
 class TestOperators:
+    def test_cached_operators_are_read_only(self):
+        m = build_majorana_ops()
+        assert build_majorana_ops() is m
+        with pytest.raises(ValueError, match="read-only"):
+            m.b[0][0, 0] = 1.0
+
     def test_string_at_first_site_is_identity(self):
         assert np.allclose(ops.string_operator(0), np.eye(16))
 

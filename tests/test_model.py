@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from qetsim import operators as ops
-from qetsim.model import (ModelParams, build_hamiltonian, build_symmetries,
-                          energy_decomposition, even_sector_spectrum,
-                          ground_energy, ground_state, numeric_ground_state,
-                          odd_sector_spectrum, term_expectations)
+from qetsim.model import (MAX_PARAMETER, ModelParams, build_hamiltonian,
+                          build_symmetries, energy_decomposition,
+                          even_sector_spectrum, ground_energy, ground_state,
+                          numeric_ground_state, odd_sector_spectrum,
+                          term_expectations)
 
 SQRT5 = np.sqrt(5.0)
 
@@ -56,6 +57,12 @@ class TestParams:
             ModelParams(h=0.1, k=0.0)
         with pytest.raises(ValueError):
             ModelParams(h=-0.1, k=1.0)
+
+    @pytest.mark.parametrize("h, k", [(1e-50, 1e-151),
+                                      (np.array([0.5, 1e-50]), 1e-151)])
+    def test_rejects_field_ratio_above_bound(self, h, k):
+        with pytest.raises(ValueError, match="h/k"):
+            ModelParams(h=h, k=k)
 
     @pytest.mark.parametrize("h, k", [(np.nan, 1.0), (np.inf, 1.0),
                                       (0.5, np.nan), (0.5, np.inf),
@@ -191,6 +198,26 @@ class TestGroundState:
             from qetsim.model import characteristic_cubic
             assert abs(characteristic_cubic(e, p)) < 1e-8 * max(1.0, h**3)
 
+    @pytest.mark.parametrize("k", [1e-100, 1e-50, 1.0, 1e50, 1e100])
+    def test_energy_matches_spectrum_at_every_scale(self, k):
+        # the root is found in h/k and scaled by k, so tiny and huge scales
+        # neither underflow nor overflow
+        for ratio in (1e-6, 0.3, 1.0, 40.0):
+            if ratio * k > MAX_PARAMETER:
+                continue
+            p = ModelParams(h=ratio * k, k=k)
+            e = ground_energy(p)
+            assert abs(e - even_sector_spectrum(p)[0]) <= 1e-14 * abs(e)
+
+    def test_root_at_huge_ratio_stays_in_bracket(self):
+        # above h/k ~ 3e16 the bracket [-3k - 2h, -sqrt(5) k] is narrower
+        # than an ulp of the root: the root may round just past its left
+        # end, and the bracket assertion must still accept it
+        for ratio in (1e15, 3.2e16, 1e30, 1e100):
+            e = ground_energy(ModelParams(h=ratio, k=1.0))
+            assert -3.0 - 2.0 * ratio <= e * (1.0 - 4e-16) and e < -SQRT5
+            assert abs(e + 2.0 * ratio) <= 1e-15 * 2.0 * ratio
+
     @pytest.mark.parametrize("h", [0.0, 0.01, 0.18, 0.5, 1.0, 3.0])
     def test_invariants(self, h):
         state = gs(h)
@@ -213,13 +240,15 @@ class TestBatch:
     HS = np.array([0.0, 0.02, 0.37, 1.0, 2.9, 40.0])
 
     def test_batch_equals_scalar_calls(self):
-        batch = ground_state(ModelParams(h=self.HS, k=1.5))
-        assert batch.vector.shape == (len(self.HS), 16)
-        for i, h in enumerate(self.HS):
-            single = ground_state(ModelParams(h=float(h), k=1.5))
-            for field in ("energy", "alpha", "beta", "norm", "vector"):
-                assert np.array_equal(getattr(batch, field)[i],
-                                      getattr(single, field)), (field, h)
+        for k in (1.5, 1e-100, 1e100):
+            hs = self.HS[self.HS * k <= MAX_PARAMETER] * k
+            batch = ground_state(ModelParams(h=hs, k=k))
+            assert batch.vector.shape == (len(hs), 16)
+            for i, h in enumerate(hs):
+                single = ground_state(ModelParams(h=float(h), k=k))
+                for field in ("energy", "alpha", "beta", "norm", "vector"):
+                    assert np.array_equal(getattr(batch, field)[i],
+                                          getattr(single, field)), (field, h)
 
     def test_batch_shape_broadcasts(self):
         batch = ground_state(ModelParams(h=self.HS.reshape(2, 3)))

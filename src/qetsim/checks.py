@@ -80,7 +80,10 @@ def check_ground_state_invariants(rng=None):
         abs(k * (gs.alpha - gs.beta) - 2.0 * h * gs.alpha * gs.beta) / 1e-12,
         abs((4.0 + 2.0 * gs.alpha**2 + 2.0 * gs.beta**2) * gs.norm**2
             - 1.0) / 1e-12,
-        abs(gs.alpha * gs.beta - (gs.energy - k) / (gs.energy + k)) / 1e-12,
+        # beta = 2k/(E + k + 2h), the closed form that _amplitudes no
+        # longer evaluates, relative to the size of its terms
+        abs(gs.beta * (gs.energy + k + 2.0 * h) - 2.0 * k)
+        / (abs(gs.energy) + k + 2.0 * h) / 1e-12,
         abs(np.linalg.norm(v, axis=-1) - 1.0) / 1e-12,
         np.linalg.norm(v @ ops.parity_operator().T - v, axis=-1) / 1e-12,
         np.linalg.norm(hv - gs.energy[:, None] * v, axis=-1) / 1e-10,

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import checks as checks_mod
-from .model import (MAX_PARAMETER, ModelParams, even_sector_spectrum,
-                    ground_state)
+from .model import (MAX_FIELD_RATIO, MAX_PARAMETER, ModelParams,
+                    even_sector_spectrum, ground_state)
 from .optimize import MIN_RESOLUTION, protocol_sweep
 from .protocol import correlators_closed
 from .thermo import thermo_sweep
@@ -66,16 +66,12 @@ def _field_grid(args):
     return np.linspace(args.h_min, args.h_max, args.h_steps) * args.k
 
 
-# largest --h-max (h/k) of `sweep` and `thermo`: the range over which the
-# closed forms are tested to 1e-13 relative against a 60-digit reference
-MAX_FIELD_RATIO = 1e4
-
-
 def _closed_form_grid(args):
-    """The field grid of `sweep` and `thermo`.  Refused before any
-    arithmetic unless 0 <= --h-min, --h-max <= MAX_FIELD_RATIO and
-    1/MAX_PARAMETER <= --k <= MAX_PARAMETER, so that no field, energy or
-    inverse temperature of an accepted grid can overflow."""
+    """The field grid of `sweep` and `thermo`, refused unless it lies in
+    the accurate range of the closed forms (see model.MAX_FIELD_RATIO).
+    The check comes before any arithmetic: the bound k <= MAX_PARAMETER,
+    which ModelParams would also make, must hold before the grid is
+    multiplied by k, or that product overflows."""
     if not (0.0 <= args.h_min and args.h_max <= MAX_FIELD_RATIO
             and 1.0 / MAX_PARAMETER <= args.k <= MAX_PARAMETER):
         raise ValueError(f"--h-min and --h-max must be finite and in "

@@ -33,6 +33,13 @@ _EPS = np.finfo(float).eps
 # cubes x ~ -2 h/k, which overflows float64 near h/k = 2.8e102.
 MAX_PARAMETER = 1e100
 
+# Largest h/k of the range in which the closed forms (ground energy,
+# amplitudes, correlators and both maxima) keep 1e-13 relative accuracy
+# against a 60-digit reference, for k in [1/MAX_PARAMETER, MAX_PARAMETER]
+# (tests/test_accuracy.py).  ModelParams accepts the wider range above;
+# the `sweep` and `thermo` commands refuse fields outside this one.
+MAX_FIELD_RATIO = 1e4
+
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -9,13 +9,14 @@ far fewer than the 60 digits carried.
 import numpy as np
 import pytest
 
-from qetsim.model import MAX_PARAMETER, ModelParams, ground_state
+from qetsim.model import (MAX_FIELD_RATIO, MAX_PARAMETER, ModelParams,
+                          ground_state)
 from qetsim.optimize import max_extracted_energy, max_site_reduction
 from qetsim.protocol import correlators_closed
 
 mpmath = pytest.importorskip("mpmath")
 
-RATIOS = np.logspace(-6.0, 4.0, 41)
+RATIOS = np.logspace(-6.0, np.log10(MAX_FIELD_RATIO), 41)
 SCALES = (1e-100, 1.0, 1e100)
 BOUND = 1e-13
 

@@ -36,17 +36,27 @@ With the path bonds sigma_p = (-1)^(p+1) A[path_p, path_{p+1}], both
 entries are end-to-end entries of the resolvent of a tridiagonal matrix,
 in closed form:
 
-    <i b_0 b_{L-1}> = s  (2/pi) int_0^inf prod_p |sigma_p| / D(w) dw,
-    <i c_0 c_{L-1}> = s' (2/pi) int_0^inf w^2 prod_{0<p<N-2} |sigma_p| / D(w) dw,
+    <i b_0 b_{L-1}> = s (2/pi) int_0^inf prod_p |sigma_p| / D(w) dw,
+    <i c_0 c_{L-1}> = s (2/pi) int_0^inf w^2 prod_{0<p<N-2} |sigma_p| / D(w) dw,
 
 with D(w) = prod_k (s_k^2 + w^2) over the singular values s_k of B, equal
 to p_N of the all-positive recurrence p_j = w p_{j-1} + sigma_{j-2}^2 p_{j-2}
-(p_0 = 1, p_1 = w), and the exact signs s = (-1)^(N/2+1) prod_p
-sign(sigma_p) and s' the same over the interior bonds.  The integrals run
-on a trapezoid grid in log w, so a solve costs O(N) per grid node, and
-both integrands are positive, which makes the correlators accurate
-relative to their own size: |yy| = 3e-7 at L = 1000, h = 0.5 is within
-3e-15 relative of a 30-digit reference.  `ground_covariance` and
+(p_0 = 1, p_1 = w).  All L + 1 bonds sigma_p are negative, which makes the
+sign s = (-1)^(L/2+1) for both.  The L - 1 interior bonds share one
+magnitude, so the recurrence between the two edge bonds is the power
+T^(L-1) of the transfer matrix T = [[w, c^2], [1, 0]].  In units of the
+larger of 2h and 2k, with interior bond c and edge bond e,
+
+    D(w) = c^(L-1) [w F_L p_2 + c w^2 F_{L-1} + e^2 F_{L-1} p_2 / c
+                    + e^2 w F_{L-2}],   p_2 = w^2 + e^2,
+
+with the Fibonacci polynomials F_m(w/c) = (e^(m phi) - (-1)^m e^(-m phi))
+/ (2 cosh phi), sinh phi = w / (2c).  For even L the four terms are
+positive, and c^(L-1) cancels against the bond products.  The integrals run
+on a trapezoid grid in log w, so a solve costs O(1) per grid node at any
+length, and both integrands are positive, which makes the correlators
+accurate relative to their own size: |yy| = 3e-7 at L = 1000, h = 0.5 is
+within 5e-15 relative of a 30-digit reference.  `ground_covariance` and
 `ground_energy_from_filling` keep the dense SVD B = U diag(s) V^T,
 Q = U V^T, as the independent second route that the checks compare
 against.
@@ -56,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +81,7 @@ SMALL_FIELD = 1e-6
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Length-L chain and its antisymmetric coupling matrix.
+    """Length-L chain; its antisymmetric coupling matrix is built on first use.
 
     Mode ordering in `coupling`: c_0 .. c_{L-1}, then b_0 (index L) and
     b_{L-1} (index L+1).
@@ -79,7 +90,6 @@ class ChainSpec:
     length: int
     h: float
     k: float
-    coupling: np.ndarray
 
     @property
     def index_b_first(self):
@@ -88,6 +98,20 @@ class ChainSpec:
     @property
     def index_b_last(self):
         return self.length + 1
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        length, h, k = self.length, self.h, self.k
+        a = np.zeros((length + 2, length + 2))
+        # i t gamma_i gamma_j -> A[i, j] = 2 t, A[j, i] = -2 t for the bonds
+        # i h b_0 c_0, -i k (-1)^l c_l c_{l+1} and i h c_{L-1} b_{L-1}
+        bulk = np.arange(length - 1)
+        i = np.r_[length, bulk, length - 1]
+        j = np.r_[0, bulk + 1, length + 1]
+        t = np.r_[h, np.where(bulk % 2, k, -k), h]
+        a[i, j] += 2.0 * t
+        a[j, i] -= 2.0 * t
+        return a
 
 
 def _check_field(h, k):
@@ -106,17 +130,7 @@ def build_chain(length: int, h: float, k: float = 1.0) -> ChainSpec:
     if length < 2:
         raise ValueError(f"chain length must be at least 2, got {length}")
     _check_field(h, k)
-    n = length + 2
-    a = np.zeros((n, n))
-    # i t gamma_i gamma_j -> A[i, j] = 2 t, A[j, i] = -2 t for the bonds
-    # i h b_0 c_0, -i k (-1)^l c_l c_{l+1} and i h c_{L-1} b_{L-1}
-    bulk = np.arange(length - 1)
-    i = np.r_[length, bulk, length - 1]
-    j = np.r_[0, bulk + 1, length + 1]
-    t = np.r_[h, np.where(bulk % 2, k, -k), h]
-    a[i, j] += 2.0 * t
-    a[j, i] -= 2.0 * t
-    return ChainSpec(length=length, h=float(h), k=float(k), coupling=a)
+    return ChainSpec(length=length, h=float(h), k=float(k))
 
 
 def _path(spec: ChainSpec):
@@ -182,80 +196,69 @@ _EDGE_FLOOR = 1e-100
 # raised to it, so that no bond and no grid node underflows; the edge
 # correlators are then below ~1e-250 and are resolved only absolutely
 _BOND_FLOOR = 1e-250
-# rows of ratios multiplied at once: a product of up to 512 frexp
-# mantissas in [1/2, 1) stays a normal float
-_BLOCK = 512
 
 
-def _log_smallest_singular_bound(a):
+def _log_smallest_singular_bound(c, e, size):
     """Log of a lower bound on the smallest singular value of the upper
-    bidiagonal B with diagonal a[0::2] and superdiagonal a[1::2].
+    bidiagonal B of `size` rows with diagonal (e, c, .., c, e) and
+    superdiagonal c.
 
-    |B^-1[i, j]| = prod_{m=i+1..j} a_sup[m-1] / prod_{m=i..j} a_diag[m], and
-    s_min = 1/||B^-1||_2 >= 1/(n max |B^-1[i, j]|); all in logarithms.
+    |B^-1[i, j]| = prod_{m=i+1..j} sup[m-1] / prod_{m=i..j} diag[m] is 1/c,
+    1/e or c/e^2, and s_min = 1/||B^-1||_2 >= 1/(size max |B^-1[i, j]|);
+    all in logarithms.
     """
-    log_diag, log_sup = np.log(a[0::2]), np.log(a[1::2])
-    prefix = np.r_[0.0, np.cumsum(log_sup - log_diag[1:])]
-    worst = np.max(prefix - np.minimum.accumulate(prefix + log_diag))
-    return -worst - math.log(log_diag.size)
+    log_c, log_e = math.log(c), math.log(e)
+    return -max(-log_c, -log_e, log_c - 2.0 * log_e) - math.log(size)
 
 
 def edge_correlators(spec: ChainSpec):
     """(<i b_0 b_{L-1}>, <i c_0 c_{L-1}>) in the filled-sea ground state.
 
-    Evaluates the two resolvent integrals of the module docstring at O(L)
-    cost per grid node.  For odd L both pairs sit on one sublattice, so
-    both are exactly 0.0.
+    Evaluates the two resolvent integrals of the module docstring with the
+    transfer-matrix form of D(w), at a cost per grid node independent of
+    L.  For odd L both pairs sit on one sublattice, so both are exactly 0.0.
     """
     _require_field(spec)
-    if spec.length % 2:
+    length = spec.length
+    if length % 2:
         return 0.0, 0.0
-    path = _path(spec)
-    n = path.size
-    sigma = (spec.coupling[path[:-1], path[1:]]
-             * np.where(np.arange(n - 1) % 2, 1.0, -1.0))
-    negative = np.signbit(sigma)
-    sign_xx = (-1.0) ** int(n // 2 + 1 + negative.sum())
-    sign_yy = (-1.0) ** int(n // 2 + 1 + negative[1:-1].sum())
-    # bonds in units of the largest; the grid w runs in the same unit
-    a = np.maximum(np.abs(sigma) / np.abs(sigma).max(), _BOND_FLOOR)
-    a[[0, -1]] = np.maximum(a[[0, -1]], _EDGE_FLOOR)
-    t = np.arange(_log_smallest_singular_bound(a) + math.log(_MARGIN),
+    # interior bond c and edge bond e in units of the larger; the grid w
+    # runs in the same unit
+    top = max(spec.h, spec.k)
+    c = max(spec.k / top, _BOND_FLOOR)
+    e = max(spec.h / top, _EDGE_FLOOR)
+    t = np.arange(_log_smallest_singular_bound(c, e, length // 2 + 1)
+                  + math.log(_MARGIN),
                   math.log(2.0 / _MARGIN) + _STEP, _STEP)   # s_max <= 2
     w = np.exp(t)
-    # r_j = p_j / p_{j-1}: r_1 = w, r_{b+2} = w + a_b (a_b / r_{b+1}).  Row b
-    # of the block holds a_{b+1} / r_{b+2} (a_b for the last bond), so the
-    # product of all rows is (a_last / a_0) prod_b a_b / prod_{j>1} r_j
-    bonds = a.tolist()
-    following = bonds[1:] + bonds[-1:]
-    block = np.empty((min(len(bonds), _BLOCK), w.size))
-    mantissa, exponent = np.ones_like(w), np.zeros(w.size, dtype=int)
-    ratio = bonds[0] / w
-    r = np.empty_like(w)
-    for start in range(0, len(bonds), _BLOCK):
-        rows = block[:len(bonds) - start]
-        for row, bond, nxt in zip(rows, bonds[start:], following[start:]):
-            # positional out arguments: keywords cost as much as the ufunc
-            np.multiply(ratio, bond, r)
-            np.add(r, w, r)
-            ratio = np.divide(nxt, r, row)
-        m, e = np.frexp(rows)
-        mantissa, shift = np.frexp(mantissa * m.prod(axis=0))
-        exponent += e.sum(axis=0) + shift
-    # integrands in t, w f(w): prod_p a_p / D(w) times w (= r_1) for xx, and
-    # w^3 prod_interior a_p / D(w) for yy
-    g_xx = np.ldexp(mantissa * (bonds[0] / bonds[-1]), exponent)
-    g_yy = np.ldexp(mantissa * (w / bonds[-1]) ** 2, exponent)
+    x = w / c
+    phi = np.arcsinh(0.5 * x)
+    cosh2 = np.hypot(x, 2.0)   # 2 cosh phi
+    # F_m(x) e^(-(L-1) phi) for m = L, L - 1 and L - 2: no term overflows,
+    # and expm1 keeps 1 - e^(-2 m phi) accurate at small phi
+    f_top = -np.expm1(-2 * length * phi) * np.exp(phi) / cosh2
+    f_mid = (1.0 + np.exp(-2 * (length - 1) * phi)) / cosh2
+    f_low = -np.expm1(-2 * (length - 2) * phi) * np.exp(-phi) / cosh2
+    # the bracket of D(w) over e^2 e^((L-1) phi), so that no term underflows
+    # at the smallest edge bond either; p_2 / e^2 = 1 + u2
+    u2 = (w / e) ** 2
+    bracket = ((1.0 + u2) * (w * f_top + e * e / c * f_mid)
+               + c * u2 * f_mid + w * f_low)
+    # integrands in t, w f(w): w e^2 / [..] for xx, w^3 / [..] for yy
+    g_xx = w * np.exp(-(length - 1) * phi) / bracket
+    g_yy = g_xx * u2
 
     def integral(g, rise, fall):
         # trapezoid sum plus the geometric tails g ~ e^(rise t) below the
-        # grid and g ~ e^(-fall t) above it
+        # grid and g ~ e^(-fall t) above it, the latter in a form that
+        # cannot overflow at any length
         return (2.0 / math.pi) * _STEP * (
             g.sum() + g[0] / math.expm1(rise * _STEP)
-            + g[-1] / math.expm1(fall * _STEP))
+            + g[-1] * math.exp(-fall * _STEP) / -math.expm1(-fall * _STEP))
 
-    return (float(sign_xx * integral(g_xx, 1, n - 1)),
-            float(sign_yy * integral(g_yy, 3, n - 3)))
+    sign = (-1.0) ** (length // 2 + 1)
+    return (float(sign * integral(g_xx, 1, length + 1)),
+            float(sign * integral(g_yy, 3, length - 1)))
 
 
 @dataclass(frozen=True)

@@ -343,31 +343,32 @@ def check_degenerate_quadruplet(rng=None):
 
 
 def check_chain_against_exact(rng=None):
-    """Free-fermion edge correlators and ground energy at L = 4 match the
-    spin-model exact values; covariance is antisymmetric and pure; at
-    L = 16 and 64 the resolvent edge correlators match the covariance
-    entries of the SVD route."""
+    """Free-fermion edge correlators and ground energy (in units of k) at
+    L = 4 match the spin-model exact values; covariance is antisymmetric
+    and pure; at L = 16 and 64 the resolvent edge correlators match the
+    covariance entries of the SVD route; all at k = 1e-3, 1 and 1e3."""
     worst = 0.0
-    for h in (0.1, 0.5, 1.0, 2.0):
-        p = ModelParams(h=float(h), k=1.0)
-        gs = ground_state(p)
-        c = protocol_mod.correlators_closed(gs)
-        spec = chain_mod.build_chain(4, h, 1.0)
-        bb, cc = chain_mod.edge_correlators(spec)
-        gamma = chain_mod.ground_covariance(spec)
-        worst = max(
-            worst,
-            abs(bb + c.xx), abs(cc - c.yy),
-            abs(chain_mod.ground_energy_from_filling(spec) - gs.energy),
-            np.linalg.norm(gamma + gamma.T),
-            max(0.0, np.linalg.norm(gamma, 2) - 1.0),
-        )
-        for length in (16, 64):
-            spec = chain_mod.build_chain(length, h, 1.0)
+    for k in (1e-3, 1.0, 1e3):
+        for h in (0.1 * k, 0.5 * k, 1.0 * k, 2.0 * k):
+            p = ModelParams(h=h, k=k)
+            gs = ground_state(p)
+            c = protocol_mod.correlators_closed(gs)
+            spec = chain_mod.build_chain(4, h, k)
             bb, cc = chain_mod.edge_correlators(spec)
             gamma = chain_mod.ground_covariance(spec)
-            worst = max(worst, abs(bb - gamma[length, length + 1]),
-                        abs(cc - gamma[0, length - 1]))
+            worst = max(
+                worst,
+                abs(bb + c.xx), abs(cc - c.yy),
+                abs(chain_mod.ground_energy_from_filling(spec) - gs.energy) / k,
+                np.linalg.norm(gamma + gamma.T),
+                max(0.0, np.linalg.norm(gamma, 2) - 1.0),
+            )
+            for length in (16, 64):
+                spec = chain_mod.build_chain(length, h, k)
+                bb, cc = chain_mod.edge_correlators(spec)
+                gamma = chain_mod.ground_covariance(spec)
+                worst = max(worst, abs(bb - gamma[length, length + 1]),
+                            abs(cc - gamma[0, length - 1]))
     # at h = 0 the b-mode rows of the coupling vanish (exact zero modes)
     spec0 = chain_mod.build_chain(8, 0.0, 1.0)
     worst = max(worst, np.abs(spec0.coupling[[8, 9], :]).max())

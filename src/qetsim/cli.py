@@ -55,15 +55,24 @@ def _write_csv(path, header, rows):
             fh.write(text)
 
 
+def _field_range(h_min, h_max, steps, k):
+    """np.linspace(h_min, h_max, steps) * k; refused unless the ends, the
+    span and both absolute end fields are finite.  The check runs on Python
+    floats, which overflow to inf silently: numpy would warn about the
+    overflow before the error."""
+    if not all(map(math.isfinite, (h_min * k, h_max * k, h_max - h_min))):
+        raise ValueError(f"--h-min, --h-max and --k must be finite, also "
+                         f"as the fields h k and as the span; got {h_min}, "
+                         f"{h_max}, {k}")
+    return np.linspace(h_min, h_max, steps) * k
+
+
 def _field_grid(args):
-    if not all(map(math.isfinite, (args.h_min, args.h_max, args.k))):
-        raise ValueError(f"--h-min, --h-max and --k must be finite, got "
-                         f"{args.h_min}, {args.h_max}, {args.k}")
     if args.h_steps < 2:
         raise ValueError("--h-steps must be at least 2")
     if args.h_min > args.h_max:
         raise ValueError("--h-min must not exceed --h-max")
-    return np.linspace(args.h_min, args.h_max, args.h_steps) * args.k
+    return _field_range(args.h_min, args.h_max, args.h_steps, args.k)
 
 
 def _closed_form_grid(args):
@@ -122,7 +131,7 @@ def _chain_fields(args):
     if args.h_min is not None or args.h_max is not None:
         h_min = args.h_min if args.h_min is not None else args.h
         h_max = args.h_max if args.h_max is not None else args.h
-        return list(np.linspace(h_min, h_max, args.h_steps) * args.k)
+        return list(_field_range(h_min, h_max, args.h_steps, args.k))
     return [args.h * args.k]
 
 

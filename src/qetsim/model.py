@@ -292,12 +292,14 @@ def energy_decomposition(state: GroundState) -> GroundEnergies:
 
     site_a = site_b = 2 h Z^2 (alpha^2 - beta^2) <= 0 and
     bond_left = bond_right = 4 k Z^2 (alpha + beta) < 0; the centre bond
-    carries the remainder.
+    carries the remainder.  alpha - beta is taken as 2 (h/k) alpha beta,
+    which does not cancel at small h/k.
     """
     h, k = state.params.h, state.params.k
     z2 = state.norm**2
-    site = 2.0 * h * z2 * (state.alpha**2 - state.beta**2)
-    bond_edge = 4.0 * k * z2 * (state.alpha + state.beta)
+    alpha, beta = state.alpha, state.beta
+    site = 2.0 * h * z2 * (2.0 * (h / k) * alpha * beta) * (alpha + beta)
+    bond_edge = 4.0 * k * z2 * (alpha + beta)
     interaction = state.energy - 2.0 * site
     return GroundEnergies(
         total=state.energy,

@@ -266,11 +266,13 @@ def correlators(state: GroundState) -> EdgeCorrelators:
 def correlators_closed(state: GroundState) -> EdgeCorrelators:
     """Same correlators from the amplitude ratios.  With alpha beta =
     (E - k)/(E + k), xx = 8 E Z^2/(E + k) and yy = 8 k Z^2/(E + k), which
-    avoid the cancellation in 1 -+ alpha beta at large h/k."""
+    avoid the cancellation in 1 -+ alpha beta at large h/k; with
+    alpha - beta = 2 (h/k) alpha beta, xxz = 8 (h/k) Z^2 alpha beta avoids
+    the one in alpha - beta at small h/k."""
     z2 = state.norm**2
-    e, k = state.energy, state.params.k
+    e, h, k = state.energy, state.params.h, state.params.k
     return EdgeCorrelators(
         xx=8.0 * z2 * e / (e + k),
         yy=8.0 * z2 * k / (e + k),
-        xxz=4.0 * z2 * (state.alpha - state.beta),
+        xxz=8.0 * (h / k) * z2 * state.alpha * state.beta,
     )

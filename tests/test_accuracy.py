@@ -2,7 +2,7 @@
 
 The reference solves the characteristic cubic in mpmath and evaluates the
 textbook formulas (alpha = 2k/(E + k - 2h), beta = 2k/(E + k + 2h),
-xx = 4 Z^2 (1 + alpha beta), ...) whose cancellation at large h/k costs
+xx = 4 Z^2 (1 + alpha beta), xxz = 4 Z^2 (alpha - beta), ...) whose cancellation at large h/k costs
 far fewer than the 60 digits carried.
 """
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qetsim.model import (MAX_FIELD_RATIO, MAX_PARAMETER, ModelParams,
-                          ground_state)
+                          energy_decomposition, ground_state)
 from qetsim.optimize import max_extracted_energy, max_site_reduction
 from qetsim.protocol import correlators_closed
 
@@ -22,7 +22,7 @@ BOUND = 1e-13
 
 
 def _reference(h, k):
-    """E, alpha, beta, xx, yy and both maxima to 60 digits."""
+    """E, alpha, beta, xx, yy, xxz, e_B and both maxima to 60 digits."""
     with mpmath.workdps(60):
         h, k = mpmath.mpf(h), mpmath.mpf(k)
         t = h / k
@@ -38,6 +38,7 @@ def _reference(h, k):
         # sqrt(e_B^2 + g^2) - |e_B|, in its cancellation-free form
         maximum = lambda g: g * g / (mpmath.sqrt(site**2 + g * g) + abs(site))
         return {"energy": e, "alpha": alpha, "beta": beta, "xx": xx, "yy": yy,
+                "xxz": 4 * z2 * (alpha - beta), "site": site,
                 "extracted_max": maximum(h * yy),
                 "site_reduction_max": maximum(h * xx)}
 
@@ -45,7 +46,8 @@ def _reference(h, k):
 def _library(state):
     c = correlators_closed(state)
     return {"energy": state.energy, "alpha": state.alpha, "beta": state.beta,
-            "xx": c.xx, "yy": c.yy,
+            "xx": c.xx, "yy": c.yy, "xxz": c.xxz,
+            "site": energy_decomposition(state).site_b,
             "extracted_max": max_extracted_energy(state).value,
             "site_reduction_max": max_site_reduction(state).value}
 

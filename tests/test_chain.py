@@ -149,6 +149,28 @@ class TestGroundCovariance:
             got = abs(edge_correlators(spec)[1])
             assert abs(got - want) / want <= 1e-12
 
+    def test_xx_near_one_against_high_precision_transfer_matrix(self):
+        # reference: D(w) = p_N with the L - 1 interior steps of the
+        # recurrence taken as the power of the transfer matrix
+        # [[w, c^2], [1, 0]] at 30 digits, independent of the solver's
+        # sinh/cosh form; |xx| is near 1 here, so the bound is absolute
+        mp = pytest.importorskip("mpmath")
+        L, h = 1000, 1e-6
+        with mp.workdps(30):
+            e, c = 2 * mp.mpf(h), mp.mpf(2)
+
+            def integrand(w):
+                t = mp.matrix([[w, c * c], [1, 0]]) ** (L - 1)
+                p2 = w * w + e * e
+                d = (w * (t[0, 0] * p2 + t[0, 1] * w)
+                     + e * e * (t[1, 0] * p2 + t[1, 1] * w))
+                return e * e * c ** (L - 1) / d
+
+            nodes = [0] + [mp.mpf(10) ** j for j in range(-16, 3)] + [mp.inf]
+            want = 2 / mp.pi * mp.quad(integrand, nodes)
+            got = abs(edge_correlators(build_chain(L, h, 1.0))[0])
+            assert abs(got - want) <= 1e-15
+
     @pytest.mark.parametrize("L", [2, 4, 6, 16, 50, 200, 1000])
     def test_resolvent_matches_covariance_route(self, L):
         # edge_correlators takes Q from the resolvent, ground_covariance
@@ -188,13 +210,17 @@ class TestGroundCovariance:
         assert abs(ground_energy_from_filling(spec) - state.energy) < 1e-10
 
     def test_long_chain_runtime(self):
+        # the geometric tail above the grid overflowed from L ~ 2840 on, and
+        # this route never builds the (L + 2)^2 coupling matrix
         start = time.monotonic()
-        spec = build_chain(1000, 0.5, 1.0)
+        spec = build_chain(10**6, 0.5, 1.0)
         bb, cc = edge_correlators(spec)
         elapsed = time.monotonic() - start
-        assert elapsed < 60.0
-        assert 0.0 < abs(bb) < 1.0
-        assert 0.0 < abs(cc) < 1.0
+        assert elapsed < 2.0
+        assert "coupling" not in spec.__dict__
+        shorter = edge_correlators(build_chain(1000, 0.5, 1.0))
+        assert 0.0 < abs(bb) < abs(shorter[0]) < 1.0
+        assert 0.0 < abs(cc) < abs(shorter[1]) < 1.0
 
 
 class TestLengthScan:

@@ -150,7 +150,9 @@ class TestCli:
 
     @pytest.mark.parametrize("args", [["--h", "nan"], ["--k", "inf"],
                                       ["--h-min", "nan", "--h-max", "1"],
-                                      ["--k", "1e308"], ["--h", "1e200"]])
+                                      ["--k", "1e308"], ["--h", "1e200"],
+                                      ["--k", "1e100", "--h-min", "1e300",
+                                       "--h-max", "1e300"]])
     def test_chain_non_finite_input_exit_code(self, tmp_path, capsys, args):
         out = tmp_path / "chain.csv"
         assert cli.main(["chain", *args, "--L-list", "4,50",
@@ -162,7 +164,9 @@ class TestCli:
     @pytest.mark.parametrize("args", [["--h-min", "nan", "--h-max", "1"],
                                       ["--h-min", "0.1", "--h-max", "inf"],
                                       ["--k", "inf"], ["--k", "nan"],
-                                      ["--h-min", "1e200", "--h-max", "1e200"]])
+                                      ["--h-min", "1e200", "--h-max", "1e200"],
+                                      ["--k", "1e100", "--h-min", "1e300",
+                                       "--h-max", "1e300"]])
     def test_field_grid_non_finite_input_exit_code(self, tmp_path, capsys,
                                                    command, args):
         out = tmp_path / f"{command}.csv"

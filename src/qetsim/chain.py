@@ -179,8 +179,11 @@ def ground_energy_from_filling(spec: ChainSpec) -> float:
     return float(-0.5 * s.sum())
 
 
-# trapezoid step in t = log w: the rule's aliasing error on each pole pair
-# +-i s_k of the integrands is ~exp(-pi^2 / step) = 7e-18 relative
+# trapezoid step in t = log w.  Aliasing is ~exp(-pi^2 / step) = 7e-18 of
+# the pole terms, which cancel to a much smaller |yy| in long chains: against
+# step 1/16 (h/k 0.1 to 2, L 4 to 1000) |yy| is off by up to 3.3e-14
+# relative, |xx| by 4.4e-16.  A step that is not a power of two (0.1) also
+# puts np.arange's spacing, and so both correlators, off by ~1e-14 relative.
 _STEP = 0.25
 # the grid runs from _MARGIN times a lower bound on the smallest singular
 # value to 1/_MARGIN times an upper bound on the largest; beyond both ends

@@ -26,6 +26,15 @@ budget identity
 
 where I_QC is the information gain of the measurement.  All entropies use
 the natural logarithm.
+
+Batches: every function here takes ground states of an array-valued field
+(vectors of shape (..., 16)) and returns results of its shape, on one
+code path; 2 x 2 states have shape (..., 2, 2).  An outcome with
+probability below `PROBABILITY_FLOOR` is unreachable: both reduced-state
+routes return a finite placeholder state for it, and every outcome
+average weights it by zero.  Two functions take one field at a time:
+:func:`thermo_sweep`, and :func:`entropy_minimization_scan`, whose batch
+is a grid of measurement axes.
 """
 
 from __future__ import annotations
@@ -37,47 +46,48 @@ import numpy as np
 from . import operators as ops
 from .model import GroundState, ModelParams, energy_decomposition, ground_state
 from .optimize import max_site_reduction
-from .protocol import ProtocolParams, correlators_closed, project, run_protocol
+from .protocol import (OUTCOMES, ProtocolParams, correlators_closed, project,
+                       run_protocol)
 
-# outcomes with probability below this are reported as unreachable rather
-# than divided by
+# outcomes with probability below this are unreachable: weighted by zero
+# rather than divided by
 PROBABILITY_FLOOR = 1e-14
 
-_OUTCOMES = (1, -1)
 # measurement along x, the site-reduction optimum; converted once
 _MEASURE_X = ProtocolParams.from_vectors((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
 
 
+def _trace_out_a_c(v):
+    """Bob's 2 x 2 block of |v><v| for (..., 16) vectors: the partial trace
+    over A, C1 and C2."""
+    m = v.reshape(v.shape[:-1] + (8, 2))
+    return np.einsum("...xb,...xc->...bc", m, m.conj())
+
+
 def reduced_state_initial(state: GroundState) -> np.ndarray:
     """Bob's qubit state: partial trace of the ground state over A, C1, C2."""
-    m = state.vector.reshape(8, 2)
-    return np.einsum("xb,xc->bc", m, m.conj())
+    return _trace_out_a_c(state.vector)
 
 
 def reduced_state_measured(state: GroundState, pp: ProtocolParams, n):
-    """(Bob's post-measurement state, outcome probability) by partial trace.
-
-    Unreachable outcomes (probability below the floor) return (None, p).
-    """
+    """(Bob's post-measurement state, outcome probability) by partial trace;
+    an unreachable outcome gives an unnormalised placeholder state."""
     pv = project(pp, n, state.vector)
-    p = float(np.vdot(pv, pv).real)
-    if p < PROBABILITY_FLOOR:
-        return None, p
-    m = (pv / np.sqrt(p)).reshape(8, 2)
-    return np.einsum("xb,xc->bc", m, m.conj()), p
+    # <pv|pv> as a (1 x 16) @ (16 x 1) product: the summation order of vdot
+    p = (pv.conj()[..., None, :] @ pv[..., None])[..., 0, 0].real
+    scale = np.sqrt(np.where(p < PROBABILITY_FLOOR, 1.0, p))
+    return _trace_out_a_c(pv / scale[..., None]), p
 
 
 def measured_state_closed(state: GroundState, axis, n):
     """Same state from the (w, kappa) closed form for a general axis, or
-    (..., 2, 2) states for axis components of shape (3, ...).  Unreachable
-    outcomes give (None, p), or in a batch finite placeholder states."""
+    for axis components of shape (3, ...); an unreachable outcome gives a
+    placeholder state."""
     rx, ry, rz = axis
     z2 = state.norm**2
     alpha, beta = state.alpha, state.beta
     denom = 1.0 + 2.0 * n * rz * (alpha**2 - beta**2) * z2
     p = 0.5 * denom
-    if np.ndim(p) == 0 and p < PROBABILITY_FLOOR:
-        return None, p
     denom = np.where(p < PROBABILITY_FLOOR, 1.0, denom)
     w = 2.0 * z2 * ((1.0 - n * rz) + alpha**2 * (1.0 + n * rz)) / denom
     kappa = 2.0 * n * z2 * ((rx + 1j * ry) + alpha * beta * (rx - 1j * ry)) / denom
@@ -85,7 +95,7 @@ def measured_state_closed(state: GroundState, axis, n):
     return np.moveaxis(rho, (0, 1), (-2, -1)), p
 
 
-def entropy_from_eigenvalues(lams) -> float:
+def entropy_from_eigenvalues(lams):
     """Shannon entropy over the last axis with the 0 log 0 = 0 convention;
     tiny negative eigenvalues from partial-trace roundoff are clipped to
     zero."""
@@ -93,36 +103,37 @@ def entropy_from_eigenvalues(lams) -> float:
     return -(lams * np.log(np.where(lams > 0.0, lams, 1.0))).sum(axis=-1)
 
 
-def von_neumann_entropy(rho) -> float:
+def von_neumann_entropy(rho):
     return entropy_from_eigenvalues(np.linalg.eigvalsh(rho))
 
 
-def kl_divergence(rho, sigma) -> float:
+def kl_divergence(rho, sigma):
     """tr rho (log rho - log sigma) for full-rank sigma."""
-    lams, vecs = np.linalg.eigh(rho)
-    lams = np.clip(lams, 0.0, 1.0)
-    tr_rho_log_rho = float((lams[lams > 0] * np.log(lams[lams > 0])).sum())
+    tr_rho_log_rho = -von_neumann_entropy(rho)
     svals, svecs = np.linalg.eigh(sigma)
-    log_sigma = svecs @ np.diag(np.log(svals)) @ svecs.conj().T
-    return tr_rho_log_rho - float(np.trace(rho @ log_sigma).real)
+    log_sigma = (svecs * np.log(svals)[..., None, :]) @ np.swapaxes(
+        svecs.conj(), -1, -2)
+    return tr_rho_log_rho - np.trace(rho @ log_sigma, axis1=-2, axis2=-1).real
 
 
-def qc_mutual_information(state: GroundState, pp: ProtocolParams) -> float:
+def _average_entropy(states):
+    """sum_n p_n S(rho_m(n)); unreachable outcomes weigh zero."""
+    return sum(np.where(p < PROBABILITY_FLOOR, 0.0, p) * von_neumann_entropy(rho)
+               for rho, p in states)
+
+
+def qc_mutual_information(state: GroundState, pp: ProtocolParams):
     """Information gain S(rho_i) - sum_n p_n S(rho_m(n)); non-negative and
     independent of the feedback half of `pp`."""
-    total = von_neumann_entropy(reduced_state_initial(state))
-    for n in _OUTCOMES:
-        rho, p = reduced_state_measured(state, pp, n)
-        if rho is None:
-            continue
-        total -= p * von_neumann_entropy(rho)
-    return total
+    return (von_neumann_entropy(reduced_state_initial(state))
+            - _average_entropy(reduced_state_measured(state, pp, n)
+                               for n in OUTCOMES))
 
 
-def measured_state_purity(state: GroundState) -> float:
+def measured_state_purity(state: GroundState):
     """Bloch-vector length g of the x-axis measured state."""
     z2 = state.norm**2
-    return float(np.sqrt(1.0 - 16.0 * z2**2 * (state.alpha - state.beta) ** 2))
+    return np.sqrt(1.0 - 16.0 * z2**2 * (state.alpha - state.beta) ** 2)
 
 
 def measured_eigenvalues(state: GroundState):
@@ -145,19 +156,22 @@ def effective_temperature(state: GroundState) -> EffectiveThermal:
 
     Where the measured state is pure, at h = 0 or where lambda_- rounds to
     zero at huge h, the matching temperature is zero (beta diverges) and no
-    thermal description exists; that singular case raises instead of
-    propagating infinities.
+    thermal description exists; that singular case raises, for a batch if
+    any element is singular, instead of propagating infinities.
     """
-    h, k = state.params.h, state.params.k
     lam_p, lam_m = measured_eigenvalues(state)
-    if not lam_m > 0.0:
+    pure = np.flatnonzero(~(lam_m > 0.0))
+    if pure.size:
+        h, k, lam = (np.broadcast_to(x, np.shape(lam_m)).flat[pure[0]]
+                     for x in (state.params.h, state.params.k, lam_m))
         raise ValueError(f"effective temperature is undefined at h = {h:g}, "
-                         f"k = {k:g}: lambda_- = {lam_m:g} is not positive "
+                         f"k = {k:g}: lambda_- = {lam:g} is not positive "
                          f"(the measured state is pure), beta diverges")
-    beta = float(np.log(np.sqrt(lam_p / lam_m)) / h)
-    partition = float(1.0 / np.sqrt(lam_p * lam_m))
-    sigma = np.diag([lam_p, lam_m]).astype(complex)
-    return EffectiveThermal(beta=beta, partition=partition, sigma=sigma)
+    return EffectiveThermal(
+        beta=np.log(np.sqrt(lam_p / lam_m)) / state.params.h,
+        partition=1.0 / np.sqrt(lam_p * lam_m),
+        sigma=(np.stack([lam_p, lam_m], axis=-1)[..., None]
+               * np.eye(2, dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +188,11 @@ class EntropyScan:
     best_axis: np.ndarray  # unit vector of the grid minimiser
 
 
-def average_measured_entropy(state: GroundState, axis) -> float:
+def average_measured_entropy(state: GroundState, axis):
     """sum_n p_n S(rho_m(n)) from the closed forms, for one measurement axis
-    or for axis components of shape (3, ...); unreachable outcomes add
-    nothing."""
-    total = 0.0
-    for n in _OUTCOMES:
-        rho, p = measured_state_closed(state, axis, n)
-        if rho is not None:
-            total += (np.where(p < PROBABILITY_FLOOR, 0.0, p)
-                      * von_neumann_entropy(rho))
-    return total
+    or for axis components of shape (3, ...)."""
+    return _average_entropy(measured_state_closed(state, axis, n)
+                            for n in OUTCOMES)
 
 
 def entropy_minimization_scan(state: GroundState, n_polar: int = 64,
@@ -214,14 +222,11 @@ class ThermoReport:
     The protocol quantities (work, energy_change, heat) are evaluated at
     the site-reduction optimum; with work counted as energy gained by
     Bob's system they satisfy work + heat = energy_change identically.
+    Every field has the shape of the state's field.
     """
 
-    entropy_initial: float
-    entropy_measured: tuple
-    probabilities: tuple
     mutual_information: float
     beta_eff: float
-    partition: float
     divergence: float
     free_energy_gap: float
     bound_rhs: float
@@ -233,33 +238,21 @@ class ThermoReport:
 
 def second_law_report(state: GroundState) -> ThermoReport:
     rho_i = reduced_state_initial(state)
-    entropy_initial = von_neumann_entropy(rho_i)
-    entropies = []
-    probabilities = []
-    for n in _OUTCOMES:
-        rho, p = reduced_state_measured(state, _MEASURE_X, n)
-        probabilities.append(p)
-        entropies.append(von_neumann_entropy(rho) if rho is not None else 0.0)
-    mutual = entropy_initial - sum(p * s for p, s in zip(probabilities, entropies))
+    mutual = qc_mutual_information(state, _MEASURE_X)
     thermal = effective_temperature(state)
     div = kl_divergence(rho_i, thermal.sigma)
     site_b = energy_decomposition(state).site_b
     # nonequilibrium free energy of rho_i minus the equilibrium free energy
-    free_energy_gap = ((site_b - entropy_initial / thermal.beta)
+    free_energy_gap = ((site_b - von_neumann_entropy(rho_i) / thermal.beta)
                        - (-np.log(thermal.partition) / thermal.beta))
-    bound_rhs = (div + mutual) / thermal.beta
     cert = max_site_reduction(state)
     ledger = run_protocol(state, cert.params)
     return ThermoReport(
-        entropy_initial=entropy_initial,
-        entropy_measured=tuple(entropies),
-        probabilities=tuple(probabilities),
         mutual_information=mutual,
         beta_eff=thermal.beta,
-        partition=thermal.partition,
         divergence=div,
         free_energy_gap=free_energy_gap,
-        bound_rhs=bound_rhs,
+        bound_rhs=(div + mutual) / thermal.beta,
         site_reduction_max=cert.value,
         work=-ledger.extracted,
         energy_change=-ledger.extracted_site,
@@ -267,24 +260,24 @@ def second_law_report(state: GroundState) -> ThermoReport:
     )
 
 
-def purity_from_energy(state: GroundState) -> float:
+def purity_from_energy(state: GroundState):
     """g recovered from the site energy and the xx correlator:
     g = sqrt((e_B / h)^2 + xx^2); equals :func:`measured_state_purity`."""
     h = state.params.h
-    if h <= 0:
+    if np.any(h <= 0):
         raise ValueError("undefined at h = 0")
     site_b = energy_decomposition(state).site_b
-    return float(np.hypot(site_b / h, correlators_closed(state).xx))
+    return np.hypot(site_b / h, correlators_closed(state).xx)
 
 
-def purity_from_entropy(state: GroundState) -> float:
+def purity_from_entropy(state: GroundState):
     """g recovered from the thermal bookkeeping:
     g = (log Z_eff - S(rho_m)) / log sqrt(lambda_+ / lambda_-)."""
     lam_p, lam_m = measured_eigenvalues(state)
-    s_m = entropy_from_eigenvalues([lam_p, lam_m])
+    s_m = entropy_from_eigenvalues(np.stack([lam_p, lam_m], axis=-1))
     thermal = effective_temperature(state)
-    return float((np.log(thermal.partition) - s_m)
-                 / np.log(np.sqrt(lam_p / lam_m)))
+    return ((np.log(thermal.partition) - s_m)
+            / np.log(np.sqrt(lam_p / lam_m)))
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,66 @@ class TestReducedStates:
         aligned[0b0000] = aligned[0b1000] = 1.0 / np.sqrt(2.0)  # sx_A = +1
         fake = dataclasses.replace(state, vector=aligned)
         rho, p = reduced_state_measured(fake, X_AXIS, -1)
-        assert rho is None
         assert p < 1e-14
+        assert np.isfinite(rho).all()
+        # the unreachable outcome weighs zero in the outcome average
+        rho_p, p_p = reduced_state_measured(fake, X_AXIS, 1)
+        expected = (von_neumann_entropy(reduced_state_initial(fake))
+                    - p_p * von_neumann_entropy(rho_p))
+        assert qc_mutual_information(fake, X_AXIS) == expected
+        # the closed-form route: 2 (alpha^2 - beta^2) Z^2 = 1 empties n = -1
+        # of a z-axis measurement
+        edge = dataclasses.replace(state, alpha=1.0, beta=0.0,
+                                   norm=np.sqrt(0.5))
+        rho_c, p_c = measured_state_closed(edge, (0.0, 0.0, 1.0), -1)
+        assert p_c < 1e-14
+        assert np.isfinite(rho_c).all()
+
+
+class TestBatch:
+    """Every element of a batch equals the scalar call at its field."""
+
+    # the 1-D batch includes h = 0; functions that need h > 0 get 0.9 there
+    FIELDS = [np.array([0.0, 0.3, 1.7, 2.5]),
+              np.array([[0.3, 1.7, 0.05], [2.9, 1.1, 0.6]])]
+    GENERAL = ProtocolParams(mu=0.7, nu=1.1, xi=0.4, eta=2.0, theta=0.3)
+
+    @staticmethod
+    def assert_elementwise(fn, h):
+        """fn on the batch at h against fn on each element's scalar state;
+        fn returns a tuple of arrays with the batch shape in front."""
+        batch = fn(gs(h))
+        for idx in np.ndindex(h.shape):
+            scalar = fn(gs(float(h[idx])))
+            assert len(batch) == len(scalar)
+            for b, s in zip(batch, scalar):
+                assert np.array_equal(b[idx], s), (fn, h[idx])
+
+    @pytest.mark.parametrize("h", FIELDS)
+    def test_states_and_information(self, h):
+        def states(state):
+            out = [reduced_state_initial(state), measured_state_purity(state)]
+            for pp in (X_AXIS, self.GENERAL):
+                for n in (1, -1):
+                    out.extend(reduced_state_measured(state, pp, n))
+                out.append(qc_mutual_information(state, pp))
+            return out
+
+        self.assert_elementwise(states, h)
+
+    @pytest.mark.parametrize("h", FIELDS)
+    def test_thermal_and_budget(self, h):
+        def thermal(state):
+            t = effective_temperature(state)
+            return (t.beta, t.partition, t.sigma, purity_from_energy(state),
+                    purity_from_entropy(state),
+                    *vars(second_law_report(state)).values())
+
+        self.assert_elementwise(thermal, np.where(h == 0.0, 0.9, h))
+
+    def test_pure_element_raises(self):
+        with pytest.raises(ValueError, match="not positive"):
+            effective_temperature(gs(np.array([0.5, 1e30])))
 
 
 class TestEntropy:

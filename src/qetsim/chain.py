@@ -55,8 +55,10 @@ with the Fibonacci polynomials F_m(w/c) = (e^(m phi) - (-1)^m e^(-m phi))
 positive, and c^(L-1) cancels against the bond products.  The integrals run
 on a trapezoid grid in log w, so a solve costs O(1) per grid node at any
 length, and both integrands are positive, which makes the correlators
-accurate relative to their own size: |yy| = 3e-7 at L = 1000, h = 0.5 is
-within 5e-15 relative of a 30-digit reference.  `ground_covariance` and
+accurate relative to their own size.  Over h/k from 1e-6 to 1e4 and even L
+from 4 to 1000, |yy| is within 6e-14 relative of the same sums at a
+quarter of the step, and |xx| within 8e-16 (comment on `_STEP`); below
+h/k = 0.05 both are within 8e-16.  `ground_covariance` and
 `ground_energy_from_filling` keep the dense SVD B = U diag(s) V^T,
 Q = U V^T, as the independent second route that the checks compare
 against.
@@ -181,8 +183,9 @@ def ground_energy_from_filling(spec: ChainSpec) -> float:
 
 # trapezoid step in t = log w.  Aliasing is ~exp(-pi^2 / step) = 7e-18 of
 # the pole terms, which cancel to a much smaller |yy| in long chains: against
-# step 1/16 (h/k 0.1 to 2, L 4 to 1000) |yy| is off by up to 3.3e-14
-# relative, |xx| by 4.4e-16.  A step that is not a power of two (0.1) also
+# step 1/16 (h/k 0.05 to 2 in steps of 0.05 and 1e-6 to 1e4 log-spaced, even
+# L 4 to 1000) |yy| is off by up to 5.9e-14 relative (at h/k = 0.55,
+# L = 1000), |xx| by 7.8e-16.  A step that is not a power of two (0.1) also
 # puts np.arange's spacing, and so both correlators, off by ~1e-14 relative.
 _STEP = 0.25
 # the grid runs from _MARGIN times a lower bound on the smallest singular

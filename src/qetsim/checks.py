@@ -70,10 +70,7 @@ def check_ground_state_invariants(rng=None):
     gs = ground_state(ModelParams(h=h, k=1.0))
     k = gs.params.k
     v = gs.vector
-    # H v for every field at once: H = h (Z_A + Z_B) + k V exactly
-    unit = model_mod.build_hamiltonian(ModelParams(h=1.0, k=1.0))
-    hv = (h[:, None] * (v @ (unit.site_a + unit.site_b).T)
-          + k * (v @ unit.interaction.T))
+    hv = (model_mod.build_hamiltonian(gs.params).total @ v[..., None])[..., 0]
     limit = gs.energy + model_mod.SQRT5 * k
     worst = _worst(
         0.0,
@@ -96,14 +93,11 @@ def check_ground_state_invariants(rng=None):
 def check_sector_spectra(rng=None):
     """Even and odd sector spectra are degenerate and reflection-symmetric,
     and the lowest even level is the closed-form ground energy."""
-    worst = 0.0
-    for h in np.arange(0.0, 3.0001, 0.1):
-        p = ModelParams(h=float(h), k=1.0)
-        even = model_mod.even_sector_spectrum(p)
-        odd = model_mod.odd_sector_spectrum(p)
-        worst = max(worst, np.max(np.abs(even - odd)),
-                    np.max(np.abs(even + even[::-1])),
-                    abs(model_mod.ground_energy(p) - even[0]))
+    p = ModelParams(h=np.arange(0.0, 3.0001, 0.1), k=1.0)
+    even = model_mod.even_sector_spectrum(p)
+    worst = _worst(abs(even - model_mod.odd_sector_spectrum(p)),
+                   abs(even + even[:, ::-1]),
+                   abs(model_mod.ground_energy(p) - even[:, 0]))
     return _result("sector degeneracy and spectrum reflection", worst, 1e-10)
 
 
@@ -237,8 +231,7 @@ def check_monotone_feedback_tilt(rng):
         mu = rng.uniform(0.0, np.pi)
         nu = rng.uniform(0.0, 2.0 * np.pi)
         eta = rng.uniform(0.0, 2.0 * np.pi)
-        saxes = np.array([ops.axis_vector(xi, eta)
-                          for xi in np.linspace(0.0, np.pi / 2.0, 13)])
+        saxes = ops.axis_vector(np.linspace(0.0, np.pi / 2.0, 13), eta).T
         a, b, c = coefficients(ops.axis_vector(mu, nu)[None], saxes)
         envelope = a[0] + np.hypot(b[0], c[0])   # max over theta
         worst = max(worst, float(np.max(envelope[:-1] - envelope[1:])))
@@ -284,36 +277,31 @@ def check_majorana_identities(rng=None):
     """Majorana algebra, the Hamiltonian mapping, and the operator-level
     correlator identities."""
     m = majorana_mod.build_majorana_ops()
-    gammas = list(m.b) + list(m.c)
-    worst = 0.0
-    for i, gi in enumerate(gammas):
-        for j, gj in enumerate(gammas):
-            target = 2.0 * ops.IDENTITY if i == j else 0.0
-            worst = max(worst, ops.operator_norm(gi @ gj + gj @ gi - target))
+    b, gammas = np.stack(m.b), np.stack(m.b + m.c)
+    # {g_i, g_j} - 2 delta_ij for every pair at once
+    anti = (gammas[:, None] @ gammas + gammas @ gammas[:, None]
+            - 2.0 * np.eye(8)[..., None, None] * ops.IDENTITY)
     parity = ops.parity_operator()
     sx = ops.pauli
-    worst = max(
-        worst,
+    p = ModelParams(h=np.arange(0.0, 3.0001, 0.1), k=1.0)
+    gs = ground_state(p)
+    mc = majorana_mod.majorana_correlators(gs)
+    c = protocol_mod.correlators_closed(gs)
+    # internal b modes commute with H at h = 0; the edge b does not for h > 0
+    H0 = model_mod.build_hamiltonian(ModelParams(h=0.0, k=1.0)).total
+    H1 = model_mod.build_hamiltonian(ModelParams(h=1.0, k=1.0)).total
+    worst = _worst(
+        ops.operator_norm(anti),
         ops.operator_norm(1j * m.b[0] @ m.b[3]
                           - sx(0, "x") @ sx(3, "x") @ (-parity)),
         ops.operator_norm(1j * m.c[0] @ m.c[3] @ parity
                           - sx(0, "y") @ sx(3, "y")),
         ops.operator_norm(1j * m.b[0] @ m.c[2] @ parity
                           - sx(0, "x") @ sx(2, "x") @ sx(3, "z")),
+        majorana_mod.hamiltonian_residual(p),
+        abs(mc.bb + c.xx), abs(mc.cc - c.yy), abs(mc.bc - c.xxz),
+        ops.operator_norm(H0 @ b - b @ H0),
     )
-    for h in np.arange(0.0, 3.0001, 0.1):
-        p = ModelParams(h=float(h), k=1.0)
-        worst = max(worst, majorana_mod.hamiltonian_residual(p))
-        gs = ground_state(p)
-        mc = majorana_mod.majorana_correlators(gs)
-        c = protocol_mod.correlators_closed(gs)
-        worst = max(worst, abs(mc.bb + c.xx), abs(mc.cc - c.yy),
-                    abs(mc.bc - c.xxz))
-    # internal b modes commute with H at h = 0; the edge b does not for h > 0
-    H0 = model_mod.build_hamiltonian(ModelParams(h=0.0, k=1.0)).total
-    for site in range(4):
-        worst = max(worst, ops.operator_norm(H0 @ m.b[site] - m.b[site] @ H0))
-    H1 = model_mod.build_hamiltonian(ModelParams(h=1.0, k=1.0)).total
     if ops.operator_norm(H1 @ m.b[0] - m.b[0] @ H1) < 1.0:
         worst = max(worst, 1.0)
     return _result("majorana operator identities", worst, 1e-12)

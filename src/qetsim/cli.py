@@ -55,24 +55,20 @@ def _write_csv(path, header, rows):
             fh.write(text)
 
 
-def _field_range(h_min, h_max, steps, k):
-    """np.linspace(h_min, h_max, steps) * k; refused unless the ends, the
-    span and both absolute end fields are finite.  The check runs on Python
-    floats, which overflow to inf silently: numpy would warn about the
-    overflow before the error."""
+def _field_grid(h_min, h_max, steps, k):
+    """np.linspace(h_min, h_max, steps) * k; refused unless steps >= 2,
+    h_min <= h_max, and the ends, the span and both absolute end fields are
+    finite.  The finiteness check runs on Python floats, which overflow to
+    inf silently: numpy would warn about the overflow before the error."""
+    if steps < 2:
+        raise ValueError("--h-steps must be at least 2")
+    if h_min > h_max:
+        raise ValueError("--h-min must not exceed --h-max")
     if not all(map(math.isfinite, (h_min * k, h_max * k, h_max - h_min))):
         raise ValueError(f"--h-min, --h-max and --k must be finite, also "
                          f"as the fields h k and as the span; got {h_min}, "
                          f"{h_max}, {k}")
     return np.linspace(h_min, h_max, steps) * k
-
-
-def _field_grid(args):
-    if args.h_steps < 2:
-        raise ValueError("--h-steps must be at least 2")
-    if args.h_min > args.h_max:
-        raise ValueError("--h-min must not exceed --h-max")
-    return _field_range(args.h_min, args.h_max, args.h_steps, args.k)
 
 
 def _closed_form_grid(args):
@@ -88,12 +84,12 @@ def _closed_form_grid(args):
                          f"the closed forms are accurate, and --k in "
                          f"[{1.0 / MAX_PARAMETER:g}, {MAX_PARAMETER:g}]; "
                          f"got {args.h_min}, {args.h_max}, {args.k}")
-    return _field_grid(args)
+    return _field_grid(args.h_min, args.h_max, args.h_steps, args.k)
 
 
 def cmd_spectrum(args):
     rows = []
-    for h in _field_grid(args):
+    for h in _field_grid(args.h_min, args.h_max, args.h_steps, args.k):
         levels = even_sector_spectrum(ModelParams(h=float(h), k=args.k))
         rows.append([float(h)] + [float(e) for e in levels])
     _write_csv(args.out, ["h"] + [f"E_{i}" for i in range(1, 9)], rows)
@@ -128,11 +124,16 @@ def cmd_thermo(args):
 
 
 def _chain_fields(args):
-    if args.h_min is not None or args.h_max is not None:
-        h_min = args.h_min if args.h_min is not None else args.h
-        h_max = args.h_max if args.h_max is not None else args.h
-        return list(_field_range(h_min, h_max, args.h_steps, args.k))
-    return [args.h * args.k]
+    """--h alone, or the grid of --h-min and --h-max (either defaults to
+    --h); a --k below 1/MAX_PARAMETER is refused whatever the lengths."""
+    if not args.k >= 1.0 / MAX_PARAMETER:
+        raise ValueError(f"--k must be finite and at least "
+                         f"{1.0 / MAX_PARAMETER:g}, got {args.k}")
+    if args.h_min is None and args.h_max is None:
+        return [args.h * args.k]
+    return _field_grid(args.h if args.h_min is None else args.h_min,
+                       args.h if args.h_max is None else args.h_max,
+                       args.h_steps, args.k)
 
 
 def cmd_chain(args):

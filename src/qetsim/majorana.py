@@ -64,8 +64,9 @@ def build_majorana_ops() -> MajoranaOps:
 
 
 def majorana_hamiltonian(params: ModelParams) -> np.ndarray:
-    """H assembled from the edge-coupled Majorana hopping form."""
-    h, k = params.h, params.k
+    """H assembled from the edge-coupled Majorana hopping form; array-valued
+    h or k give a stack, as in :func:`qetsim.model.build_hamiltonian`."""
+    h, k = (np.asarray(x)[..., None, None] for x in (params.h, params.k))
     m = build_majorana_ops()
     b, c = m.b, m.c
     return (1j * h * b[0] @ c[0]
@@ -73,8 +74,9 @@ def majorana_hamiltonian(params: ModelParams) -> np.ndarray:
             + 1j * h * c[3] @ b[3])
 
 
-def hamiltonian_residual(params: ModelParams) -> float:
-    """Operator-norm distance between the spin and Majorana constructions."""
+def hamiltonian_residual(params: ModelParams):
+    """Operator-norm distance between the spin and Majorana constructions,
+    per field for array-valued parameters."""
     spin = build_hamiltonian(params).total
     return ops.operator_norm(spin - majorana_hamiltonian(params))
 
@@ -88,18 +90,15 @@ class MajoranaCorrelators:
     bc: float   # <i b_A c_C2>
 
 
-def _parity_eigenvalue(vector):
-    p = ops.expectation(ops.parity_operator(), vector)
-    if abs(abs(p) - 1.0) > 1e-10:
-        raise ValueError("state is not parity-definite; Majorana edge "
-                         "correlators are only meaningful per sector")
-    return 1.0 if p > 0 else -1.0
-
-
 def majorana_correlators(state: GroundState) -> MajoranaCorrelators:
-    _parity_eigenvalue(state.vector)
+    """The edge-mode two-point functions; a batch of states gives arrays.
+    Every state must be a parity eigenstate."""
     m = build_majorana_ops()
     v = state.vector
+    if np.any(abs(abs(ops.expectation(ops.parity_operator(), v)) - 1.0)
+              > 1e-10):
+        raise ValueError("state is not parity-definite; Majorana edge "
+                         "correlators are only meaningful per sector")
     return MajoranaCorrelators(
         bb=ops.expectation(1j * m.b[0] @ m.b[3], v),
         cc=ops.expectation(1j * m.c[0] @ m.c[3], v),

@@ -19,7 +19,6 @@ k (alpha - beta) = 2 h alpha beta and alpha beta = (e - k)/(e + k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +29,9 @@ _SQRT3 = np.sqrt(3.0)
 _EPS = np.finfo(float).eps
 
 # Largest accepted h, k and h/k: the Newton step of the ground-energy root
-# cubes x ~ -2 h/k, which overflows float64 near h/k = 2.8e102.
+# cubes x ~ -2 h/k, which overflows float64 near h/k = 2.8e102.  Its inverse
+# is the smallest accepted k: below ~1e-309 the closed forms lose accuracy
+# (the chain's L = 4 residual against them is 2e-9 at k = 1e-315).
 MAX_PARAMETER = 1e100
 
 # Largest h/k of the range in which the closed forms (ground energy,
@@ -63,11 +64,19 @@ class ModelParams:
         if np.any(self.h > MAX_PARAMETER * self.k):
             raise ValueError(f"h/k must be at most {MAX_PARAMETER:g}, "
                              f"got h={self.h}, k={self.k}")
+        if k_lo < 1.0 / MAX_PARAMETER:
+            raise ValueError(f"coupling k must be finite and in "
+                             f"[{1.0 / MAX_PARAMETER:g}, {MAX_PARAMETER:g}], "
+                             f"where the closed forms keep their accuracy, "
+                             f"got {self.k}")
 
 
 def _extremes(x):
-    """(min, max) of a number or of an array (NaN propagates)."""
-    return (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
+    """(min, max) of a number or of an array (NaN propagates); an empty
+    batch has nothing to refuse and reads as (1, 1)."""
+    if not isinstance(x, np.ndarray):
+        return x, x
+    return (x.min(), x.max()) if x.size else (1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -143,17 +152,24 @@ class GroundEnergies:
     bond_right: float
 
 
-@lru_cache(maxsize=512)
+# the five terms of H at h = k = 1, in field order; build_hamiltonian
+# scales them by h (site terms) and k (bonds)
+_UNIT_HAMILTONIAN = HamiltonianTerms(
+    site_a=ops.pauli(0, "z"),
+    bond_left=ops.pauli(0, "x") @ ops.pauli(1, "x"),
+    bond_center=ops.pauli(1, "y") @ ops.pauli(2, "y"),
+    bond_right=ops.pauli(2, "x") @ ops.pauli(3, "x"),
+    site_b=ops.pauli(3, "z"),
+)
+
+
 def build_hamiltonian(params: ModelParams) -> HamiltonianTerms:
-    """The five terms of H; cached, so the arrays are returned read-only."""
-    h, k = params.h, params.k
-    terms = HamiltonianTerms(
-        site_a=h * ops.pauli(0, "z"),
-        bond_left=k * ops.pauli(0, "x") @ ops.pauli(1, "x"),
-        bond_center=k * ops.pauli(1, "y") @ ops.pauli(2, "y"),
-        bond_right=k * ops.pauli(2, "x") @ ops.pauli(3, "x"),
-        site_b=h * ops.pauli(3, "z"),
-    )
+    """The five terms of H, read-only; array-valued h or k give stacks of
+    shape (..., 16, 16) over their broadcast shape.  Not cached: each call
+    scales the unit-coupling terms."""
+    h, k = (np.asarray(x)[..., None, None] for x in (params.h, params.k))
+    terms = HamiltonianTerms(*(scale * unit for scale, unit in zip(
+        (h, k, k, k, h), vars(_UNIT_HAMILTONIAN).values())))
     for array in vars(terms).values():
         array.flags.writeable = False
     return terms
@@ -252,11 +268,11 @@ def ground_state(params: ModelParams) -> GroundState:
 
 def _sector_block(params: ModelParams, indices):
     H = build_hamiltonian(params).total
-    return H[np.ix_(indices, indices)]
+    return H[..., indices[:, None], indices]
 
 
 def even_sector_spectrum(params: ModelParams) -> np.ndarray:
-    """The eight even-sector eigenvalues, ascending."""
+    """The eight even-sector eigenvalues, ascending, on the last axis."""
     return np.linalg.eigvalsh(_sector_block(params, ops.even_parity_indices()))
 
 
@@ -312,10 +328,10 @@ def energy_decomposition(state: GroundState) -> GroundEnergies:
     )
 
 
-# the five terms of H at h = k = 1 in field order, each transposed, side by
-# side: for (..., 16) row vectors v, v @ _UNIT_TERMS holds the products T v
-_UNIT_TERMS = np.concatenate([t.T for t in vars(build_hamiltonian(
-    ModelParams(h=1.0, k=1.0))).values()], axis=1)
+# the unit-coupling terms, each transposed, side by side: for (..., 16) row
+# vectors v, v @ _UNIT_TERMS holds the products T v
+_UNIT_TERMS = np.concatenate([t.T for t in vars(_UNIT_HAMILTONIAN).values()],
+                             axis=1)
 
 
 def term_expectations(state: GroundState, bra=None, ket=None) -> GroundEnergies:

@@ -129,5 +129,6 @@ def expectation(operator, state):
 
 
 def operator_norm(matrix):
-    """Spectral norm, used for operator-identity residuals."""
-    return float(np.linalg.norm(matrix, 2))
+    """Spectral norm over the last two axes, used for operator-identity
+    residuals; a stack of matrices gives the array of their norms."""
+    return np.linalg.norm(matrix, 2, axis=(-2, -1))

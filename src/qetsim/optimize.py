@@ -446,23 +446,16 @@ def injected_energy(state: GroundState, axis: str) -> float:
 
 
 def protocol_sweep(h_values, k: float = 1.0):
-    """Correlators, measurement costs and both maxima per edge field."""
-    rows = []
-    for h in h_values:
-        state = ground_state(ModelParams(h=float(h), k=k))
-        c = correlators_closed(state)
-        ext = max_extracted_energy(state)
-        site = max_site_reduction(state)
-        rows.append(SweepRow(
-            h=float(h), xx=c.xx, yy=c.yy, h_xx=float(h) * c.xx,
-            h_yy=float(h) * c.yy,
-            injected_axis_y=injected_energy(state, "y"),
-            injected_axis_x=injected_energy(state, "x"),
-            extracted_max=ext.value,
-            site_reduction_max=site.value,
-            net_at_site_optimum=site.value + site.bond_reduction,
-        ))
-    return rows
+    """Correlators, measurement costs and both maxima per edge field, from
+    one batch over the fields."""
+    h = np.asarray(h_values, dtype=float)
+    state = ground_state(ModelParams(h=h, k=k))
+    c = correlators_closed(state)
+    site = max_site_reduction(state)
+    columns = (h, c.xx, c.yy, h * c.xx, h * c.yy, injected_energy(state, "y"),
+               injected_energy(state, "x"), max_extracted_energy(state).value,
+               site.value, site.value + site.bond_reduction)
+    return [SweepRow(*map(float, row)) for row in zip(*columns)]
 
 
 @dataclass(frozen=True)

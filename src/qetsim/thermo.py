@@ -180,11 +180,8 @@ def effective_temperature(state: GroundState) -> EffectiveThermal:
 
 @dataclass(frozen=True)
 class EntropyScan:
-    """Average measured entropy over a grid of measurement axes."""
+    """Minimiser of the average measured entropy over a grid of axes."""
 
-    polar: np.ndarray      # (n_polar,)
-    azimuth: np.ndarray    # (n_azimuth,)
-    values: np.ndarray     # (n_polar, n_azimuth)
     best_axis: np.ndarray  # unit vector of the grid minimiser
 
 
@@ -207,8 +204,7 @@ def entropy_minimization_scan(state: GroundState, n_polar: int = 64,
     axes = ops.axis_vector(*np.meshgrid(polar, azimuth, indexing="ij"))
     values = average_measured_entropy(state, axes)
     i, j = np.unravel_index(int(values.argmin()), values.shape)
-    return EntropyScan(polar=polar, azimuth=azimuth, values=values,
-                       best_axis=axes[:, i, j])
+    return EntropyScan(best_axis=axes[:, i, j])
 
 
 # ---------------------------------------------------------------------------

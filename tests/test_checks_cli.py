@@ -152,7 +152,7 @@ class TestCli:
                                       ["--h-min", "nan", "--h-max", "1"],
                                       ["--k", "1e308"], ["--h", "1e200"],
                                       ["--k", "1e100", "--h-min", "1e300",
-                                       "--h-max", "1e300"]])
+                                       "--h-max", "1e300"], ["--k", "1e-320"]])
     def test_chain_non_finite_input_exit_code(self, tmp_path, capsys, args):
         out = tmp_path / "chain.csv"
         assert cli.main(["chain", *args, "--L-list", "4,50",
@@ -187,9 +187,15 @@ class TestCli:
         missing_dir = tmp_path / "nope" / "out.csv"
         assert cli.main(["spectrum", "--out", str(missing_dir)]) == 2
 
-    def test_bad_argument_exit_code(self):
+    def test_bad_argument_exit_code(self, capsys):
         assert cli.main(["spectrum", "--h-steps", "1"]) == 2
         assert cli.main(["thermo", "--h-min", "0"]) == 2
+        # chain's field range goes through the same checks as the others
+        for args in (["--h-steps", "0"], ["--h-steps", "-3"],
+                     ["--h-min", "0.3", "--h-max", "0.1"]):
+            assert cli.main(["chain", "--h-min", "0.1", "--h-max", "0.2",
+                             *args]) == 2
+        assert capsys.readouterr().out == ""
         with pytest.raises(SystemExit) as info:
             cli.main(["spectrum", "--no-such-flag"])
         assert info.value.code == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qetsim import operators as ops
+from qetsim.majorana import hamiltonian_residual, majorana_correlators
 from qetsim.model import (MAX_PARAMETER, ModelParams, build_hamiltonian,
                           build_symmetries, energy_decomposition,
                           even_sector_spectrum, ground_energy, ground_state,
@@ -66,7 +67,9 @@ class TestParams:
 
     @pytest.mark.parametrize("h, k", [(np.nan, 1.0), (np.inf, 1.0),
                                       (0.5, np.nan), (0.5, np.inf),
-                                      (1e101, 1.0), (0.5, 1e101)])
+                                      (1e101, 1.0), (0.5, 1e101),
+                                      (0.0, 1e-320),
+                                      (0.0, np.array([1.0, 1e-101]))])
     def test_rejects_non_finite_field_and_coupling(self, h, k):
         with pytest.raises(ValueError, match="finite"):
             ModelParams(h=h, k=k)
@@ -263,6 +266,33 @@ class TestBatch:
                       "bond_right"):
             assert np.max(abs(getattr(direct, field)
                               - getattr(closed, field))) < 1e-12
+
+    def test_hamiltonian_and_spectra_match_per_field_calls(self):
+        params = ModelParams(h=self.HS)
+        terms = build_hamiltonian(params)
+        even, odd = even_sector_spectrum(params), odd_sector_spectrum(params)
+        assert terms.total.shape == (len(self.HS), 16, 16)
+        for i, h in enumerate(self.HS):
+            single = ModelParams(h=float(h))
+            for field, array in vars(build_hamiltonian(single)).items():
+                # the bonds scale with the scalar k: no batch axis
+                stack = np.broadcast_to(getattr(terms, field),
+                                        terms.total.shape)
+                assert np.array_equal(stack[i], array), field
+            assert np.array_equal(even[i], even_sector_spectrum(single))
+            assert np.array_equal(odd[i], odd_sector_spectrum(single))
+
+    def test_majorana_mapping_matches_per_field_calls(self):
+        params = ModelParams(h=self.HS)
+        residual = hamiltonian_residual(params)
+        mc = majorana_correlators(ground_state(params))
+        for i, h in enumerate(self.HS):
+            single = ModelParams(h=float(h))
+            assert np.array_equal(residual[i], hamiltonian_residual(single))
+            ref = majorana_correlators(ground_state(single))
+            for field in ("bb", "cc", "bc"):
+                assert np.array_equal(getattr(mc, field)[i],
+                                      getattr(ref, field)), field
 
     def test_batch_validation(self):
         with pytest.raises(ValueError, match="non-negative"):

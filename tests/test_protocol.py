@@ -7,7 +7,8 @@ from qetsim import model
 from qetsim import operators as ops
 from qetsim import protocol
 from qetsim.model import ModelParams, energy_decomposition, ground_state
-from qetsim.optimize import max_extracted_energy, max_site_reduction
+from qetsim.optimize import (max_extracted_energy, max_site_reduction,
+                             protocol_sweep)
 from qetsim.protocol import (ProtocolParams, correlators, correlators_closed,
                              measurement_energy_closed, no_feedback_reduction,
                              outcome_probability, project, reduction_closed,
@@ -277,6 +278,16 @@ class TestBatch:
                     assert abs(batched[i] - getattr(ref, field)) <= 1e-15, \
                         field
             assert cert.value[0] == 0.0 and cert.cos_2theta[0] == 1.0
+
+    def test_sweep_rows_match_per_field_calls(self, batch):
+        h, _ = batch
+        rows = protocol_sweep(h)
+        assert len(rows) == len(h)
+        for row, h_i in zip(rows, h):
+            single, = protocol_sweep([h_i])
+            assert np.array_equal(dataclasses.astuple(row),
+                                  dataclasses.astuple(single))
+        assert protocol_sweep([]) == []
 
     def test_one_state_many_protocols(self, batch):
         _, angles = batch

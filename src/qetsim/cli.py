@@ -125,10 +125,8 @@ def cmd_thermo(args):
 
 def _chain_fields(args):
     """--h alone, or the grid of --h-min and --h-max (either defaults to
-    --h); a --k below 1/MAX_PARAMETER is refused whatever the lengths."""
-    if not args.k >= 1.0 / MAX_PARAMETER:
-        raise ValueError(f"--k must be finite and at least "
-                         f"{1.0 / MAX_PARAMETER:g}, got {args.k}")
+    --h); a --k that ModelParams refuses is refused whatever the lengths."""
+    ModelParams(h=0.0, k=args.k)
     if args.h_min is None and args.h_max is None:
         return [args.h * args.k]
     return _field_grid(args.h if args.h_min is None else args.h_min,

@@ -72,11 +72,8 @@ class ModelParams:
 
 
 def _extremes(x):
-    """(min, max) of a number or of an array (NaN propagates); an empty
-    batch has nothing to refuse and reads as (1, 1)."""
-    if not isinstance(x, np.ndarray):
-        return x, x
-    return (x.min(), x.max()) if x.size else (1.0, 1.0)
+    """(min, max) of a number or of an array (NaN propagates)."""
+    return (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
 
 
 @dataclass(frozen=True)
@@ -317,21 +314,29 @@ def energy_decomposition(state: GroundState) -> GroundEnergies:
     site = 2.0 * h * z2 * (2.0 * (h / k) * alpha * beta) * (alpha + beta)
     bond_edge = 4.0 * k * z2 * (alpha + beta)
     interaction = state.energy - 2.0 * site
-    return GroundEnergies(
-        total=state.energy,
-        site_a=site,
-        site_b=site,
-        interaction=interaction,
-        bond_left=bond_edge,
-        bond_right=bond_edge,
-        bond_center=interaction - 2.0 * bond_edge,
-    )
+    return GroundEnergies(total=state.energy, site_a=site, site_b=site,
+                          interaction=interaction, bond_left=bond_edge,
+                          bond_right=bond_edge,
+                          bond_center=interaction - 2.0 * bond_edge)
 
 
 # the unit-coupling terms, each transposed, side by side: for (..., 16) row
 # vectors v, v @ _UNIT_TERMS holds the products T v
 _UNIT_TERMS = np.concatenate([t.T for t in vars(_UNIT_HAMILTONIAN).values()],
                              axis=1)
+
+
+def _unit_products(v):
+    """The products T v of the five unit-coupling terms, (..., 5, 16)."""
+    return (v @ _UNIT_TERMS).reshape(v.shape[:-1] + (5, ops.DIM))
+
+
+def apply_hamiltonian(params: ModelParams, v) -> np.ndarray:
+    """H v for (..., 16) vectors v, from the products T v scaled by h and k
+    (array-valued parameters broadcast); no (..., 16, 16) stack is formed."""
+    h, k = (np.asarray(x)[..., None] for x in (params.h, params.k))
+    tv = _unit_products(v)
+    return h * (tv[..., 0, :] + tv[..., 4, :]) + k * tv[..., 1:4, :].sum(-2)
 
 
 def term_expectations(state: GroundState, bra=None, ket=None) -> GroundEnergies:
@@ -343,8 +348,7 @@ def term_expectations(state: GroundState, bra=None, ket=None) -> GroundEnergies:
     """
     bra = state.vector if bra is None else bra
     ket = bra if ket is None else ket
-    tk = (ket @ _UNIT_TERMS).reshape(ket.shape[:-1] + (5, ops.DIM))
-    elements = (tk @ bra.conj()[..., None])[..., 0].real
+    elements = (_unit_products(ket) @ bra.conj()[..., None])[..., 0].real
     h, k = state.params.h, state.params.k
     site_a, site_b = h * elements[..., 0], h * elements[..., 4]
     left, center, right = (k * elements[..., i] for i in (1, 2, 3))

@@ -449,6 +449,8 @@ def protocol_sweep(h_values, k: float = 1.0):
     """Correlators, measurement costs and both maxima per edge field, from
     one batch over the fields."""
     h = np.asarray(h_values, dtype=float)
+    if not h.size:
+        return []
     state = ground_state(ModelParams(h=h, k=k))
     c = correlators_closed(state)
     site = max_site_reduction(state)

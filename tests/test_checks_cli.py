@@ -160,6 +160,15 @@ class TestCli:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_chain_small_coupling_refused_without_length_4(self, tmp_path,
+                                                            capsys):
+        # refused up front, not only by the closed form of an L = 4 row
+        out = tmp_path / "chain.csv"
+        assert cli.main(["chain", "--k", "1e-320", "--L", "50",
+                         "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["spectrum", "sweep", "thermo"])
     @pytest.mark.parametrize("args", [["--h-min", "nan", "--h-max", "1"],
                                       ["--h-min", "0.1", "--h-max", "inf"],

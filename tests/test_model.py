@@ -3,9 +3,10 @@ import pytest
 
 from qetsim import operators as ops
 from qetsim.majorana import hamiltonian_residual, majorana_correlators
-from qetsim.model import (MAX_PARAMETER, ModelParams, build_hamiltonian,
-                          build_symmetries, energy_decomposition,
-                          even_sector_spectrum, ground_energy, ground_state,
+from qetsim.model import (MAX_PARAMETER, ModelParams, apply_hamiltonian,
+                          build_hamiltonian, build_symmetries,
+                          energy_decomposition, even_sector_spectrum,
+                          ground_energy, ground_state,
                           numeric_ground_state, odd_sector_spectrum,
                           term_expectations)
 
@@ -281,6 +282,15 @@ class TestBatch:
                 assert np.array_equal(stack[i], array), field
             assert np.array_equal(even[i], even_sector_spectrum(single))
             assert np.array_equal(odd[i], odd_sector_spectrum(single))
+
+    def test_apply_hamiltonian_matches_the_matrix(self):
+        for k in (1.5, np.array([0.5, 2.0, 3.0, 1.0, 7.0, 1e3])):
+            params = ModelParams(h=self.HS, k=k)
+            v = ground_state(params).vector
+            matrix = build_hamiltonian(params).total
+            hv = apply_hamiltonian(params, v)
+            assert hv.shape == v.shape
+            assert np.max(abs(hv - (matrix @ v[..., None])[..., 0])) < 1e-12
 
     def test_majorana_mapping_matches_per_field_calls(self):
         params = ModelParams(h=self.HS)

@@ -28,10 +28,9 @@ rho = reduced_state_initial(state)
 print(f"\nBob's initial qubit: diag({rho[0, 0].real:.4f}, {rho[1, 1].real:.4f}),"
       f" entropy {von_neumann_entropy(rho):.6f}")
 
-scan = entropy_minimization_scan(state)
+best_axis = entropy_minimization_scan(state)
 print(f"measurement axis minimising Bob's post-measurement entropy: "
-      f"({scan.best_axis[0]:+.3f}, {scan.best_axis[1]:+.3f}, "
-      f"{scan.best_axis[2]:+.3f})")
+      f"({best_axis[0]:+.3f}, {best_axis[1]:+.3f}, {best_axis[2]:+.3f})")
 
 print(f"information gain of the x-axis measurement: "
       f"I_QC = {report.mutual_information:.6f}")

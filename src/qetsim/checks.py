@@ -436,9 +436,9 @@ def check_entropy_minimization(rng=None):
     worst = 0.0
     for h in (0.1, 0.5, 1.5):
         gs = ground_state(ModelParams(h=h, k=1.0))
-        scan = thermo_mod.entropy_minimization_scan(gs, n_polar=64,
-                                                    n_azimuth=128)
-        cosine = abs(float(scan.best_axis @ np.array([1.0, 0.0, 0.0])))
+        best_axis = thermo_mod.entropy_minimization_scan(gs, n_polar=64,
+                                                         n_azimuth=128)
+        cosine = abs(float(best_axis @ np.array([1.0, 0.0, 0.0])))
         angular = np.arccos(np.clip(cosine, -1.0, 1.0))
         worst = max(worst, angular / (np.pi / 63.0))
         x_axis = thermo_mod.average_measured_entropy(gs, (1.0, 0.0, 0.0))

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import checks as checks_mod
-from .model import (MAX_FIELD_RATIO, MAX_PARAMETER, ModelParams,
-                    even_sector_spectrum, ground_state)
+from .model import (MAX_FIELD_RATIO, ModelParams, even_sector_spectrum,
+                    ground_state)
 from .optimize import MIN_RESOLUTION, protocol_sweep
 from .protocol import correlators_closed
 from .thermo import thermo_sweep
@@ -74,16 +74,14 @@ def _field_grid(h_min, h_max, steps, k):
 def _closed_form_grid(args):
     """The field grid of `sweep` and `thermo`, refused unless it lies in
     the accurate range of the closed forms (see model.MAX_FIELD_RATIO).
-    The check comes before any arithmetic: the bound k <= MAX_PARAMETER,
-    which ModelParams would also make, must hold before the grid is
-    multiplied by k, or that product overflows."""
-    if not (0.0 <= args.h_min and args.h_max <= MAX_FIELD_RATIO
-            and 1.0 / MAX_PARAMETER <= args.k <= MAX_PARAMETER):
+    ModelParams checks --k first, so the grid's product with k does not
+    overflow."""
+    ModelParams(h=0.0, k=args.k)
+    if not (0.0 <= args.h_min and args.h_max <= MAX_FIELD_RATIO):
         raise ValueError(f"--h-min and --h-max must be finite and in "
                          f"[0, {MAX_FIELD_RATIO:g}] (in units of k), where "
-                         f"the closed forms are accurate, and --k in "
-                         f"[{1.0 / MAX_PARAMETER:g}, {MAX_PARAMETER:g}]; "
-                         f"got {args.h_min}, {args.h_max}, {args.k}")
+                         f"the closed forms are accurate; "
+                         f"got {args.h_min}, {args.h_max}")
     return _field_grid(args.h_min, args.h_max, args.h_steps, args.k)
 
 

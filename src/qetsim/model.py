@@ -314,10 +314,15 @@ def energy_decomposition(state: GroundState) -> GroundEnergies:
     site = 2.0 * h * z2 * (2.0 * (h / k) * alpha * beta) * (alpha + beta)
     bond_edge = 4.0 * k * z2 * (alpha + beta)
     interaction = state.energy - 2.0 * site
-    return GroundEnergies(total=state.energy, site_a=site, site_b=site,
-                          interaction=interaction, bond_left=bond_edge,
-                          bond_right=bond_edge,
-                          bond_center=interaction - 2.0 * bond_edge)
+    return GroundEnergies(
+        total=state.energy,
+        site_a=site,
+        site_b=site,
+        interaction=interaction,
+        bond_left=bond_edge,
+        bond_right=bond_edge,
+        bond_center=interaction - 2.0 * bond_edge,
+    )
 
 
 # the unit-coupling terms, each transposed, side by side: for (..., 16) row

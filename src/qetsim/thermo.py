@@ -178,13 +178,6 @@ def effective_temperature(state: GroundState) -> EffectiveThermal:
 # entropy minimisation over measurement axes
 
 
-@dataclass(frozen=True)
-class EntropyScan:
-    """Minimiser of the average measured entropy over a grid of axes."""
-
-    best_axis: np.ndarray  # unit vector of the grid minimiser
-
-
 def average_measured_entropy(state: GroundState, axis):
     """sum_n p_n S(rho_m(n)) from the closed forms, for one measurement axis
     or for axis components of shape (3, ...)."""
@@ -193,8 +186,9 @@ def average_measured_entropy(state: GroundState, axis):
 
 
 def entropy_minimization_scan(state: GroundState, n_polar: int = 64,
-                              n_azimuth: int = 128) -> EntropyScan:
-    """Scan the axis sphere for the minimum average measured entropy.
+                              n_azimuth: int = 128) -> np.ndarray:
+    """Scan the axis sphere for the minimum average measured entropy and
+    return the unit vector of the grid minimiser.
 
     The minimiser is the x axis (or its antipode, which is the same
     measurement) up to grid resolution.
@@ -204,7 +198,7 @@ def entropy_minimization_scan(state: GroundState, n_polar: int = 64,
     axes = ops.axis_vector(*np.meshgrid(polar, azimuth, indexing="ij"))
     values = average_measured_entropy(state, axes)
     i, j = np.unravel_index(int(values.argmin()), values.shape)
-    return EntropyScan(best_axis=axes[:, i, j])
+    return axes[:, i, j]
 
 
 # ---------------------------------------------------------------------------

@@ -152,19 +152,12 @@ class TestCli:
                                       ["--h-min", "nan", "--h-max", "1"],
                                       ["--k", "1e308"], ["--h", "1e200"],
                                       ["--k", "1e100", "--h-min", "1e300",
-                                       "--h-max", "1e300"], ["--k", "1e-320"]])
+                                       "--h-max", "1e300"], ["--k", "1e-320"],
+                                      # refused without an L = 4 row too
+                                      ["--k", "1e-320", "--L-list", "50"]])
     def test_chain_non_finite_input_exit_code(self, tmp_path, capsys, args):
         out = tmp_path / "chain.csv"
-        assert cli.main(["chain", *args, "--L-list", "4,50",
-                         "--out", str(out)]) == 2
-        assert "finite" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_chain_small_coupling_refused_without_length_4(self, tmp_path,
-                                                            capsys):
-        # refused up front, not only by the closed form of an L = 4 row
-        out = tmp_path / "chain.csv"
-        assert cli.main(["chain", "--k", "1e-320", "--L", "50",
+        assert cli.main(["chain", "--L-list", "4,50", *args,
                          "--out", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()

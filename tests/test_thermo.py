@@ -220,8 +220,8 @@ class TestEffectiveTemperature:
 
 class TestEntropyMinimization:
     def test_minimizer_is_x_axis(self):
-        scan = entropy_minimization_scan(gs(0.5))
-        cosine = abs(float(scan.best_axis @ np.array([1.0, 0.0, 0.0])))
+        best_axis = entropy_minimization_scan(gs(0.5))
+        cosine = abs(float(best_axis @ np.array([1.0, 0.0, 0.0])))
         assert np.arccos(min(cosine, 1.0)) < np.pi / 63.0
 
     def test_minimum_value_matches_thermal_entropy(self):

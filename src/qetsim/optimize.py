@@ -38,6 +38,17 @@ any fixed grid spacing once the edge field is large.
   theta envelope is even in r and in s.  On an even angle grid every
   antipode is a grid point, and only the polar half mu, xi < pi/2 of each
   axis grid is scanned: a quarter of the full grid's cells.
+* Screen and recheck.  The scan runs the kernel in float32 first, on
+  coefficients scaled by a power of two, and bounds each row maximum's
+  error by eps_r = 2^-19 (|bq_r|_1 + |cr_r|_1) + 2^-50 |delta_r| plus an
+  underflow term (derived at :func:`_screen`).  Only rows whose maximum
+  can come within eps of the best are rerun in float64, so the scan
+  returns exactly the cell, value and tie-break of a float64 pass over
+  every row.  Where all rows tie or nearly tie, every row is rerun and
+  the scan costs about 1.5 times the plain float64 pass: at and near
+  h = 0, for the extracted target from h ~ 5 k on and for both targets
+  from h ~ 30 k on.  Over the README range h <= 3 k a 64-point scan reruns
+  2 to ~460 of its 2048 rows.
 * Zoom refinement.  A 5^4 local grid around the best cell is evaluated in
   one kernel call and recentred on its best point; the steps halve when
   no neighbour gains, and the search stops when every step is below 1e-8.
@@ -49,6 +60,7 @@ any fixed grid spacing once the edge field is large.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +103,10 @@ class Certificate:
     `converged`, `rounds` and `evaluations` describe the search that found
     the optimum: whether the refinement met its step tolerance, how many
     refinement rounds it took, and how many (measurement axis, feedback
-    axis) cells the scan and the refinement evaluated.  Closed-form
-    certificates involve no search: converged, 0 rounds, 0 evaluations.
+    axis) cells the scan and the refinement evaluated.  `rechecked_rows`
+    is the number of scan rows (measurement axes) that the float64 pass
+    reran after the float32 screen.  Closed-form certificates involve no
+    search: converged, 0 rounds, 0 evaluations, 0 rechecked rows.
     """
 
     target: str
@@ -107,6 +121,7 @@ class Certificate:
     converged: bool = True
     rounds: int = 0
     evaluations: int = 0
+    rechecked_rows: int = 0
 
 
 def _closed_certificate(target, amplitude, cross, axes,
@@ -183,6 +198,9 @@ def _row_engine(state: GroundState, target: str):
     """
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}")
+    if state.vector.ndim != 1:
+        raise ValueError(f"the oracle takes one state, got a batch of shape "
+                         f"{state.vector.shape[:-1]}")
     v = state.vector
     terms = build_hamiltonian(state.params)
     sig_a = [ops.pauli(ops.SITE_A, ax) for ax in "xyz"]
@@ -298,32 +316,89 @@ def _axes(polar, azimuth):
                      np.repeat(np.cos(polar), len(azimuth))], axis=1)
 
 
-# measurement axes per kernel call in the scan.  The 64-point scan on a
-# 2-core Xeon with 2 MB of L2 per core took 27 ms at 16 and 32, 4 % more
-# at 8, 19 % more at 64 and 35-40 % more at 4 and 128; three (16, 2048)
-# float64 buffers take 768 kB
+# measurement axes per kernel call in the scan, in the float32 screen and
+# in the float64 recheck.  On a 2-core Xeon with 2 MB of L2 per core the
+# screened 64-point scan took 13 ms at 16 and 32 with 2 rows rechecked
+# (h = 0.5), 20-30 % more at 4, 8 and 64 and 45 % more at 128; with all
+# 2048 rows rechecked (h = 0) 32-37 ms at 16 and 32, 10-20 % more at 8
+# and 64 and 35-40 % more at 4 and 128.  Three (16, 2048) float64 buffers
+# take 768 kB, float32 ones half of that
 _CHUNK = 16
+
+
+def _screen(row, basis):
+    """Float32 screen of the scan: per measurement axis r, the largest
+    envelope over the feedback axes of `basis`, and a bound eps_r on its
+    distance from the maximum the float64 kernel finds for that row.
+
+    The float32 kernel runs on bq and cr scaled by one exact power of two,
+    so that every k that ModelParams accepts stays in float32 range, with
+    delta left out; the row maxima are scaled back and delta added in
+    float64.
+
+    The bound.  Let B and C be the 1-norms of a row of bq and of cr,
+    scaled so that B + C <= 1; every basis entry is at most 1 in size.
+    With u = 2^-24 and gamma_n = n u / (1 - n u), rounding bq, cr and the
+    basis to float32 and a K-term dot product in any order, fused or not,
+    give |b32 - b| <= gamma_12 B + 2^-144 and |c32 - c| <= gamma_5 C +
+    2^-146, the absolute terms covering underflow.  The envelope
+    g(b, c) = sqrt(b^2 + c^2) - b moves by at most 2 |db| + |dc|.  Its
+    float32 evaluation at (b32, c32) rounds the two squares, the sum, the
+    sqrt and the subtraction: the error is at most gamma_5 R + 2^-73.9 with
+    R = hypot(b32, c32) <= |b32| + |c32|, where the absolute term is the
+    sqrt of the squares' underflow, sqrt(2^-149).  In all, one cell is off
+    by at most 30 u (B + C) + 2^-73, and a row maximum by no more than its
+    worst cell.  The float64 kernel itself is off the exact envelope by
+    less than 2^-48 (B + C) + 2^-53 |delta| (its underflow term, 2^-536,
+    is far below 2^-73 / scale, because k >= 1e-100 keeps the largest
+    B + C above 2^-400), and adding delta to the screen and forming
+    screen +- eps round once more each; 2^-19 = 32 u and 2^-50 cover all
+    of it.
+    """
+    delta, bq, cr = row
+    weight = np.abs(bq).sum(axis=1) + np.abs(cr).sum(axis=1)   # B + C
+    scale = np.ldexp(1.0, -np.frexp(weight.max())[1])
+    row32 = (np.zeros(len(delta), np.float32),
+             (scale * bq).astype(np.float32),
+             (scale * cr).astype(np.float32))
+    basis32 = basis.astype(np.float32)
+    buffers = np.empty((3, _CHUNK, basis.shape[1]), np.float32)
+    top = np.empty(len(delta))
+    for lo in range(0, len(delta), _CHUNK):
+        top[lo:lo + _CHUNK] = _envelope_into(
+            buffers, [x[lo:lo + _CHUNK] for x in row32], basis32).max(axis=1)
+    eps = 2.0**-19 * weight + 2.0**-50 * np.abs(delta) + 2.0**-73 / scale
+    return top / scale + delta, eps
 
 
 def _best_cell(rows, raxes, saxes):
     """Largest theta envelope over every (r, s) pair.
 
-    Returns (value, r index, s index); ties resolve to the first r index,
-    then the first s index.
+    A float32 screen (:func:`_screen`) bounds every row's maximum; only
+    the rows whose bound reaches the best lower bound can hold the winning
+    cell, and only those are rerun through the float64 kernel, so the
+    result is the one a float64 pass over every row gives.  Returns
+    (value, r index, s index, rows rerun); ties resolve to the first r
+    index, then the first s index.
     """
     row = rows(raxes)
     basis = _feedback_basis(saxes)
+    screen, eps = _screen(row, basis)
+    keep = np.flatnonzero(screen + eps >= (screen - eps).max())
+    # the last kept row pads the last chunk: a duplicate ties with its
+    # original and loses to it, and every product has _CHUNK rows, as in
+    # a pass over all rows (a one-row product takes BLAS's matrix-vector
+    # route, whose sums can differ in the last bit)
+    padded = np.pad(keep, (0, -len(keep) % _CHUNK), mode="edge")
     buffers = np.empty((3, _CHUNK, len(saxes)))
-    best_val = np.empty(len(raxes))
-    best_s = np.empty(len(raxes), dtype=np.int64)
-    for lo in range(0, len(raxes), _CHUNK):
-        hi = lo + _CHUNK
-        envelope = _envelope_into(buffers, [x[lo:hi] for x in row], basis)
-        s_idx = envelope.argmax(axis=1)
-        best_s[lo:hi] = s_idx
-        best_val[lo:hi] = envelope[np.arange(len(s_idx)), s_idx]
-    r_idx = int(best_val.argmax())
-    return float(best_val[r_idx]), r_idx, int(best_s[r_idx])
+    value, r_idx, s_idx = -np.inf, 0, 0
+    for lo in range(0, len(padded), _CHUNK):
+        idx = padded[lo:lo + _CHUNK]
+        envelope = _envelope_into(buffers, [x[idx] for x in row], basis)
+        i, j = divmod(int(envelope.argmax()), len(saxes))
+        if envelope[i, j] > value:
+            value, r_idx, s_idx = float(envelope[i, j]), int(idx[i]), j
+    return value, r_idx, s_idx, len(keep)
 
 
 def _scan_grid(rows, resolution):
@@ -335,15 +410,16 @@ def _scan_grid(rows, resolution):
     indices i < n/2 are scanned on either axis.  Ties resolve to the
     lexicographically first cell in (mu, nu, xi, eta) order; the kept cell
     of each antipodal set is its lexicographically first member, so the
-    rule is the same as for the full grid.  Returns (value, axis angles).
+    rule is the same as for the full grid.  Returns (value, axis angles,
+    rows the float64 pass reran).
     """
     n = resolution
     polar = np.linspace(0.0, np.pi, n)[:n // 2]
     azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     axes = _axes(polar, azimuth)
-    value, r_idx, s_idx = _best_cell(rows, axes, axes)
+    value, r_idx, s_idx, rechecked = _best_cell(rows, axes, axes)
     return value, (polar[r_idx // n], azimuth[r_idx % n],
-                   polar[s_idx // n], azimuth[s_idx % n])
+                   polar[s_idx // n], azimuth[s_idx % n]), rechecked
 
 
 _ZOOM = np.arange(-2.0, 3.0)       # local grid offsets, in steps
@@ -380,8 +456,14 @@ def _zoom(rows, angles, steps, tol=1e-15, min_step=1e-8,
 
 
 def validate_resolution(resolution: int) -> None:
-    """Reject an oracle grid resolution below 64 or odd (the halved scan
-    needs the antipode of every grid axis on the grid)."""
+    """Reject an oracle grid resolution that is not an integer, is below
+    64 or is odd (the halved scan needs the antipode of every grid axis on
+    the grid)."""
+    try:
+        operator.index(resolution)
+    except TypeError:
+        raise TypeError(f"resolution must be an integer, got "
+                        f"{resolution!r}") from None
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be at least {MIN_RESOLUTION}")
     if resolution % 2:
@@ -400,7 +482,7 @@ def brute_force_max(state: GroundState, target: str,
     """
     validate_resolution(resolution)
     rows = _row_engine(state, target)
-    _, angles = _scan_grid(rows, resolution)
+    _, angles, rechecked = _scan_grid(rows, resolution)
     steps = (np.pi / resolution, 2.0 * np.pi / resolution) * 2
     (mu, nu, xi, eta), rounds, converged = _zoom(rows, angles, steps)
     a, b, c = (float(x[0, 0]) for x in _coefficients(
@@ -417,7 +499,7 @@ def brute_force_max(state: GroundState, target: str,
                        cos_2theta=np.cos(2.0 * theta), bond_reduction=bond,
                        converged=converged, rounds=rounds,
                        evaluations=(resolution**2 // 2)**2
-                       + rounds * len(_ZOOM)**4)
+                       + rounds * len(_ZOOM)**4, rechecked_rows=rechecked)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,13 @@ from qetsim.protocol import ProtocolParams, correlators_closed, run_protocol
 PEAK_FIELD = 0.176023978166
 PEAK_RATIO = 0.0321883027502  # ratio at h = 0.18, where the peak is quoted
 CROSSOVER_FIELD = 0.241331273717
+
+# (h, k) of the scan tests: h = 0 (every row ties), the README range, the
+# large-field end, where most rows come close to the winner, and both ends
+# of the accepted couplings
+SCAN_FIELDS = [pytest.param(h, 1.0, id=str(h))
+               for h in (0.0, 0.05, 0.3, 1.5, 3.0, 10.0)] + [
+    pytest.param(0.5 * k, k, id=f"0.5k-{k:g}") for k in (1e-100, 1e100)]
 
 
 def gs(h, k=1.0):
@@ -148,17 +157,29 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_max(gs(0.5), TARGET_EXTRACTED, resolution=32)
 
+    def test_non_integer_resolution_rejected(self):
+        with pytest.raises(TypeError, match="integer"):
+            brute_force_max(gs(0.5), TARGET_EXTRACTED, resolution=64.0)
+
+    def test_batch_state_rejected(self):
+        state = gs(np.array([0.3, 0.5]))
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            brute_force_max(state, TARGET_EXTRACTED)
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            sinusoid_engine(state, TARGET_SITE)
+
     def test_odd_resolution_rejected(self):
         with pytest.raises(ValueError, match="antipode"):
             brute_force_max(gs(0.5), TARGET_EXTRACTED, resolution=65)
 
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
-    @pytest.mark.parametrize("h", [0.3, 1.5])
-    def test_halved_scan_picks_the_full_grid_cell(self, h, target):
+    @pytest.mark.parametrize("h, k", SCAN_FIELDS)
+    def test_halved_scan_picks_the_full_grid_cell(self, h, k, target):
         # reference: every cell of the full 64^4 axis grid through the
-        # public (a, b, c) view and a plain envelope, not the fused kernel
+        # public (a, b, c) view and a plain float64 envelope, not the
+        # screened scan or the fused kernel
         n = MIN_RESOLUTION
-        state = gs(h)
+        state = gs(h, k)
         coefficients = sinusoid_engine(state, target)
         polar = np.linspace(0.0, np.pi, n)
         azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
@@ -170,11 +191,48 @@ class TestBruteForce:
             i, j = np.unravel_index(envelope.argmax(), envelope.shape)
             if envelope[i, j] > full:
                 full, r_idx, s_idx = envelope[i, j], lo + i, j
-        value, angles = optimize._scan_grid(
+        value, angles, rechecked = optimize._scan_grid(
             optimize._row_engine(state, target), n)
         assert angles == (polar[r_idx // n], azimuth[r_idx % n],
                           polar[s_idx // n], azimuth[s_idx % n])
-        assert abs(value - full) < 1e-15
+        assert abs(value - full) < 1e-15 * k
+        assert 1 <= rechecked <= n * n // 2
+
+    @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
+    @pytest.mark.parametrize("h, k", SCAN_FIELDS)
+    def test_screen_bound_covers_the_float32_error(self, h, k, target):
+        # every row maximum of the float32 screen lies within its bound of
+        # the row maximum of the float64 kernel
+        n = MIN_RESOLUTION
+        polar = np.linspace(0.0, np.pi, n)[:n // 2]
+        azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        axes = optimize._axes(polar, azimuth)
+        row = optimize._row_engine(gs(h, k), target)(axes)
+        basis = optimize._feedback_basis(axes)
+        screen, eps = optimize._screen(row, basis)
+        buffers = np.empty((3, 256, len(axes)))
+        exact = np.concatenate([optimize._envelope_into(
+            buffers, [x[lo:lo + 256] for x in row], basis).max(axis=1)
+            for lo in range(0, len(axes), 256)])
+        assert np.all(np.abs(screen - exact) <= eps)
+
+    def test_full_recheck_stays_in_chunks(self):
+        # at h = 0 every row ties, so the float64 pass reruns all of them
+        tracemalloc.start()
+        try:
+            cert = brute_force_max(gs(0.0), TARGET_EXTRACTED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.rechecked_rows == MIN_RESOLUTION**2 // 2
+        assert peak < 3e6
+
+    def test_rechecked_rows(self):
+        state = gs(0.3)
+        assert max_extracted_energy(state).rechecked_rows == 0
+        assert max_site_reduction(state).rechecked_rows == 0
+        cert = brute_force_max(state, TARGET_SITE)
+        assert 1 <= cert.rechecked_rows < MIN_RESOLUTION**2 // 2
 
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     def test_fused_envelope_matches_plain(self, target):

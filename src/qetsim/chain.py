@@ -81,6 +81,11 @@ import numpy as np
 SMALL_FIELD = 1e-6
 
 
+def effective_field(h, k):
+    """The field the chain is solved at: h, or SMALL_FIELD k at h = 0."""
+    return h if h > 0 else SMALL_FIELD * k
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Length-L chain; its antisymmetric coupling matrix is built on first use.
@@ -301,7 +306,7 @@ def correlators_vs_length(h: float, k: float, lengths) -> LengthScan:
     if any(L < 2 for L in lengths):
         raise ValueError("chain lengths must be at least 2")
     _check_field(h, k)
-    h_eff = h if h > 0 else SMALL_FIELD * k
+    h_eff = effective_field(h, k)
     xx = []
     yy = []
     for L in lengths:

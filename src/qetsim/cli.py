@@ -123,13 +123,16 @@ def cmd_thermo(args):
 
 def _chain_fields(args):
     """--h alone, or the grid of --h-min and --h-max (either defaults to
-    --h); a --k that ModelParams refuses is refused whatever the lengths."""
-    ModelParams(h=0.0, k=args.k)
+    --h); a field or --k that ModelParams refuses is refused whatever the
+    lengths."""
     if args.h_min is None and args.h_max is None:
-        return [args.h * args.k]
-    return _field_grid(args.h if args.h_min is None else args.h_min,
-                       args.h if args.h_max is None else args.h_max,
-                       args.h_steps, args.k)
+        fields = np.array([args.h * args.k])
+    else:
+        fields = _field_grid(args.h if args.h_min is None else args.h_min,
+                             args.h if args.h_max is None else args.h_max,
+                             args.h_steps, args.k)
+    ModelParams(h=fields, k=args.k)
+    return fields
 
 
 def cmd_chain(args):
@@ -142,9 +145,8 @@ def cmd_chain(args):
         for L, xx_abs, yy_abs in zip(scan.lengths, scan.xx_abs, scan.yy_abs):
             residual = None
             if L == 4:
-                gs = ground_state(ModelParams(h=max(float(h),
-                                                    chain_mod.SMALL_FIELD * args.k),
-                                              k=args.k))
+                gs = ground_state(ModelParams(
+                    h=chain_mod.effective_field(float(h), args.k), k=args.k))
                 c = correlators_closed(gs)
                 residual = max(abs(xx_abs - abs(c.xx)), abs(yy_abs - abs(c.yy)))
             rows.append([L, float(h), xx_abs, yy_abs, scan.slope,

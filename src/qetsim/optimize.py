@@ -25,30 +25,32 @@ theta is maximised exactly in every cell instead of on a theta grid: the
 positive basin in theta narrows like the maximum itself and falls below
 any fixed grid spacing once the edge field is large.
 
-* Row stage.  One pass over a set of measurement axes gives, per r, the
-  row constant delta, ten coefficients bq with b = bq . (s (x) s, 1) and
-  three coefficients cr with c = cr . s; then a = delta - b.  For a set
-  of feedback axes, b and c are two matrix products with one basis.
-  :func:`sinusoid_engine` returns (a, b, c) as a view over this stage.
-* Fused envelope kernel.  The maximum over theta,
-  sqrt(b^2 + c^2) - b + delta, is evaluated with in-place ufuncs in
-  preallocated buffers of `_CHUNK` measurement axes, followed by the row
-  argmax; the scan and the zoom both run on it.
+* Row stage.  Both targets are one single-projector contraction of the
+  terms next to Bob's site (see :func:`_row_engine`), which vanishes at
+  theta = 0, so a = -b.  One pass over a set of measurement axes gives,
+  per r, ten coefficients bq with b = bq . (s (x) s, 1) and three
+  coefficients cr with c = cr . s.  For a set of feedback axes, b and c
+  are two matrix products with one basis.  :func:`sinusoid_engine`
+  returns (a, b, c) as a view over this stage.
+* Fused envelope kernel.  The maximum over theta, sqrt(b^2 + c^2) - b,
+  is evaluated with in-place ufuncs in preallocated buffers of `_CHUNK`
+  measurement axes, followed by the row argmax; the scan and the zoom
+  both run on it.
 * Halved scan.  r -> -r and s -> -s each map theta -> -theta, so the
   theta envelope is even in r and in s.  On an even angle grid every
   antipode is a grid point, and only the polar half mu, xi < pi/2 of each
   axis grid is scanned: a quarter of the full grid's cells.
 * Screen and recheck.  The scan runs the kernel in float32 first, on
   coefficients scaled by a power of two, and bounds each row maximum's
-  error by eps_r = 2^-19 (|bq_r|_1 + |cr_r|_1) + 2^-50 |delta_r| plus an
-  underflow term (derived at :func:`_screen`).  Only rows whose maximum
-  can come within eps of the best are rerun in float64, so the scan
-  returns exactly the cell, value and tie-break of a float64 pass over
-  every row.  Where all rows tie or nearly tie, every row is rerun and
-  the scan costs about 1.5 times the plain float64 pass: at and near
-  h = 0, for the extracted target from h ~ 5 k on and for both targets
-  from h ~ 30 k on.  Over the README range h <= 3 k a 64-point scan reruns
-  2 to ~460 of its 2048 rows.
+  error by eps_r = 2^-19 (|bq_r|_1 + |cr_r|_1) plus an underflow term
+  (derived at :func:`_screen`).  Only rows whose maximum can come within
+  eps of the best are rerun in float64, so the scan returns exactly the
+  cell, value and tie-break of a float64 pass over every row.  Where all
+  rows tie or nearly tie, every row is rerun and the scan costs about
+  1.5 times the plain float64 pass: at and near h = 0, for the extracted
+  target from h ~ 5 k on and for both targets from h ~ 30 k on.  Over the
+  README range h <= 3 k a 64-point scan reruns 2 to ~460 of its 2048
+  rows.
 * Zoom refinement.  A 5^4 local grid around the best cell is evaluated in
   one kernel call and recentred on its best point; the steps halve when
   no neighbour gains, and the search stops when every step is below 1e-8.
@@ -67,7 +69,7 @@ import numpy as np
 
 from . import operators as ops
 from .model import (GroundState, ModelParams, build_hamiltonian,
-                    energy_decomposition, ground_state, term_expectations)
+                    energy_decomposition, ground_state)
 from .protocol import (ProtocolParams, correlators_closed,
                        measurement_energy_closed, run_protocol)
 
@@ -182,19 +184,26 @@ def max_site_reduction(state: GroundState) -> Certificate:
 def _row_engine(state: GroundState, target: str):
     """The row stage: per-measurement-axis coefficients of the objective.
 
-    Returns ``rows(raxes) -> (delta, bq, cr)`` with shapes (m,), (m, 10)
-    and (m, 3) for measurement axes `raxes` of shape (m, 3), such that for
-    a feedback axis s
+    Returns ``rows(raxes) -> (bq, cr)`` with shapes (m, 10) and (m, 3) for
+    measurement axes `raxes` of shape (m, 3), such that for a feedback
+    axis s
 
-        b = bq . (s (x) s, 1),   c = cr . s,   a = delta - b,
+        b = bq . (s (x) s, 1),   c = cr . s,
 
-    and objective(r, s, theta) = a + b cos 2 theta + c sin 2 theta.
+    and objective(r, s, theta) = -b + b cos 2 theta + c sin 2 theta.
 
-    The post-measurement states P_A(n)|psi> are linear in (1, n r); the
-    rotation is linear in (cos t, i n sin t s).  Sandwiching the relevant
-    Hamiltonian term therefore reduces to bilinear contractions of
-    precomputed matrix elements of raw Pauli operators, done here once per
-    measurement axis.
+    Bob's rotation U_B(n) acts on site B alone, so it changes only the
+    terms T next to B: T = site_B for ``site_reduction`` and T = site_B +
+    bond_right for ``extracted``.  P_A(n) commutes with U_B(n) and with T,
+    and sum_n P_A(n) = 1, so each target is the single-projector form
+
+        objective = <T> - sum_n <P_A(n) psi| U_B(n)^+ T U_B(n) |psi>,
+
+    which vanishes at theta = 0: a = -b, with no row constant.  The states
+    P_A(n)|psi> are linear in (1, n r) and the rotation is linear in
+    (cos t, i n sin t s), so every matrix element is a contraction of the
+    4 x 16 precomputed elements <phi_i| rot_p T rot_q |psi>, done here
+    once per measurement axis.
     """
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}")
@@ -203,51 +212,32 @@ def _row_engine(state: GroundState, target: str):
                          f"{state.vector.shape[:-1]}")
     v = state.vector
     terms = build_hamiltonian(state.params)
+    near_b = (terms.site_b if target == TARGET_SITE
+              else terms.site_b + terms.bond_right)
     sig_a = [ops.pauli(ops.SITE_A, ax) for ax in "xyz"]
     rot = [ops.IDENTITY] + [ops.pauli(ops.SITE_B, ax) for ax in "xyz"]
     phi = np.stack([v] + [sa @ v for sa in sig_a], axis=1) / 2.0   # (16, 4)
-    if target == TARGET_EXTRACTED:
-        # <rot_p phi_i| H |rot_q phi_j>, rows (i, j), columns (p, q)
-        bp = np.stack([B @ phi for B in rot], axis=0)              # (4, 16, 4)
-        g4 = np.einsum("pdi,de,qej->ijpq", bp.conj(), terms.total, bp)
-        g4 = g4.reshape(16, 16)
-        k_meas = (phi.conj().T @ terms.total @ phi).real
-
-        def contract(w):
-            return np.einsum("wi,wj->wij", w, w).reshape(-1, 16) @ g4
-
-        def measured(wp, wm):   # energy after the measurement
-            return (np.einsum("wi,ij,wj->w", wp, k_meas, wp)
-                    + np.einsum("wi,ij,wj->w", wm, k_meas, wm))
-    else:
-        # <phi_i| rot_p site_B rot_q |psi>; the rot factors are Hermitian
-        g3 = np.einsum("di,pqd->ipq", phi.conj(), np.stack(
-            [[rp @ terms.site_b @ rq @ v for rq in rot] for rp in rot]))
-        g3 = g3.reshape(4, 16)
-        site_b = term_expectations(state).site_b
-
-        def contract(w):
-            return w @ g3
-
-        def measured(wp, wm):
-            return site_b
+    # <phi_i| rot_p T rot_q |psi>; the rot factors are Hermitian
+    g3 = np.einsum("di,pqd->ipq", phi.conj(), np.stack(
+        [[rp @ near_b @ rq @ v for rq in rot] for rp in rot])).reshape(4, 16)
 
     def rows(raxes):
         ones = np.ones((len(raxes), 1))
         wp = np.concatenate([ones, raxes], axis=1)
         wm = np.concatenate([ones, -raxes], axis=1)
-        # energy after the rotation, both outcomes: the n = -1 term has the
-        # conjugate pattern of i n sin t, so conjugating it merges the two
-        tc = (contract(wp) + contract(wm).conj()).reshape(-1, 4, 4)
-        # the energy after the rotation is E(t) = T cos^2 t + Q sin^2 t
-        # + D sin t cos t, with T at t = 0, Q = s.tc.s and D from the cross
-        # terms; the objective offset - E(t) in terms of 2 t needs T/2,
-        # Q/2 and -D/2
+        # sum over both outcomes of <P_A(n) psi| rot_p T rot_q |psi>: the
+        # n = -1 term has the conjugate pattern of i n sin t, so
+        # conjugating it merges the two
+        tc = (wp @ g3 + (wm @ g3).conj()).reshape(-1, 4, 4)
+        # the energy after the rotation is E(t) = E0 cos^2 t + Q sin^2 t
+        # + D sin t cos t, with E0 = <T> = tc_00, Q = s.tc.s and D from the
+        # cross terms; the objective E0 - E(t) has b = (Q - E0)/2 and
+        # c = -D/2
         t00 = 0.5 * tc[:, 0, 0].real
         bq = np.concatenate([0.5 * tc[:, 1:, 1:].reshape(-1, 9).real,
                              -t00[:, None]], axis=1)
         cr = 0.5 * (tc[:, 0, 1:] - tc[:, 1:, 0]).imag
-        return measured(wp, wm) - 2.0 * t00, bq, cr
+        return bq, cr
 
     return rows
 
@@ -279,24 +269,23 @@ def sinusoid_engine(state: GroundState, target: str):
 def _coefficients(row, saxes):
     """(a, b, c), each of shape (m, n), from the row stage `row` of m
     measurement axes and the feedback axes `saxes`."""
-    delta, bq, cr = row
+    bq, cr = row
     basis = _feedback_basis(saxes)
     b = bq @ basis[:10]
-    return delta[:, None] - b, b, cr @ basis[10:]
+    return -b, b, cr @ basis[10:]
 
 
 def _envelope_into(buffers, row, basis):
-    """The fused envelope kernel: max over theta of a + b cos 2t + c sin 2t,
-    that is delta + sqrt(b^2 + c^2) - b, for every (row, feedback axis)
-    pair.
+    """The fused envelope kernel: max over theta of -b + b cos 2t + c sin 2t,
+    that is sqrt(b^2 + c^2) - b, for every (row, feedback axis) pair.
 
-    `row` is the row stage ``(delta, bq, cr)`` of m measurement axes and
+    `row` is the row stage ``(bq, cr)`` of m measurement axes and
     `basis` the :func:`_feedback_basis` of n feedback axes.  Works in place
     in the preallocated `buffers` of shape (3, >= m, n) and returns the
     (m, n) envelope, a view into them.
     """
-    delta, bq, cr = row
-    out, b, c = buffers[:, :len(delta)]
+    bq, cr = row
+    out, b, c = buffers[:, :len(bq)]
     np.matmul(bq, basis[:10], out=b)
     np.matmul(cr, basis[10:], out=c)
     np.multiply(c, c, out=c)
@@ -304,16 +293,7 @@ def _envelope_into(buffers, row, basis):
     out += c
     np.sqrt(out, out=out)
     out -= b
-    out += delta[:, None]
     return out
-
-
-def _axes(polar, azimuth):
-    """Unit vectors of the product grid polar x azimuth, polar-major."""
-    sin_p = np.sin(polar)
-    return np.stack([np.outer(sin_p, np.cos(azimuth)).ravel(),
-                     np.outer(sin_p, np.sin(azimuth)).ravel(),
-                     np.repeat(np.cos(polar), len(azimuth))], axis=1)
 
 
 # measurement axes per kernel call in the scan, in the float32 screen and
@@ -332,9 +312,8 @@ def _screen(row, basis):
     distance from the maximum the float64 kernel finds for that row.
 
     The float32 kernel runs on bq and cr scaled by one exact power of two,
-    so that every k that ModelParams accepts stays in float32 range, with
-    delta left out; the row maxima are scaled back and delta added in
-    float64.
+    so that every k that ModelParams accepts stays in float32 range; the
+    row maxima are scaled back in float64.
 
     The bound.  Let B and C be the 1-norms of a row of bq and of cr,
     scaled so that B + C <= 1; every basis entry is at most 1 in size.
@@ -349,26 +328,22 @@ def _screen(row, basis):
     sqrt of the squares' underflow, sqrt(2^-149).  In all, one cell is off
     by at most 30 u (B + C) + 2^-73, and a row maximum by no more than its
     worst cell.  The float64 kernel itself is off the exact envelope by
-    less than 2^-48 (B + C) + 2^-53 |delta| (its underflow term, 2^-536,
-    is far below 2^-73 / scale, because k >= 1e-100 keeps the largest
-    B + C above 2^-400), and adding delta to the screen and forming
-    screen +- eps round once more each; 2^-19 = 32 u and 2^-50 cover all
-    of it.
+    less than 2^-48 (B + C) (its underflow term, 2^-536, is far below
+    2^-73 / scale, because k >= 1e-100 keeps the largest B + C above
+    2^-400), and forming screen +- eps rounds once more; 2^-19 = 32 u
+    covers all of it.
     """
-    delta, bq, cr = row
+    bq, cr = row
     weight = np.abs(bq).sum(axis=1) + np.abs(cr).sum(axis=1)   # B + C
     scale = np.ldexp(1.0, -np.frexp(weight.max())[1])
-    row32 = (np.zeros(len(delta), np.float32),
-             (scale * bq).astype(np.float32),
-             (scale * cr).astype(np.float32))
+    row32 = [(scale * x).astype(np.float32) for x in row]
     basis32 = basis.astype(np.float32)
     buffers = np.empty((3, _CHUNK, basis.shape[1]), np.float32)
-    top = np.empty(len(delta))
-    for lo in range(0, len(delta), _CHUNK):
+    top = np.empty(len(bq))
+    for lo in range(0, len(bq), _CHUNK):
         top[lo:lo + _CHUNK] = _envelope_into(
             buffers, [x[lo:lo + _CHUNK] for x in row32], basis32).max(axis=1)
-    eps = 2.0**-19 * weight + 2.0**-50 * np.abs(delta) + 2.0**-73 / scale
-    return top / scale + delta, eps
+    return top / scale, 2.0**-19 * weight + 2.0**-73 / scale
 
 
 def _best_cell(rows, raxes, saxes):
@@ -416,7 +391,8 @@ def _scan_grid(rows, resolution):
     n = resolution
     polar = np.linspace(0.0, np.pi, n)[:n // 2]
     azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    axes = _axes(polar, azimuth)
+    axes = ops.axis_vector(*np.meshgrid(polar, azimuth, indexing="ij"))
+    axes = axes.reshape(3, -1).T   # polar-major
     value, r_idx, s_idx, rechecked = _best_cell(rows, axes, axes)
     return value, (polar[r_idx // n], azimuth[r_idx % n],
                    polar[s_idx // n], azimuth[s_idx % n]), rechecked
@@ -442,8 +418,10 @@ def _zoom(rows, angles, steps, tol=1e-15, min_step=1e-8,
     for rounds in range(1, max_rounds + 1):
         grid = x[:, None] + steps[:, None] * _ZOOM
         grid[[0, 2]] = np.clip(grid[[0, 2]], 0.0, np.pi)   # polar angles
-        envelope = _envelope_into(buffers, rows(_axes(grid[0], grid[1])),
-                                  _feedback_basis(_axes(grid[2], grid[3])))
+        raxes, saxes = (ops.axis_vector(*np.meshgrid(
+            polar, azimuth, indexing="ij")).reshape(3, -1).T
+            for polar, azimuth in (grid[:2], grid[2:]))
+        envelope = _envelope_into(buffers, rows(raxes), _feedback_basis(saxes))
         envelope = envelope.ravel()
         best = int(envelope.argmax())
         r_idx, s_idx = divmod(best, width**2)

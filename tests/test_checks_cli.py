@@ -125,6 +125,9 @@ class TestCli:
         row8 = lines[2].split(",")
         assert float(row4[-1]) < 1e-10
         assert row8[-1] == ""
+        # below SMALL_FIELD k the closed form is taken at the chain's field
+        cli.main(["chain", "--h", "1e-9", "--L-list", "4", "--out", str(out)])
+        assert float(out.read_text().splitlines()[1].split(",")[-1]) < 1e-15
 
     def test_chain_single_length_has_no_fit(self, tmp_path):
         out = tmp_path / "chain.csv"
@@ -154,7 +157,8 @@ class TestCli:
                                       ["--k", "1e100", "--h-min", "1e300",
                                        "--h-max", "1e300"], ["--k", "1e-320"],
                                       # refused without an L = 4 row too
-                                      ["--k", "1e-320", "--L-list", "50"]])
+                                      ["--k", "1e-320", "--L-list", "50"],
+                                      ["--h", "1e200", "--L-list", "50"]])
     def test_chain_non_finite_input_exit_code(self, tmp_path, capsys, args):
         out = tmp_path / "chain.csv"
         assert cli.main(["chain", "--L-list", "4,50", *args,

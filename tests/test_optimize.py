@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qetsim import optimize
+from qetsim import model, optimize, protocol
 from qetsim.model import ModelParams, energy_decomposition, ground_state
 from qetsim.operators import axis_vector
 from qetsim.optimize import (MIN_RESOLUTION, TARGET_EXTRACTED, TARGET_SITE,
@@ -111,11 +111,12 @@ class TestLandmarks:
 
 
 class TestSinusoid:
-    def test_engine_matches_run_protocol(self):
+    @pytest.mark.parametrize("h, k", SCAN_FIELDS)
+    def test_engine_matches_run_protocol(self, h, k):
         # two routes: the engine's contraction coefficients against the
         # pointwise matrix algebra of run_protocol, at random angles
         rng = np.random.default_rng(12)
-        state = gs(0.8)
+        state = gs(h, k)
         for target in (TARGET_EXTRACTED, TARGET_SITE):
             coefficients = sinusoid_engine(state, target)
             mu, nu, xi, eta = rng.uniform(0, np.pi, 4) * [1, 2, 1, 2]
@@ -127,7 +128,7 @@ class TestSinusoid:
                 direct = (ledger.extracted if target == TARGET_EXTRACTED
                           else ledger.extracted_site)
                 expected = a + b * np.cos(2 * theta) + c * np.sin(2 * theta)
-                assert abs(direct - expected) < 1e-13
+                assert abs(direct - expected) < 1e-13 * k
 
 
 class TestBruteForce:
@@ -143,6 +144,32 @@ class TestBruteForce:
         cert = brute_force_max(state, TARGET_EXTRACTED)
         ledger = run_protocol(state, cert.params)
         assert abs(ledger.extracted - cert.value) < 1e-12
+
+    @pytest.mark.parametrize("target, closed",
+                             [(TARGET_EXTRACTED, max_extracted_energy),
+                              (TARGET_SITE, max_site_reduction)])
+    def test_matches_closed_forms_at_large_field(self, target, closed):
+        # the site term is ~1e3 k here and the maxima ~1e-16 and ~5e-10 k
+        state = gs(1e3)
+        assert abs(brute_force_max(state, target).value
+                   - closed(state).value) < 5e-14
+
+    def test_oracle_reads_no_closed_form(self, monkeypatch):
+        def closed_form(*args):
+            raise AssertionError("the oracle read a closed form")
+
+        state = gs(0.6)
+        expected = [brute_force_max(state, target)
+                    for target in (TARGET_EXTRACTED, TARGET_SITE)]
+        for module in (model, optimize, protocol):
+            for name in ("energy_decomposition", "correlators_closed",
+                         "measurement_energy_closed", "reduction_closed"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, closed_form)
+        with pytest.raises(AssertionError, match="closed form"):
+            max_extracted_energy(state)
+        assert [brute_force_max(state, target)
+                for target in (TARGET_EXTRACTED, TARGET_SITE)] == expected
 
     def test_zero_field_grid_max_is_zero(self):
         state = gs(0.0)
@@ -206,7 +233,8 @@ class TestBruteForce:
         n = MIN_RESOLUTION
         polar = np.linspace(0.0, np.pi, n)[:n // 2]
         azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        axes = optimize._axes(polar, azimuth)
+        axes = axis_vector(*np.meshgrid(polar, azimuth,
+                                        indexing="ij")).reshape(3, -1).T
         row = optimize._row_engine(gs(h, k), target)(axes)
         basis = optimize._feedback_basis(axes)
         screen, eps = optimize._screen(row, basis)

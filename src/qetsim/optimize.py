@@ -36,20 +36,22 @@ any fixed grid spacing once the edge field is large.
   is evaluated with in-place ufuncs in preallocated buffers of `_CHUNK`
   measurement axes, followed by the row argmax; the scan and the zoom
   both run on it.
-* Halved scan.  r -> -r and s -> -s each map theta -> -theta, so the
-  theta envelope is even in r and in s.  On an even angle grid every
-  antipode is a grid point, and only the polar half mu, xi < pi/2 of each
-  axis grid is scanned: a quarter of the full grid's cells.
+* Reduced scan.  The objective is invariant under a group of 16 axis
+  maps (r -> -r, s -> -s, a half turn of both axes about z, y -> -y on
+  both), each mapping an even angle grid to itself.  The scan keeps the
+  lexicographically first cell of each orbit: (n/2)(n//4 + 1)
+  measurement axes against the n^2/2 feedback axes of the polar half,
+  544 x 2048 at n = 64 (:func:`_scan_grid`).
 * Screen and recheck.  The scan runs the kernel in float32 first, on
   coefficients scaled by a power of two, and bounds each row maximum's
   error by eps_r = 2^-19 (|bq_r|_1 + |cr_r|_1) plus an underflow term
   (derived at :func:`_screen`).  Only rows whose maximum can come within
   eps of the best are rerun in float64, so the scan returns exactly the
   cell, value and tie-break of a float64 pass over every row.  Where all
-  rows tie or nearly tie, every row is rerun and the scan costs about
-  1.5 times the plain float64 pass: at and near h = 0, for the extracted
-  target from h ~ 5 k on and for both targets from h ~ 30 k on.  Over the
-  README range h <= 3 k a 64-point scan reruns 2 to ~460 of its 2048
+  rows tie or nearly tie, every row is rerun and the scan costs 1.3 to
+  1.8 times the plain float64 pass: at and near h = 0, for the extracted
+  target from h ~ 5 k on and for both targets from h ~ 20 k on.  Over the
+  README range h <= 3 k a 64-point scan reruns 1 to ~120 of its 544
   rows.
 * Zoom refinement.  A 5^4 local grid around the best cell is evaluated in
   one kernel call and recentred on its best point; the steps halve when
@@ -298,11 +300,11 @@ def _envelope_into(buffers, row, basis):
 
 # measurement axes per kernel call in the scan, in the float32 screen and
 # in the float64 recheck.  On a 2-core Xeon with 2 MB of L2 per core the
-# screened 64-point scan took 13 ms at 16 and 32 with 2 rows rechecked
-# (h = 0.5), 20-30 % more at 4, 8 and 64 and 45 % more at 128; with all
-# 2048 rows rechecked (h = 0) 32-37 ms at 16 and 32, 10-20 % more at 8
-# and 64 and 35-40 % more at 4 and 128.  Three (16, 2048) float64 buffers
-# take 768 kB, float32 ones half of that
+# 64-point scan (544 rows) took 2.8-3.6 ms at 16 and 32 with 1 row
+# rechecked (h = 0.5), 15-30 % more at 8 and 64 and 55-80 % more at 4
+# and 128; with all 544 rows rechecked (h = 0) 6.5-7.6 ms at 16 and 32,
+# 15-35 % more at 8 and 64 and 40-60 % more at 4 and 128.  Three
+# (16, 2048) float64 buffers take 768 kB, float32 ones half of that
 _CHUNK = 16
 
 
@@ -377,25 +379,47 @@ def _best_cell(rows, raxes, saxes):
 
 
 def _scan_grid(rows, resolution):
-    """Exhaustive scan over the axis grid with theta maximised exactly.
+    """Exhaustive scan over the axis grid with theta maximised exactly,
+    one cell per symmetry orbit.
 
-    r -> -r and s -> -s each map theta -> -theta, so the envelope is even
-    in both axes.  For even `resolution` the antipode of grid point
-    (mu_i, nu_j) is the grid point (mu_{n-1-i}, nu_{j+n/2}), so only polar
-    indices i < n/2 are scanned on either axis.  Ties resolve to the
-    lexicographically first cell in (mu, nu, xi, eta) order; the kept cell
-    of each antipodal set is its lexicographically first member, so the
-    rule is the same as for the full grid.  Returns (value, axis angles,
-    rows the float64 pass reran).
+    The objective is invariant under a group of order 16 acting on the
+    axis pair (r, s), generated by
+      * r -> -r and s -> -s: each swaps Alice's outcomes n = +-1 and maps
+        theta -> -theta, and the theta envelope is even under that;
+      * the half turn R_z(pi) of both axes: the parity operator, sigma_z
+        on every site, commutes with H and psi is a parity eigenstate; it
+        flips sigma_x and sigma_y on every site, so it maps P_A(r) and
+        U_B(s) to P_A(R_z(pi) r) and U_B(R_z(pi) s) and leaves T (sigma_z
+        on B, sigma_x sigma_x on C2 B) unchanged;
+      * y -> -y on both axes: H is real, so psi can be taken real, and
+        complex conjugation flips only sigma_y, maps U_B(s, theta) to
+        U_B(s', -theta) and fixes T.
+    P_A, U_B and T act on sites A, B and the bond C2 B only, so no other
+    term of H enters.  On the grid (mu_i, nu_j) with even n these maps
+    send (i, j) to (n-1-i, j+n/2), (i, j+n/2) and (i, -j), indices of nu
+    mod n.  So every orbit has a member with i < n/2 on both axes and
+    j <= n//4 on the measurement axis ({j, -j, n/2+j, n/2-j} mod n always
+    meets [0, n//4]), and only those cells are scanned:
+    (n/2)(n//4 + 1) rows of measurement axes against n^2/2 feedback axes.
+
+    Ties resolve to the lexicographically first cell in (mu, nu, xi, eta)
+    index order, the rule of a full-grid scan.  Orbit-mates tie, so the
+    first maximal cell of the full grid is the first member of its orbit,
+    which the scan keeps, and the scanned rows run in the same order.
+    Returns (value, axis angles, rows the float64 pass reran, cells
+    scanned).
     """
     n = resolution
     polar = np.linspace(0.0, np.pi, n)[:n // 2]
     azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     axes = ops.axis_vector(*np.meshgrid(polar, azimuth, indexing="ij"))
     axes = axes.reshape(3, -1).T   # polar-major
-    value, r_idx, s_idx, rechecked = _best_cell(rows, axes, axes)
-    return value, (polar[r_idx // n], azimuth[r_idx % n],
-                   polar[s_idx // n], azimuth[s_idx % n]), rechecked
+    width = n // 4 + 1   # measurement azimuth indices 0..n//4
+    raxes = axes.reshape(n // 2, n, 3)[:, :width].reshape(-1, 3)
+    value, r_idx, s_idx, rechecked = _best_cell(rows, raxes, axes)
+    angles = (polar[r_idx // width], azimuth[r_idx % width],
+              polar[s_idx // n], azimuth[s_idx % n])
+    return value, angles, rechecked, len(raxes) * len(axes)
 
 
 _ZOOM = np.arange(-2.0, 3.0)       # local grid offsets, in steps
@@ -415,12 +439,18 @@ def _zoom(rows, angles, steps, tol=1e-15, min_step=1e-8,
     steps = np.array(steps, dtype=float)
     width = len(_ZOOM)
     buffers = np.empty((3, width**2, width**2))
+    axes = np.empty((2, width, width, 3))
     for rounds in range(1, max_rounds + 1):
         grid = x[:, None] + steps[:, None] * _ZOOM
         grid[[0, 2]] = np.clip(grid[[0, 2]], 0.0, np.pi)   # polar angles
-        raxes, saxes = (ops.axis_vector(*np.meshgrid(
-            polar, azimuth, indexing="ij")).reshape(3, -1).T
-            for polar, azimuth in (grid[:2], grid[2:]))
+        # both axis grids (sin p cos a, sin p sin a, cos p), polar-major,
+        # from one sin and one cos of all four angle rows
+        sin, cos = np.sin(grid), np.cos(grid)
+        polar_sin = sin[[0, 2], :, None]
+        axes[..., 0] = polar_sin * cos[[1, 3], None, :]
+        axes[..., 1] = polar_sin * sin[[1, 3], None, :]
+        axes[..., 2] = cos[[0, 2], :, None]
+        raxes, saxes = axes.reshape(2, -1, 3)
         envelope = _envelope_into(buffers, rows(raxes), _feedback_basis(saxes))
         envelope = envelope.ravel()
         best = int(envelope.argmax())
@@ -435,8 +465,8 @@ def _zoom(rows, angles, steps, tol=1e-15, min_step=1e-8,
 
 def validate_resolution(resolution: int) -> None:
     """Reject an oracle grid resolution that is not an integer, is below
-    64 or is odd (the halved scan needs the antipode of every grid axis on
-    the grid)."""
+    64 or is odd (the reduced scan needs the antipode and the half turn
+    about z of every grid axis on the grid)."""
     try:
         operator.index(resolution)
     except TypeError:
@@ -446,8 +476,8 @@ def validate_resolution(resolution: int) -> None:
         raise ValueError(f"resolution must be at least {MIN_RESOLUTION}")
     if resolution % 2:
         raise ValueError(f"resolution must be even, got {resolution}: the "
-                         f"halved scan needs the antipode of every grid "
-                         f"axis on the grid")
+                         f"scan needs the antipode of every grid axis on "
+                         f"the grid")
 
 
 def brute_force_max(state: GroundState, target: str,
@@ -460,7 +490,7 @@ def brute_force_max(state: GroundState, target: str,
     """
     validate_resolution(resolution)
     rows = _row_engine(state, target)
-    _, angles, rechecked = _scan_grid(rows, resolution)
+    _, angles, rechecked, cells = _scan_grid(rows, resolution)
     steps = (np.pi / resolution, 2.0 * np.pi / resolution) * 2
     (mu, nu, xi, eta), rounds, converged = _zoom(rows, angles, steps)
     a, b, c = (float(x[0, 0]) for x in _coefficients(
@@ -476,8 +506,8 @@ def brute_force_max(state: GroundState, target: str,
                        sin_2theta=np.sin(2.0 * theta),
                        cos_2theta=np.cos(2.0 * theta), bond_reduction=bond,
                        converged=converged, rounds=rounds,
-                       evaluations=(resolution**2 // 2)**2
-                       + rounds * len(_ZOOM)**4, rechecked_rows=rechecked)
+                       evaluations=cells + rounds * len(_ZOOM)**4,
+                       rechecked_rows=rechecked)
 
 
 # ---------------------------------------------------------------------------

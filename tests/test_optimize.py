@@ -5,7 +5,7 @@ import pytest
 
 from qetsim import model, optimize, protocol
 from qetsim.model import ModelParams, energy_decomposition, ground_state
-from qetsim.operators import axis_vector
+from qetsim.operators import axis_vector, even_parity_indices
 from qetsim.optimize import (MIN_RESOLUTION, TARGET_EXTRACTED, TARGET_SITE,
                              brute_force_max, crossover_field,
                              max_extracted_energy, max_site_reduction,
@@ -28,6 +28,15 @@ SCAN_FIELDS = [pytest.param(h, 1.0, id=str(h))
 
 def gs(h, k=1.0):
     return ground_state(ModelParams(h=h, k=k))
+
+
+def halved_grid(n):
+    """Polar half of the n-point axis grid: (polar, azimuth, axes), axes
+    polar-major."""
+    polar = np.linspace(0.0, np.pi, n)[:n // 2]
+    azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return polar, azimuth, axis_vector(*np.meshgrid(
+        polar, azimuth, indexing="ij")).reshape(3, -1).T
 
 
 class TestClosedFormMaxima:
@@ -218,23 +227,67 @@ class TestBruteForce:
             i, j = np.unravel_index(envelope.argmax(), envelope.shape)
             if envelope[i, j] > full:
                 full, r_idx, s_idx = envelope[i, j], lo + i, j
-        value, angles, rechecked = optimize._scan_grid(
+        value, angles, rechecked, _ = optimize._scan_grid(
             optimize._row_engine(state, target), n)
         assert angles == (polar[r_idx // n], azimuth[r_idx % n],
                           polar[s_idx // n], azimuth[s_idx % n])
         assert abs(value - full) < 1e-15 * k
-        assert 1 <= rechecked <= n * n // 2
+        assert 1 <= rechecked <= (n // 2) * (n // 4 + 1)
+
+    @pytest.mark.parametrize("n", [MIN_RESOLUTION, 66])
+    @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
+    @pytest.mark.parametrize("h, k", SCAN_FIELDS)
+    def test_reduced_scan_matches_the_halved_scan(self, h, k, target, n):
+        # one measurement-axis row per symmetry orbit gives the same value
+        # and cell as every row of the polar half; n = 66 has no azimuth
+        # index n/4
+        rows = optimize._row_engine(gs(h, k), target)
+        polar, azimuth, axes = halved_grid(n)
+        value, r_idx, s_idx, _ = optimize._best_cell(rows, axes, axes)
+        assert optimize._scan_grid(rows, n)[:2] == (value, (
+            polar[r_idx // n], azimuth[r_idx % n],
+            polar[s_idx // n], azimuth[s_idx % n]))
+
+    @pytest.mark.parametrize("h, k", SCAN_FIELDS)
+    def test_symmetry_preconditions(self, h, k):
+        # the reduced scan relies on a real ground state of even parity
+        # and on real terms next to Bob's site
+        state = gs(h, k)
+        odd = np.setdiff1d(np.arange(16), even_parity_indices())
+        assert not np.any(state.vector.imag)
+        assert not np.any(state.vector[odd])
+        terms = model.build_hamiltonian(state.params)
+        assert not np.any(terms.site_b.imag)
+        assert not np.any(terms.bond_right.imag)
+
+    @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
+    @pytest.mark.parametrize("h, k", SCAN_FIELDS)
+    def test_row_maximum_is_symmetric(self, h, k, target):
+        # over the full feedback grid, r, its half turn about z and r with
+        # y negated have the same row maximum, to the rounding of
+        # sqrt(b^2 + c^2) - b, whose b is of size h + k
+        n = MIN_RESOLUTION
+        rng = np.random.default_rng(14)
+        r = rng.normal(size=(20, 3))
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+        raxes = np.concatenate([r, r * [-1.0, -1.0, 1.0],
+                                r * [1.0, -1.0, 1.0]])
+        polar = np.linspace(0.0, np.pi, n)
+        azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        saxes = axis_vector(*np.meshgrid(polar, azimuth,
+                                         indexing="ij")).reshape(3, -1).T
+        row = optimize._row_engine(gs(h, k), target)(raxes)
+        top = optimize._envelope_into(np.empty((3, 60, len(saxes))), row,
+                                      optimize._feedback_basis(saxes)).max(1)
+        top = top.reshape(3, 20)
+        assert np.abs(top[1:] - top[0]).max() <= 1e-15 * (h + k)
 
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
     def test_screen_bound_covers_the_float32_error(self, h, k, target):
         # every row maximum of the float32 screen lies within its bound of
         # the row maximum of the float64 kernel
-        n = MIN_RESOLUTION
-        polar = np.linspace(0.0, np.pi, n)[:n // 2]
-        azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        axes = axis_vector(*np.meshgrid(polar, azimuth,
-                                        indexing="ij")).reshape(3, -1).T
+        _, _, axes = halved_grid(MIN_RESOLUTION)
         row = optimize._row_engine(gs(h, k), target)(axes)
         basis = optimize._feedback_basis(axes)
         screen, eps = optimize._screen(row, basis)
@@ -252,8 +305,13 @@ class TestBruteForce:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cert.rechecked_rows == MIN_RESOLUTION**2 // 2
+        n = MIN_RESOLUTION
+        assert cert.rechecked_rows == (n // 2) * (n // 4 + 1)
         assert peak < 3e6
+
+    def test_evaluations_count_the_scanned_cells(self):
+        cert = brute_force_max(gs(0.3), TARGET_EXTRACTED)
+        assert cert.evaluations == 544 * 2048 + cert.rounds * 625
 
     def test_rechecked_rows(self):
         state = gs(0.3)

@@ -2,9 +2,10 @@
 """Optimal protocol parameters: closed forms against the grid oracle.
 
 The maxima of the extracted energy and of Bob's local energy reduction
-have closed forms driven by two different edge correlators.  A brute
-grid search over all five protocol angles, which never touches those
-formulas, lands on the same values.
+have closed forms driven by two different edge correlators.  A search
+that never touches those formulas (Bob's rotation maximised exactly for
+every measurement axis of a grid, then all four axis angles refined)
+lands on the same values.
 """
 
 import numpy as np

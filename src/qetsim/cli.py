@@ -26,7 +26,7 @@ from . import chain as chain_mod
 from . import checks as checks_mod
 from .model import (MAX_FIELD_RATIO, ModelParams, even_sector_spectrum,
                     ground_state)
-from .optimize import MIN_RESOLUTION, protocol_sweep
+from .optimize import MAX_RESOLUTION, MIN_RESOLUTION, protocol_sweep
 from .protocol import correlators_closed
 from .thermo import thermo_sweep
 
@@ -223,7 +223,7 @@ def _build_parser():
                    help="seed for the sampled-property checks")
     p.add_argument("--grid", type=int, default=MIN_RESOLUTION,
                    help="angle-grid resolution for the optimizer oracle "
-                        "(even, at least 64)")
+                        f"(even, {MIN_RESOLUTION} to {MAX_RESOLUTION})")
     p.set_defaults(func=cmd_verify)
     return parser
 

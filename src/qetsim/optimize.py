@@ -31,35 +31,29 @@ any fixed grid spacing once the edge field is large.
   per r, ten coefficients bq with b = bq . (s (x) s, 1) and three
   coefficients cr with c = cr . s.  For a set of feedback axes, b and c
   are two matrix products with one basis.  :func:`sinusoid_engine`
-  returns (a, b, c) as a view over this stage.
-* Fused envelope kernel.  The maximum over theta, sqrt(b^2 + c^2) - b,
-  is evaluated with in-place ufuncs in preallocated buffers of `_CHUNK`
-  measurement axes, followed by the row argmax; the scan and the zoom
-  both run on it.
-* Reduced scan.  The objective is invariant under a group of 16 axis
-  maps (r -> -r, s -> -s, a half turn of both axes about z, y -> -y on
-  both), each mapping an even angle grid to itself.  The scan keeps the
-  lexicographically first cell of each orbit: (n/2)(n//4 + 1)
-  measurement axes against the n^2/2 feedback axes of the polar half,
-  544 x 2048 at n = 64 (:func:`_scan_grid`).
-* Screen and recheck.  The scan runs the kernel in float32 first, on
-  coefficients scaled by a power of two, and bounds each row maximum's
-  error by eps_r = 2^-19 (|bq_r|_1 + |cr_r|_1) plus an underflow term
-  (derived at :func:`_screen`).  Only rows whose maximum can come within
-  eps of the best are rerun in float64, so the scan returns exactly the
-  cell, value and tie-break of a float64 pass over every row.  Where all
-  rows tie or nearly tie, every row is rerun and the scan costs 1.3 to
-  1.8 times the plain float64 pass: at and near h = 0, for the extracted
-  target from h ~ 5 k on and for both targets from h ~ 20 k on.  Over the
-  README range h <= 3 k a 64-point scan reruns 1 to ~120 of its 544
-  rows.
-* Zoom refinement.  A 5^4 local grid around the best cell is evaluated in
-  one kernel call and recentred on its best point; the steps halve when
-  no neighbour gains, and the search stops when every step is below 1e-8.
+  returns (a, b, c) as a view over this stage.  Bob's rotation is also
+  the unit quaternion y = (cos theta, sin theta s), and the objective
+  -2 b sin^2 theta + 2 c sin theta cos theta is the quadratic form
+  y^T K(r) y of a 4 x 4 real symmetric matrix built from (bq, cr)
+  (:func:`_rotation_form`), so the maximum over s and theta for one
+  measurement axis is the top eigenvalue of K(r).
+* Reduced scan.  That row maximum is invariant under a group of 8 maps
+  of r (r -> -r, the half turn about z, y -> -y), each mapping an even
+  angle grid to itself.  The scan keeps the first axis of each orbit,
+  (n/2)(n//4 + 1) measurement axes, 544 at n = 64, and takes their top
+  eigenvalues in one stacked eigvalsh (:func:`_scan_grid`).
+* Zoom refinement.  Starting at the best measurement axis, with the
+  feedback axis of its top eigenvector, a 5^4 local grid of the four
+  axis angles is evaluated in one call of the fused envelope kernel
+  (the maximum over theta, sqrt(b^2 + c^2) - b, with in-place ufuncs in
+  preallocated buffers) and recentred on its best point; the steps halve
+  when no neighbour gains, and the search stops when every step is below
+  1e-8.
 * Convergence.  The certificate records whether the refinement met that
   step tolerance within its round limit, its round count and the number of
-  (r, s) cells evaluated; :func:`qetsim.checks.check_brute_force` fails on
-  a certificate that did not converge.
+  measurement axes scanned plus (r, s) cells refined;
+  :func:`qetsim.checks.check_brute_force` fails on a certificate that did
+  not converge.
 """
 
 from __future__ import annotations
@@ -80,6 +74,7 @@ TARGET_SITE = "site_reduction"
 _TARGETS = (TARGET_EXTRACTED, TARGET_SITE)
 
 MIN_RESOLUTION = 64
+MAX_RESOLUTION = 1024   # 131 584 scanned measurement axes
 
 # angles of the constant axes of the closed forms, computed once: the
 # conversion from vectors costs more than the closed forms themselves.
@@ -106,11 +101,11 @@ class Certificate:
 
     `converged`, `rounds` and `evaluations` describe the search that found
     the optimum: whether the refinement met its step tolerance, how many
-    refinement rounds it took, and how many (measurement axis, feedback
-    axis) cells the scan and the refinement evaluated.  `rechecked_rows`
-    is the number of scan rows (measurement axes) that the float64 pass
-    reran after the float32 screen.  Closed-form certificates involve no
-    search: converged, 0 rounds, 0 evaluations, 0 rechecked rows.
+    refinement rounds it took, and how many evaluations it made: one per
+    measurement axis of the scan (each maximised over the feedback axis
+    and theta at once) plus one per (measurement axis, feedback axis)
+    cell of the refinement.  Closed-form certificates involve no search:
+    converged, 0 rounds, 0 evaluations.
     """
 
     target: str
@@ -125,7 +120,6 @@ class Certificate:
     converged: bool = True
     rounds: int = 0
     evaluations: int = 0
-    rechecked_rows: int = 0
 
 
 def _closed_certificate(target, amplitude, cross, axes,
@@ -283,11 +277,11 @@ def _envelope_into(buffers, row, basis):
 
     `row` is the row stage ``(bq, cr)`` of m measurement axes and
     `basis` the :func:`_feedback_basis` of n feedback axes.  Works in place
-    in the preallocated `buffers` of shape (3, >= m, n) and returns the
+    in the preallocated `buffers` of shape (3, m, n) and returns the
     (m, n) envelope, a view into them.
     """
     bq, cr = row
-    out, b, c = buffers[:, :len(bq)]
+    out, b, c = buffers
     np.matmul(bq, basis[:10], out=b)
     np.matmul(cr, basis[10:], out=c)
     np.multiply(c, c, out=c)
@@ -298,128 +292,73 @@ def _envelope_into(buffers, row, basis):
     return out
 
 
-# measurement axes per kernel call in the scan, in the float32 screen and
-# in the float64 recheck.  On a 2-core Xeon with 2 MB of L2 per core the
-# 64-point scan (544 rows) took 2.8-3.6 ms at 16 and 32 with 1 row
-# rechecked (h = 0.5), 15-30 % more at 8 and 64 and 55-80 % more at 4
-# and 128; with all 544 rows rechecked (h = 0) 6.5-7.6 ms at 16 and 32,
-# 15-35 % more at 8 and 64 and 40-60 % more at 4 and 128.  Three
-# (16, 2048) float64 buffers take 768 kB, float32 ones half of that
-_CHUNK = 16
+def _rotation_form(row):
+    """The objective's quadratic form in Bob's rotation, per measurement
+    axis: for the row stage `row` of m axes, the (m, 4, 4) real symmetric
 
+        K(r) = [[0, cr^T], [cr, -(B + B^T) - 2 beta I]],
 
-def _screen(row, basis):
-    """Float32 screen of the scan: per measurement axis r, the largest
-    envelope over the feedback axes of `basis`, and a bound eps_r on its
-    distance from the maximum the float64 kernel finds for that row.
-
-    The float32 kernel runs on bq and cr scaled by one exact power of two,
-    so that every k that ModelParams accepts stays in float32 range; the
-    row maxima are scaled back in float64.
-
-    The bound.  Let B and C be the 1-norms of a row of bq and of cr,
-    scaled so that B + C <= 1; every basis entry is at most 1 in size.
-    With u = 2^-24 and gamma_n = n u / (1 - n u), rounding bq, cr and the
-    basis to float32 and a K-term dot product in any order, fused or not,
-    give |b32 - b| <= gamma_12 B + 2^-144 and |c32 - c| <= gamma_5 C +
-    2^-146, the absolute terms covering underflow.  The envelope
-    g(b, c) = sqrt(b^2 + c^2) - b moves by at most 2 |db| + |dc|.  Its
-    float32 evaluation at (b32, c32) rounds the two squares, the sum, the
-    sqrt and the subtraction: the error is at most gamma_5 R + 2^-73.9 with
-    R = hypot(b32, c32) <= |b32| + |c32|, where the absolute term is the
-    sqrt of the squares' underflow, sqrt(2^-149).  In all, one cell is off
-    by at most 30 u (B + C) + 2^-73, and a row maximum by no more than its
-    worst cell.  The float64 kernel itself is off the exact envelope by
-    less than 2^-48 (B + C) (its underflow term, 2^-536, is far below
-    2^-73 / scale, because k >= 1e-100 keeps the largest B + C above
-    2^-400), and forming screen +- eps rounds once more; 2^-19 = 32 u
-    covers all of it.
+    with B = bq[:9] as a 3 x 3 matrix and beta = bq[9].  On a unit axis s,
+    b = s^T B s + beta, so for the unit quaternion y = (cos theta,
+    sin theta s) the objective -2 b sin^2 theta + 2 c sin theta cos theta
+    equals y^T K(r) y.  Every unit y is some (s, theta), so the maximum
+    over s and theta is the top eigenvalue of K(r), attained at its
+    eigenvector.
     """
     bq, cr = row
-    weight = np.abs(bq).sum(axis=1) + np.abs(cr).sum(axis=1)   # B + C
-    scale = np.ldexp(1.0, -np.frexp(weight.max())[1])
-    row32 = [(scale * x).astype(np.float32) for x in row]
-    basis32 = basis.astype(np.float32)
-    buffers = np.empty((3, _CHUNK, basis.shape[1]), np.float32)
-    top = np.empty(len(bq))
-    for lo in range(0, len(bq), _CHUNK):
-        top[lo:lo + _CHUNK] = _envelope_into(
-            buffers, [x[lo:lo + _CHUNK] for x in row32], basis32).max(axis=1)
-    return top / scale, 2.0**-19 * weight + 2.0**-73 / scale
-
-
-def _best_cell(rows, raxes, saxes):
-    """Largest theta envelope over every (r, s) pair.
-
-    A float32 screen (:func:`_screen`) bounds every row's maximum; only
-    the rows whose bound reaches the best lower bound can hold the winning
-    cell, and only those are rerun through the float64 kernel, so the
-    result is the one a float64 pass over every row gives.  Returns
-    (value, r index, s index, rows rerun); ties resolve to the first r
-    index, then the first s index.
-    """
-    row = rows(raxes)
-    basis = _feedback_basis(saxes)
-    screen, eps = _screen(row, basis)
-    keep = np.flatnonzero(screen + eps >= (screen - eps).max())
-    # the last kept row pads the last chunk: a duplicate ties with its
-    # original and loses to it, and every product has _CHUNK rows, as in
-    # a pass over all rows (a one-row product takes BLAS's matrix-vector
-    # route, whose sums can differ in the last bit)
-    padded = np.pad(keep, (0, -len(keep) % _CHUNK), mode="edge")
-    buffers = np.empty((3, _CHUNK, len(saxes)))
-    value, r_idx, s_idx = -np.inf, 0, 0
-    for lo in range(0, len(padded), _CHUNK):
-        idx = padded[lo:lo + _CHUNK]
-        envelope = _envelope_into(buffers, [x[idx] for x in row], basis)
-        i, j = divmod(int(envelope.argmax()), len(saxes))
-        if envelope[i, j] > value:
-            value, r_idx, s_idx = float(envelope[i, j]), int(idx[i]), j
-    return value, r_idx, s_idx, len(keep)
+    quad = bq[:, :9].reshape(-1, 3, 3)
+    form = np.zeros((len(bq), 4, 4))
+    form[:, 0, 1:] = form[:, 1:, 0] = cr
+    form[:, 1:, 1:] = -(quad + quad.transpose(0, 2, 1))
+    form[:, [1, 2, 3], [1, 2, 3]] -= 2.0 * bq[:, 9:]
+    return form
 
 
 def _scan_grid(rows, resolution):
-    """Exhaustive scan over the axis grid with theta maximised exactly,
-    one cell per symmetry orbit.
+    """Exhaustive scan over the measurement axes of the angle grid, with
+    the feedback axis and theta maximised exactly (:func:`_rotation_form`),
+    one axis per symmetry orbit.
 
-    The objective is invariant under a group of order 16 acting on the
-    axis pair (r, s), generated by
-      * r -> -r and s -> -s: each swaps Alice's outcomes n = +-1 and maps
-        theta -> -theta, and the theta envelope is even under that;
-      * the half turn R_z(pi) of both axes: the parity operator, sigma_z
-        on every site, commutes with H and psi is a parity eigenstate; it
-        flips sigma_x and sigma_y on every site, so it maps P_A(r) and
-        U_B(s) to P_A(R_z(pi) r) and U_B(R_z(pi) s) and leaves T (sigma_z
-        on B, sigma_x sigma_x on C2 B) unchanged;
-      * y -> -y on both axes: H is real, so psi can be taken real, and
-        complex conjugation flips only sigma_y, maps U_B(s, theta) to
-        U_B(s', -theta) and fixes T.
-    P_A, U_B and T act on sites A, B and the bond C2 B only, so no other
-    term of H enters.  On the grid (mu_i, nu_j) with even n these maps
-    send (i, j) to (n-1-i, j+n/2), (i, j+n/2) and (i, -j), indices of nu
-    mod n.  So every orbit has a member with i < n/2 on both axes and
-    j <= n//4 on the measurement axis ({j, -j, n/2+j, n/2-j} mod n always
-    meets [0, n//4]), and only those cells are scanned:
-    (n/2)(n//4 + 1) rows of measurement axes against n^2/2 feedback axes.
+    The row maximum is invariant under a group of order 8 acting on the
+    measurement axis r, generated by
+      * r -> -r: it swaps Alice's outcomes n = +-1 and maps theta -> -theta;
+      * the half turn R_z(pi): the parity operator, sigma_z on every site,
+        commutes with H and psi is a parity eigenstate; it flips sigma_x
+        and sigma_y on every site, so it maps P_A(r) and U_B(s) to
+        P_A(R_z(pi) r) and U_B(R_z(pi) s) and leaves T (sigma_z on B,
+        sigma_x sigma_x on C2 B) unchanged;
+      * y -> -y: H is real, so psi can be taken real, and complex
+        conjugation flips only sigma_y, maps U_B(s, theta) to U_B(s',
+        -theta), s' being s with y negated, and fixes T.
+    Each map changes the feedback axis and theta along with r, over all
+    of which the row maximum is taken.  P_A, U_B and T act on sites A, B
+    and the bond C2 B only, so no other term of H enters.  On the grid
+    (mu_i, nu_j) with even n the maps send (i, j) to (n-1-i, j+n/2),
+    (i, j+n/2) and (i, -j), indices of nu mod n.  So every orbit has a
+    member with i < n/2 and j <= n//4 ({j, -j, n/2+j, n/2-j} mod n always
+    meets [0, n//4]), and only those (n/2)(n//4 + 1) axes are scanned.
 
-    Ties resolve to the lexicographically first cell in (mu, nu, xi, eta)
-    index order, the rule of a full-grid scan.  Orbit-mates tie, so the
-    first maximal cell of the full grid is the first member of its orbit,
-    which the scan keeps, and the scanned rows run in the same order.
-    Returns (value, axis angles, rows the float64 pass reran, cells
-    scanned).
+    Ties resolve to the first scanned axis.  The feedback axis comes from
+    the winner's top eigenvector y as the direction of (y_1, y_2, y_3), or
+    the z axis where that part is zero (theta = 0); the refinement
+    maximises over theta itself, and its envelope is even in s.  Returns
+    (value, axis angles, axes scanned).
     """
     n = resolution
     polar = np.linspace(0.0, np.pi, n)[:n // 2]
-    azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    axes = ops.axis_vector(*np.meshgrid(polar, azimuth, indexing="ij"))
-    axes = axes.reshape(3, -1).T   # polar-major
-    width = n // 4 + 1   # measurement azimuth indices 0..n//4
-    raxes = axes.reshape(n // 2, n, 3)[:, :width].reshape(-1, 3)
-    value, r_idx, s_idx, rechecked = _best_cell(rows, raxes, axes)
-    angles = (polar[r_idx // width], azimuth[r_idx % width],
-              polar[s_idx // n], azimuth[s_idx % n])
-    return value, angles, rechecked, len(raxes) * len(axes)
+    azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)[:n // 4 + 1]
+    raxes = ops.axis_vector(*np.meshgrid(polar, azimuth, indexing="ij"))
+    raxes = raxes.reshape(3, -1).T   # polar-major
+    form = _rotation_form(rows(raxes))
+    top = np.linalg.eigvalsh(form)[:, -1]
+    best = int(top.argmax())
+    sx, sy, sz = np.linalg.eigh(form[best])[1][1:, -1]
+    norm = np.sqrt(sx * sx + sy * sy + sz * sz)
+    feedback = ((np.arccos(np.clip(sz / norm, -1.0, 1.0)),
+                 np.arctan2(sy, sx)) if norm > 0.0 else (0.0, 0.0))
+    return (float(top[best]), (polar[best // len(azimuth)],
+                               azimuth[best % len(azimuth)], *feedback),
+            len(raxes))
 
 
 _ZOOM = np.arange(-2.0, 3.0)       # local grid offsets, in steps
@@ -465,8 +404,8 @@ def _zoom(rows, angles, steps, tol=1e-15, min_step=1e-8,
 
 def validate_resolution(resolution: int) -> None:
     """Reject an oracle grid resolution that is not an integer, is below
-    64 or is odd (the reduced scan needs the antipode and the half turn
-    about z of every grid axis on the grid)."""
+    64 or above 1024, or is odd (the reduced scan needs the antipode and
+    the half turn about z of every grid axis on the grid)."""
     try:
         operator.index(resolution)
     except TypeError:
@@ -474,6 +413,9 @@ def validate_resolution(resolution: int) -> None:
                         f"{resolution!r}") from None
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be at least {MIN_RESOLUTION}")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, "
+                         f"got {resolution}")
     if resolution % 2:
         raise ValueError(f"resolution must be even, got {resolution}: the "
                          f"scan needs the antipode of every grid axis on "
@@ -484,13 +426,13 @@ def brute_force_max(state: GroundState, target: str,
                     resolution: int = MIN_RESOLUTION) -> Certificate:
     """Grid scan plus local refinement of the matrix-element objective.
 
-    `resolution` is the number of points per angle: even, and at least
-    64.  The certificate's sinusoid fields come from the engine at the
+    `resolution` is the number of points per angle: even, from 64 to
+    1024.  The certificate's sinusoid fields come from the engine at the
     optimal axes, keeping the whole oracle independent of the closed forms.
     """
     validate_resolution(resolution)
     rows = _row_engine(state, target)
-    _, angles, rechecked, cells = _scan_grid(rows, resolution)
+    _, angles, scanned = _scan_grid(rows, resolution)
     steps = (np.pi / resolution, 2.0 * np.pi / resolution) * 2
     (mu, nu, xi, eta), rounds, converged = _zoom(rows, angles, steps)
     a, b, c = (float(x[0, 0]) for x in _coefficients(
@@ -506,8 +448,7 @@ def brute_force_max(state: GroundState, target: str,
                        sin_2theta=np.sin(2.0 * theta),
                        cos_2theta=np.cos(2.0 * theta), bond_reduction=bond,
                        converged=converged, rounds=rounds,
-                       evaluations=cells + rounds * len(_ZOOM)**4,
-                       rechecked_rows=rechecked)
+                       evaluations=scanned + rounds * len(_ZOOM)**4)
 
 
 # ---------------------------------------------------------------------------

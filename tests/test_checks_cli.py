@@ -189,6 +189,14 @@ class TestCli:
         assert cli.main(["verify", "--grid", "65"]) == 2
         assert "even" in capsys.readouterr().err
 
+    def test_verify_grid_ceiling_exit_code(self, capsys):
+        # refused before any check runs, so nothing is allocated
+        grid = optimize_mod.MAX_RESOLUTION + 2
+        assert cli.main(["verify", "--grid", str(grid)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "at most" in err
+
     def test_io_error_exit_code(self, tmp_path):
         missing_dir = tmp_path / "nope" / "out.csv"
         assert cli.main(["spectrum", "--out", str(missing_dir)]) == 2

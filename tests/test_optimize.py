@@ -30,13 +30,13 @@ def gs(h, k=1.0):
     return ground_state(ModelParams(h=h, k=k))
 
 
-def halved_grid(n):
-    """Polar half of the n-point axis grid: (polar, azimuth, axes), axes
-    polar-major."""
-    polar = np.linspace(0.0, np.pi, n)[:n // 2]
+def grid_axes(n, polar_points=None):
+    """Axes of the n-point angle grid, polar-major, or of its first
+    `polar_points` polar angles."""
+    polar = np.linspace(0.0, np.pi, n)[:polar_points]
     azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    return polar, azimuth, axis_vector(*np.meshgrid(
-        polar, azimuth, indexing="ij")).reshape(3, -1).T
+    return axis_vector(*np.meshgrid(polar, azimuth,
+                                    indexing="ij")).reshape(3, -1).T
 
 
 class TestClosedFormMaxima:
@@ -211,42 +211,34 @@ class TestBruteForce:
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
     def test_halved_scan_picks_the_full_grid_cell(self, h, k, target):
-        # reference: every cell of the full 64^4 axis grid through the
-        # public (a, b, c) view and a plain float64 envelope, not the
-        # screened scan or the fused kernel
+        # lower bound: every cell of the full 64^4 axis grid through the
+        # public (a, b, c) view and a plain float64 envelope; upper bound:
+        # the closed form, which no axis pair can beat
         n = MIN_RESOLUTION
         state = gs(h, k)
         coefficients = sinusoid_engine(state, target)
-        polar = np.linspace(0.0, np.pi, n)
-        azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        axes = np.array([axis_vector(p, a) for p in polar for a in azimuth])
-        full, r_idx, s_idx = -np.inf, 0, 0
+        axes = grid_axes(n)
+        full = -np.inf
         for lo in range(0, len(axes), 256):
             a, b, c = coefficients(axes[lo:lo + 256], axes)
-            envelope = a + np.sqrt(b * b + c * c)
-            i, j = np.unravel_index(envelope.argmax(), envelope.shape)
-            if envelope[i, j] > full:
-                full, r_idx, s_idx = envelope[i, j], lo + i, j
-        value, angles, rechecked, _ = optimize._scan_grid(
-            optimize._row_engine(state, target), n)
-        assert angles == (polar[r_idx // n], azimuth[r_idx % n],
-                          polar[s_idx // n], azimuth[s_idx % n])
-        assert abs(value - full) < 1e-15 * k
-        assert 1 <= rechecked <= (n // 2) * (n // 4 + 1)
+            full = max(full, (a + np.sqrt(b * b + c * c)).max())
+        closed = (max_extracted_energy if target == TARGET_EXTRACTED
+                  else max_site_reduction)(state).value
+        value = optimize._scan_grid(optimize._row_engine(state, target), n)[0]
+        assert full - 1e-15 * k <= value <= closed + 1e-15 * k
 
     @pytest.mark.parametrize("n", [MIN_RESOLUTION, 66])
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
     def test_reduced_scan_matches_the_halved_scan(self, h, k, target, n):
-        # one measurement-axis row per symmetry orbit gives the same value
-        # and cell as every row of the polar half; n = 66 has no azimuth
+        # one measurement axis per symmetry orbit gives the largest row
+        # maximum of every axis of the polar half; n = 66 has no azimuth
         # index n/4
         rows = optimize._row_engine(gs(h, k), target)
-        polar, azimuth, axes = halved_grid(n)
-        value, r_idx, s_idx, _ = optimize._best_cell(rows, axes, axes)
-        assert optimize._scan_grid(rows, n)[:2] == (value, (
-            polar[r_idx // n], azimuth[r_idx % n],
-            polar[s_idx // n], azimuth[s_idx % n]))
+        axes = grid_axes(n, n // 2)
+        top = np.linalg.eigvalsh(optimize._rotation_form(rows(axes)))[:, -1]
+        value = optimize._scan_grid(rows, n)[0]
+        assert abs(value - top.max()) <= 1e-15 * (h + k)
 
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
     def test_symmetry_preconditions(self, h, k):
@@ -266,16 +258,12 @@ class TestBruteForce:
         # over the full feedback grid, r, its half turn about z and r with
         # y negated have the same row maximum, to the rounding of
         # sqrt(b^2 + c^2) - b, whose b is of size h + k
-        n = MIN_RESOLUTION
         rng = np.random.default_rng(14)
         r = rng.normal(size=(20, 3))
         r /= np.linalg.norm(r, axis=1, keepdims=True)
         raxes = np.concatenate([r, r * [-1.0, -1.0, 1.0],
                                 r * [1.0, -1.0, 1.0]])
-        polar = np.linspace(0.0, np.pi, n)
-        azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        saxes = axis_vector(*np.meshgrid(polar, azimuth,
-                                         indexing="ij")).reshape(3, -1).T
+        saxes = grid_axes(MIN_RESOLUTION)
         row = optimize._row_engine(gs(h, k), target)(raxes)
         top = optimize._envelope_into(np.empty((3, 60, len(saxes))), row,
                                       optimize._feedback_basis(saxes)).max(1)
@@ -284,41 +272,66 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
-    def test_screen_bound_covers_the_float32_error(self, h, k, target):
-        # every row maximum of the float32 screen lies within its bound of
-        # the row maximum of the float64 kernel
-        _, _, axes = halved_grid(MIN_RESOLUTION)
-        row = optimize._row_engine(gs(h, k), target)(axes)
-        basis = optimize._feedback_basis(axes)
-        screen, eps = optimize._screen(row, basis)
-        buffers = np.empty((3, 256, len(axes)))
-        exact = np.concatenate([optimize._envelope_into(
-            buffers, [x[lo:lo + 256] for x in row], basis).max(axis=1)
-            for lo in range(0, len(axes), 256)])
-        assert np.all(np.abs(screen - exact) <= eps)
+    def test_row_maximum_is_the_top_eigenvalue(self, h, k, target):
+        # the top eigenvalue of K(r) bounds the theta envelope of every
+        # feedback axis of the grid, its eigenvector (either sign) attains
+        # it, and it is invariant under r -> -r, the half turn about z and
+        # y -> -y, to the rounding of terms of size h + k
+        tol = 1e-15 * (h + k)
+        rng = np.random.default_rng(15)
+        r = rng.normal(size=(20, 3))
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+        raxes = np.concatenate([r, -r, r * [-1.0, -1.0, 1.0],
+                                r * [1.0, -1.0, 1.0]])
+        state = gs(h, k)
+        rows = optimize._row_engine(state, target)
+        coefficients = sinusoid_engine(state, target)
+        value, vectors = np.linalg.eigh(optimize._rotation_form(rows(r)))
+        top = np.linalg.eigvalsh(optimize._rotation_form(rows(raxes)))
+        top = top[:, -1].reshape(4, 20)
+        assert np.abs(top - value[:, -1]).max() <= tol
+
+        a, b, c = coefficients(r, grid_axes(MIN_RESOLUTION))
+        assert np.all(a + np.sqrt(b * b + c * c) <= value[:, -1:] + tol)
+
+        for y in (vectors[:, :, -1], -vectors[:, :, -1]):
+            norm = np.linalg.norm(y[:, 1:], axis=1)
+            s = np.where(norm[:, None] > 0.0, y[:, 1:] / norm[:, None],
+                         [0.0, 0.0, 1.0])
+            theta = np.arctan2(norm, y[:, 0])
+            a, b, c = (np.diagonal(x) for x in coefficients(r, s))
+            attained = a + b * np.cos(2 * theta) + c * np.sin(2 * theta)
+            assert np.abs(attained - value[:, -1]).max() <= tol
 
     def test_full_recheck_stays_in_chunks(self):
-        # at h = 0 every row ties, so the float64 pass reruns all of them
+        # the scan's working set stays small at h = 0, where every row ties
         tracemalloc.start()
         try:
-            cert = brute_force_max(gs(0.0), TARGET_EXTRACTED)
+            brute_force_max(gs(0.0), TARGET_EXTRACTED)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n = MIN_RESOLUTION
-        assert cert.rechecked_rows == (n // 2) * (n // 4 + 1)
         assert peak < 3e6
 
     def test_evaluations_count_the_scanned_cells(self):
         cert = brute_force_max(gs(0.3), TARGET_EXTRACTED)
-        assert cert.evaluations == 544 * 2048 + cert.rounds * 625
+        assert cert.evaluations == 544 + cert.rounds * 625
 
-    def test_rechecked_rows(self):
-        state = gs(0.3)
-        assert max_extracted_energy(state).rechecked_rows == 0
-        assert max_site_reduction(state).rechecked_rows == 0
-        cert = brute_force_max(state, TARGET_SITE)
-        assert 1 <= cert.rechecked_rows < MIN_RESOLUTION**2 // 2
+    @pytest.mark.parametrize("k", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
+    def test_zero_field_certificate(self, target, k):
+        # every row maximum is 0 and the top eigenvector may have no
+        # feedback part; the certificate must still be a reachable point
+        state = gs(0.0, k)
+        cert = brute_force_max(state, target)
+        params = cert.params
+        assert cert.converged
+        assert np.all(np.isfinite([params.mu, params.nu, params.xi,
+                                   params.eta, params.theta]))
+        ledger = run_protocol(state, params)
+        direct = (ledger.extracted if target == TARGET_EXTRACTED
+                  else ledger.extracted_site)
+        assert abs(direct - cert.value) <= 1e-15 * k
 
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     def test_fused_envelope_matches_plain(self, target):

@@ -4,8 +4,8 @@
 The maxima of the extracted energy and of Bob's local energy reduction
 have closed forms driven by two different edge correlators.  A search
 that never touches those formulas (Bob's rotation maximised exactly for
-every measurement axis of a grid, then all four axis angles refined)
-lands on the same values.
+every measurement axis of a grid, then the best axis refined by
+alternating ascent) lands on the same values.
 """
 
 import numpy as np

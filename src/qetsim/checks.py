@@ -242,9 +242,9 @@ def check_brute_force(rng=None, fields=(0.1, 0.5, 1.5),
                       resolution=optimize_mod.MIN_RESOLUTION):
     """Grid oracle agrees with the closed-form maxima, in value and at the
     claimed optimal parameters (so sign errors in the closed-form angles
-    cannot hide behind an even power), and its refinement converged.
+    cannot hide behind an even power), and its ascent converged.
 
-    The detail reports the range of refinement rounds."""
+    The detail reports the range of ascent rounds."""
     worst = 0.0
     unconverged = []
     rounds = []
@@ -264,7 +264,7 @@ def check_brute_force(rng=None, fields=(0.1, 0.5, 1.5),
             rounds.append(cert.rounds)
             if not (cert.converged and cert.evaluations > cert.rounds > 0):
                 unconverged.append(f"h={h:g} {target}")
-    detail = f"{min(rounds)}-{max(rounds)} refinement rounds"
+    detail = f"{min(rounds)}-{max(rounds)} ascent rounds"
     if unconverged:
         return _result("grid oracle matches closed forms", np.inf, 1e-8,
                        detail=f"not converged: {', '.join(unconverged)}; "

@@ -220,20 +220,24 @@ def run_protocol(state: GroundState, pp: ProtocolParams) -> EnergyLedger:
 def reduction_closed(state: GroundState, pp: ProtocolParams):
     """Closed forms for (extracted_site, extracted_bond).
 
-    extracted_site = e_B (1 - s_z^2)(1 - cos 2 theta)
+    extracted_site = e_B (s_x^2 + s_y^2) 2 sin^2 theta
                      - h (r_x s_y xx - r_y s_x yy) sin 2 theta
-    extracted_bond = e_R (1 - s_x^2)(1 - cos 2 theta)
+    extracted_bond = e_R (s_y^2 + s_z^2) 2 sin^2 theta
                      + k r_x s_y xxz sin 2 theta
+
+    (2 sin^2 theta = 1 - cos 2 theta without its cancellation at small
+    theta, that is at large h/k.)
     """
     h, k = state.params.h, state.params.k
     e = energy_decomposition(state)
     c = correlators_closed(state)
     rx, ry, _ = pp.measure_axis
     sx, sy, sz = pp.feedback_axis
-    cos2, sin2 = np.cos(2.0 * pp.theta), np.sin(2.0 * pp.theta)
-    site = (e.site_b * (1.0 - sz**2) * (1.0 - cos2)
+    versine = 2.0 * np.sin(pp.theta)**2
+    sin2 = np.sin(2.0 * pp.theta)
+    site = (e.site_b * (sx * sx + sy * sy) * versine
             - h * (rx * sy * c.xx - ry * sx * c.yy) * sin2)
-    bond = (e.bond_right * (1.0 - sx**2) * (1.0 - cos2)
+    bond = (e.bond_right * (sy * sy + sz * sz) * versine
             + k * rx * sy * c.xxz * sin2)
     return site, bond
 

@@ -1,4 +1,5 @@
-"""Relative accuracy of the closed forms against a 60-digit reference.
+"""Relative accuracy of the closed forms, the closed-form reductions at
+both optima and the grid oracle against a 60-digit reference.
 
 The reference solves the characteristic cubic in mpmath and evaluates the
 textbook formulas (alpha = 2k/(E + k - 2h), beta = 2k/(E + k + 2h),
@@ -6,13 +7,16 @@ xx = 4 Z^2 (1 + alpha beta), xxz = 4 Z^2 (alpha - beta), ...) whose cancellation
 far fewer than the 60 digits carried.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from qetsim.model import (MAX_FIELD_RATIO, MAX_PARAMETER, ModelParams,
                           energy_decomposition, ground_state)
-from qetsim.optimize import max_extracted_energy, max_site_reduction
-from qetsim.protocol import correlators_closed
+from qetsim.optimize import (TARGET_EXTRACTED, TARGET_SITE, brute_force_max,
+                             max_extracted_energy, max_site_reduction)
+from qetsim.protocol import correlators_closed, reduction_closed
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -21,6 +25,7 @@ SCALES = (1e-100, 1.0, 1e100)
 BOUND = 1e-13
 
 
+@functools.lru_cache(maxsize=None)
 def _reference(h, k):
     """E, alpha, beta, xx, yy, xxz, e_B and both maxima to 60 digits."""
     with mpmath.workdps(60):
@@ -52,14 +57,57 @@ def _library(state):
             "site_reduction_max": max_site_reduction(state).value}
 
 
-@pytest.mark.parametrize("k", SCALES)
-def test_closed_forms_relative_accuracy(k):
-    hs = [float(t) * k for t in RATIOS if float(t) * k <= MAX_PARAMETER]
-    got = _library(ground_state(ModelParams(h=np.array(hs), k=k)))
+def _fields(k):
+    return [float(t) * k for t in RATIOS if float(t) * k <= MAX_PARAMETER]
+
+
+def _beyond_bound(hs, k, got, bound=lambda name, ratio: BOUND):
+    """{name: (worst relative error, h/k)} of every quantity in `got`
+    (name -> values at the fields `hs`) that exceeds its bound."""
     worst = {}
     for i, h in enumerate(hs):
-        for name, want in _reference(h, k).items():
+        for name in got:
+            want = _reference(h, k)[name]
             error = float(abs((got[name][i] - want) / want))
-            if error > worst.get(name, (0.0,))[0]:
-                worst[name] = (error, h / k)
-    assert {name: v for name, v in worst.items() if v[0] > BOUND} == {}
+            excess = error / bound(name, h / k)
+            if excess > worst.get(name, (0.0,))[0]:
+                worst[name] = (excess, error, h / k)
+    return {name: v[1:] for name, v in worst.items() if v[0] > 1.0}
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_closed_forms_relative_accuracy(k):
+    hs = _fields(k)
+    got = _library(ground_state(ModelParams(h=np.array(hs), k=k)))
+    assert _beyond_bound(hs, k, got) == {}
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_reduction_closed_at_the_optima(k):
+    # site + bond at the extracted optimum and site at the site optimum
+    hs = _fields(k)
+    state = ground_state(ModelParams(h=np.array(hs), k=k))
+    site, bond = reduction_closed(state, max_extracted_energy(state).params)
+    at_site, _ = reduction_closed(state, max_site_reduction(state).params)
+    got = {"extracted_max": site + bond, "site_reduction_max": at_site}
+    assert _beyond_bound(hs, k, got) == {}
+
+
+def _oracle_bound(name, ratio):
+    # the extracted target is the top eigenvalue of a rotation form with
+    # entries of size h + k: at h << k the value is of size h, so the
+    # form's rounding weighs k/h times more relative to it, and at h >> k
+    # the value is a small eigenvalue of a nearly decoupled form
+    if name == "extracted_max":
+        return BOUND * max(1.0, ratio, 1.0 / ratio)
+    return BOUND
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_oracle_relative_accuracy(k):
+    hs = _fields(k)
+    states = [ground_state(ModelParams(h=h, k=k)) for h in hs]
+    got = {name: [brute_force_max(state, target).value for state in states]
+           for name, target in (("extracted_max", TARGET_EXTRACTED),
+                                ("site_reduction_max", TARGET_SITE))}
+    assert _beyond_bound(hs, k, got, _oracle_bound) == {}

@@ -63,12 +63,12 @@ class TestChecks:
         assert not checks.check_second_law().passed
 
     def test_unconverged_oracle_fails(self, monkeypatch):
-        original = optimize_mod._zoom
+        original = optimize_mod._ascend
 
         def stalled(*args, **kwargs):
-            return original(*args, **kwargs, max_rounds=3)
+            return original(*args, **kwargs, max_rounds=1)
 
-        monkeypatch.setattr(optimize_mod, "_zoom", stalled)
+        monkeypatch.setattr(optimize_mod, "_ascend", stalled)
         result = checks.check_brute_force(fields=(0.5,))
         assert not result.passed
         assert "not converged" in result.detail

@@ -224,7 +224,8 @@ class TestBruteForce:
             full = max(full, (a + np.sqrt(b * b + c * c)).max())
         closed = (max_extracted_energy if target == TARGET_EXTRACTED
                   else max_site_reduction)(state).value
-        value = optimize._scan_grid(optimize._row_engine(state, target), n)[0]
+        value = optimize._scan_grid(
+            optimize._rotation_forms(optimize._row_engine(state, target)), n)[0]
         assert full - 1e-15 * k <= value <= closed + 1e-15 * k
 
     @pytest.mark.parametrize("n", [MIN_RESOLUTION, 66])
@@ -237,7 +238,7 @@ class TestBruteForce:
         rows = optimize._row_engine(gs(h, k), target)
         axes = grid_axes(n, n // 2)
         top = np.linalg.eigvalsh(optimize._rotation_form(rows(axes)))[:, -1]
-        value = optimize._scan_grid(rows, n)[0]
+        value = optimize._scan_grid(optimize._rotation_forms(rows), n)[0]
         assert abs(value - top.max()) <= 1e-15 * (h + k)
 
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
@@ -263,11 +264,9 @@ class TestBruteForce:
         r /= np.linalg.norm(r, axis=1, keepdims=True)
         raxes = np.concatenate([r, r * [-1.0, -1.0, 1.0],
                                 r * [1.0, -1.0, 1.0]])
-        saxes = grid_axes(MIN_RESOLUTION)
-        row = optimize._row_engine(gs(h, k), target)(raxes)
-        top = optimize._envelope_into(np.empty((3, 60, len(saxes))), row,
-                                      optimize._feedback_basis(saxes)).max(1)
-        top = top.reshape(3, 20)
+        a, b, c = sinusoid_engine(gs(h, k), target)(
+            raxes, grid_axes(MIN_RESOLUTION))
+        top = (a + np.sqrt(b * b + c * c)).max(1).reshape(3, 20)
         assert np.abs(top[1:] - top[0]).max() <= 1e-15 * (h + k)
 
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
@@ -303,8 +302,8 @@ class TestBruteForce:
             attained = a + b * np.cos(2 * theta) + c * np.sin(2 * theta)
             assert np.abs(attained - value[:, -1]).max() <= tol
 
-    def test_full_recheck_stays_in_chunks(self):
-        # the scan's working set stays small at h = 0, where every row ties
+    def test_scan_working_set_stays_small(self):
+        # h = 0, where every row ties
         tracemalloc.start()
         try:
             brute_force_max(gs(0.0), TARGET_EXTRACTED)
@@ -315,7 +314,62 @@ class TestBruteForce:
 
     def test_evaluations_count_the_scanned_cells(self):
         cert = brute_force_max(gs(0.3), TARGET_EXTRACTED)
-        assert cert.evaluations == 544 + cert.rounds * 625
+        assert cert.evaluations == 544 + 2 * cert.rounds
+
+    @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
+    @pytest.mark.parametrize("h, k", SCAN_FIELDS)
+    def test_rotation_form_is_affine_in_the_axis(self, h, k, target):
+        rows = optimize._row_engine(gs(h, k), target)
+        r = np.random.default_rng(16).normal(size=(20, 3))
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+        affine = optimize._form_at(optimize._rotation_forms(rows), r)
+        assert (np.abs(affine - optimize._rotation_form(rows(r))).max()
+                <= 1e-15 * (h + k))
+
+    @pytest.mark.parametrize("n", [66, 96])
+    @pytest.mark.parametrize("h", [1.5, 10.0])
+    @pytest.mark.parametrize("target, closed",
+                             [(TARGET_EXTRACTED, max_extracted_energy),
+                              (TARGET_SITE, max_site_reduction)])
+    def test_ascent_converges_off_the_optimal_axes(self, target, closed, h,
+                                                   n):
+        # these grids miss the optimal axes' azimuth pi/2 or polar angle
+        # pi/2, and the extracted target has a flat direction there
+        state = gs(h)
+        cert = brute_force_max(state, target, n)
+        assert cert.converged and cert.rounds <= 6
+        assert abs(cert.value - closed(state).value) <= 1e-15
+
+    @pytest.mark.parametrize("target, closed",
+                             [(TARGET_EXTRACTED, max_extracted_energy),
+                              (TARGET_SITE, max_site_reduction)])
+    def test_ascent_rises_to_the_maximum(self, target, closed, monkeypatch):
+        # from random measurement axes, each round's top eigenvalue (the
+        # higher of its two trial axes) is no lower than the last but for
+        # rounding, and the best is the closed-form maximum
+        eigh = np.linalg.eigh
+        tops = []
+
+        def recorded(matrix):
+            w, v = eigh(matrix)
+            if matrix.shape[-1] == 4:   # a K(r), not a step's small solve
+                tops.append(w[..., -1].max())
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        rng = np.random.default_rng(16)
+        for h in rng.uniform(0.0, 3.0, 10):
+            state = gs(h)
+            forms = optimize._rotation_forms(
+                optimize._row_engine(state, target))
+            for r in rng.normal(size=(5, 3)):
+                tops.clear()
+                value, *_, rounds, converged = optimize._ascend(
+                    forms, r / np.linalg.norm(r))
+                assert converged and len(tops) == rounds + 1
+                assert np.all(np.diff(tops) >= -1e-15)
+                assert value == max(tops)
+                assert abs(value - closed(state).value) <= 1e-15
 
     @pytest.mark.parametrize("k", [1e-100, 1.0, 1e100])
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
@@ -332,21 +386,6 @@ class TestBruteForce:
         direct = (ledger.extracted if target == TARGET_EXTRACTED
                   else ledger.extracted_site)
         assert abs(direct - cert.value) <= 1e-15 * k
-
-    @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
-    def test_fused_envelope_matches_plain(self, target):
-        rng = np.random.default_rng(5)
-        raxes, saxes = (v / np.linalg.norm(v, axis=1, keepdims=True)
-                        for v in (rng.normal(size=(40, 3)),
-                                  rng.normal(size=(50, 3))))
-        for h in (0.05, 0.8, 3.0):
-            state = gs(h)
-            a, b, c = sinusoid_engine(state, target)(raxes, saxes)
-            fused = optimize._envelope_into(
-                np.empty((3, 40, 50)),
-                optimize._row_engine(state, target)(raxes),
-                optimize._feedback_basis(saxes))
-            assert np.abs(fused - (a + np.sqrt(b * b + c * c))).max() <= 1e-15
 
     def test_deterministic(self):
         state = gs(0.3)

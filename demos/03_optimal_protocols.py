@@ -3,9 +3,9 @@
 
 The maxima of the extracted energy and of Bob's local energy reduction
 have closed forms driven by two different edge correlators.  A search
-that never touches those formulas (Bob's rotation maximised exactly for
-every measurement axis of a grid, then the best axis refined by
-alternating ascent) lands on the same values.
+that never touches those formulas (Alice's measurement axis and Bob's
+rotation angle maximised exactly for every feedback axis of a grid, then
+the best point refined by alternating ascent) lands on the same values.
 """
 
 import numpy as np

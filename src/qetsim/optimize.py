@@ -16,38 +16,38 @@ energy.  :func:`brute_force_max` cross-checks these by a search over all
 five angles that never reads a closed form, so agreement is a genuine
 two-route test.
 
-The search runs on one matrix-element engine.  For fixed axes the
-objective is an exact sinusoid a + b cos 2 theta + c sin 2 theta
-(conjugation by cos(theta) + i n sin(theta) s.sigma_B produces no higher
-harmonics), and its coefficients are contractions of a few precomputed
-matrix elements with the measurement axis r and the feedback axis s, so
-theta is maximised exactly in every cell instead of on a theta grid: the
+The search runs on one matrix-element engine.  Bob's rotation cos(theta)
++ i n sin(theta) s.sigma_B is the unit quaternion y = (cos theta,
+sin theta s), and for a measurement axis r the objective is the quadratic
+form y^T K(r) y of the 4 x 4 real symmetric arrowhead matrix
+
+    K(r) = [[0, (C r)^T], [C r, M0]],
+
+whose cost block M0 <= 0 depends on Bob's site alone and whose gain
+s^T C r is bilinear in the two axes, as in the paper's two formulae.
+Equivalently the objective is the exact sinusoid a + b cos 2 theta + c
+sin 2 theta with a = -b = s^T M0 s / 2 and c = s^T C r (no higher
+harmonics), so theta is maximised exactly instead of on a theta grid: the
 positive basin in theta narrows like the maximum itself and falls below
 any fixed grid spacing once the edge field is large.
 
 * Row stage.  Both targets are one single-projector contraction of the
   terms next to Bob's site (see :func:`_row_engine`), which vanishes at
-  theta = 0, so a = -b.  One pass over a set of measurement axes gives,
-  per r, ten coefficients bq with b = bq . (s (x) s, 1) and three
-  coefficients cr with c = cr . s.  For a set of feedback axes, b and c
-  are two matrix products with one basis.  :func:`sinusoid_engine`
-  returns (a, b, c) as a view over this stage.  Bob's rotation is also
-  the unit quaternion y = (cos theta, sin theta s), and the objective
-  -2 b sin^2 theta + 2 c sin theta cos theta is the quadratic form
-  y^T K(r) y of a 4 x 4 real symmetric matrix built from (bq, cr)
-  (:func:`_rotation_form`), so the maximum over s and theta for one
-  measurement axis is the top eigenvalue of K(r) = K0 + sum_i r_i K_i
-  (:func:`_rotation_forms`).
-* Reduced scan.  That row maximum is invariant under a group of 8 maps
-  of r (r -> -r, the half turn about z, y -> -y), each mapping an even
-  angle grid to itself.  The scan keeps the first axis of each orbit,
-  (n/2)(n//4 + 1) measurement axes, 544 at n = 64, and takes their top
-  eigenvalues in one stacked eigvalsh (:func:`_scan_grid`).
-* Alternating ascent.  From the best scanned axis, each round takes the
-  top eigenvector y of K(r) and moves r to the higher of q / |q|
-  (q_i = y^T K_i y) and the Newton point of the top eigenvalue
-  (:func:`_ascend`).  The value is that eigenvalue, not a difference
-  such as sqrt(b^2 + c^2) - b, which cancels at large h/k.
+  theta = 0.  It gives the 3 x 3 matrices (M0, C) from a few matrix-vector
+  products with the ground state, for the target and for the bond term
+  alone.  :func:`sinusoid_engine` returns (a, b, c) as a view over them.
+* Feedback-axis scan.  For a fixed feedback axis s the maximum over r and
+  theta is m/2 + hypot(A, m/2), with A = |C^T s| and m = s^T M0 s,
+  attained at r = C^T s / A (:func:`_feedback_maxima`).  That maximum is
+  invariant under a group of 8 maps of s (s -> -s, the half turn about z,
+  y -> -y), each mapping an even angle grid to itself.  The scan keeps
+  the first axis of each orbit, (n/2)(n//4 + 1) feedback axes, 544 at
+  n = 64 (:func:`_scan_grid`); it needs no eigensolver.
+* Alternating ascent.  From the best scanned axis's r = C^T s / A, each
+  round takes the top eigenvector y of K(r) and moves r to the higher of
+  q / |q| (q_i = y^T dK/dr_i y) and the Newton point of the top
+  eigenvalue (:func:`_ascend`).  The value is that eigenvalue, not a
+  difference such as sqrt(b^2 + c^2) - b, which cancels at large h/k.
 * Convergence.  The ascent stops at the first round that does not rise;
   the certificate records whether it stopped within the round limit,
   and :func:`qetsim.checks.check_brute_force` fails if not.
@@ -64,14 +64,14 @@ from . import operators as ops
 from .model import (GroundState, ModelParams, build_hamiltonian,
                     energy_decomposition, ground_state)
 from .protocol import (ProtocolParams, correlators_closed,
-                       measurement_energy_closed, run_protocol)
+                       measurement_energy_closed)
 
 TARGET_EXTRACTED = "extracted"
 TARGET_SITE = "site_reduction"
 _TARGETS = (TARGET_EXTRACTED, TARGET_SITE)
 
 MIN_RESOLUTION = 64
-MAX_RESOLUTION = 1024   # 131 584 scanned measurement axes
+MAX_RESOLUTION = 1024   # 131 584 scanned feedback axes
 
 # angles of the constant axes of the closed forms, computed once: the
 # conversion from vectors costs more than the closed forms themselves.
@@ -98,10 +98,12 @@ class Certificate:
 
     `converged`, `rounds` and `evaluations` describe the search that found
     the optimum: whether the ascent stopped rising within its round
-    limit, how many ascent rounds it took, and how many measurement axes
-    it evaluated, each maximised over the feedback axis and theta at
-    once: one per axis of the scan plus two per round.  Closed-form
-    certificates involve no search: converged, 0 rounds, 0 evaluations.
+    limit, how many ascent rounds it took, and how many axes it
+    evaluated: one per scanned feedback axis, maximised over the
+    measurement axis and theta at once, plus two measurement axes per
+    round, each maximised over the feedback axis and theta at once.
+    Closed-form certificates involve no search: converged, 0 rounds, 0
+    evaluations.
     """
 
     target: str
@@ -172,17 +174,20 @@ def max_site_reduction(state: GroundState) -> Certificate:
 # ---------------------------------------------------------------------------
 # the matrix-element engine and the grid oracle
 
+_SIGMA_A = np.stack([ops.pauli(ops.SITE_A, ax) for ax in "xyz"])
+_SIGMA_B = np.stack([ops.pauli(ops.SITE_B, ax) for ax in "xyz"])
+
 
 def _row_engine(state: GroundState, target: str):
-    """The row stage: per-measurement-axis coefficients of the objective.
+    """The row stage: the objective's rotation form in (M0, C).
 
-    Returns ``rows(raxes) -> (bq, cr)`` with shapes (m, 10) and (m, 3) for
-    measurement axes `raxes` of shape (m, 3), such that for a feedback
-    axis s
+    Returns ``((M0, C), (M0_bond, C_bond))``, 3 x 3 real matrices for the
+    target and for the bond term bond_right alone, such that
 
-        b = bq . (s (x) s, 1),   c = cr . s,
+        objective(r, s, theta) = y^T K(r) y,
+        K(r) = [[0, (C r)^T], [C r, M0]],
 
-    and objective(r, s, theta) = -b + b cos 2 theta + c sin 2 theta.
+    for the unit quaternion y = (cos theta, sin theta s) of Bob's rotation.
 
     Bob's rotation U_B(n) acts on site B alone, so it changes only the
     terms T next to B: T = site_B for ``site_reduction`` and T = site_B +
@@ -191,11 +196,17 @@ def _row_engine(state: GroundState, target: str):
 
         objective = <T> - sum_n <P_A(n) psi| U_B(n)^+ T U_B(n) |psi>,
 
-    which vanishes at theta = 0: a = -b, with no row constant.  The states
-    P_A(n)|psi> are linear in (1, n r) and the rotation is linear in
-    (cos t, i n sin t s), so every matrix element is a contraction of the
-    4 x 16 precomputed elements <phi_i| rot_p T rot_q |psi>, done here
-    once per measurement axis.
+    which vanishes at theta = 0.  The states P_A(n)|psi> are linear in
+    (1, n r) and the rotation is linear in (cos t, i n sin t s), so every
+    matrix element is a contraction of g_i[p, q] = <phi_i| rot_p T rot_q
+    |psi> (phi = (psi, sigma_A psi) / 2, rot = (1, sigma_B)).  Summed over
+    both outcomes they leave 2 Re g_0 + 2i sum_i r_i Im g_i.  The real part
+    does not depend on r and gives the cost block M0 = -(G + G^T) + 2 G_00
+    I, with G = Re g_0 restricted to p, q >= 1.  The imaginary part is
+    linear in r and gives the gain column C r, with C[p, i] = Im(g_i[0, p]
+    - g_i[p, 0]) = Im <phi_i| [T, sigma_B^p] |psi>.  M0 <= 0, as s^T M0 s
+    is the objective at theta = pi/2, <T> - <sigma_s T sigma_s>, which is
+    never positive.
     """
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}")
@@ -204,43 +215,17 @@ def _row_engine(state: GroundState, target: str):
                          f"{state.vector.shape[:-1]}")
     v = state.vector
     terms = build_hamiltonian(state.params)
-    near_b = (terms.site_b if target == TARGET_SITE
-              else terms.site_b + terms.bond_right)
-    sig_a = [ops.pauli(ops.SITE_A, ax) for ax in "xyz"]
-    rot = [ops.IDENTITY] + [ops.pauli(ops.SITE_B, ax) for ax in "xyz"]
-    phi = np.stack([v] + [sa @ v for sa in sig_a], axis=1) / 2.0   # (16, 4)
-    # <phi_i| rot_p T rot_q |psi>; the rot factors are Hermitian
-    g3 = np.einsum("di,pqd->ipq", phi.conj(), np.stack(
-        [[rp @ near_b @ rq @ v for rq in rot] for rp in rot])).reshape(4, 16)
-
-    def rows(raxes):
-        ones = np.ones((len(raxes), 1))
-        wp = np.concatenate([ones, raxes], axis=1)
-        wm = np.concatenate([ones, -raxes], axis=1)
-        # sum over both outcomes of <P_A(n) psi| rot_p T rot_q |psi>: the
-        # n = -1 term has the conjugate pattern of i n sin t, so
-        # conjugating it merges the two
-        tc = (wp @ g3 + (wm @ g3).conj()).reshape(-1, 4, 4)
-        # the energy after the rotation is E(t) = E0 cos^2 t + Q sin^2 t
-        # + D sin t cos t, with E0 = <T> = tc_00, Q = s.tc.s and D from the
-        # cross terms; the objective E0 - E(t) has b = (Q - E0)/2 and
-        # c = -D/2
-        t00 = 0.5 * tc[:, 0, 0].real
-        bq = np.concatenate([0.5 * tc[:, 1:, 1:].reshape(-1, 9).real,
-                             -t00[:, None]], axis=1)
-        cr = 0.5 * (tc[:, 0, 1:] - tc[:, 1:, 0]).imag
-        return bq, cr
-
-    return rows
-
-
-def _feedback_basis(saxes):
-    """(13, n) basis (s (x) s, 1, s) of the feedback axes s, one column per
-    axis, so that b = bq @ basis[:10] and c = cr @ basis[10:] are each one
-    matrix product."""
-    pairs = (saxes[:, :, None] * saxes[:, None, :]).reshape(-1, 9)
-    return np.ascontiguousarray(np.concatenate(
-        [pairs, np.ones((len(saxes), 1)), saxes], axis=1).T)
+    near_b = np.stack([terms.site_b if target == TARGET_SITE
+                       else terms.site_b + terms.bond_right, terms.bond_right])
+    rotated = np.vstack([v, _SIGMA_B @ v])           # rot_q psi, (4, 16)
+    applied = near_b @ rotated.T                     # T rot_q psi, (2, 16, 4)
+    g0 = 0.5 * (rotated.conj() @ applied).real       # Re g_0, (2, 4, 4)
+    flipped = _SIGMA_B @ applied[:, None, :, :1]     # sigma_B^p T psi
+    commutator = applied[..., 1:] - flipped[..., 0].transpose(0, 2, 1)
+    gain = 0.5 * ((_SIGMA_A @ v).conj() @ commutator).imag.transpose(0, 2, 1)
+    quad = g0[:, 1:, 1:]
+    cost = 2.0 * g0[:, :1, :1] * np.eye(3) - quad - quad.transpose(0, 2, 1)
+    return (cost[0], gain[0]), (cost[1], gain[1])
 
 
 def sinusoid_engine(state: GroundState, target: str):
@@ -252,65 +237,59 @@ def sinusoid_engine(state: GroundState, target: str):
 
         objective(r_i, s_j, theta) = a + b cos 2 theta + c sin 2 theta.
 
-    A view over the row stage of the oracle (:func:`_row_engine`).
+    A view over the rotation form of the oracle (:func:`_row_engine`):
+    b = -s^T M0 s / 2, which does not depend on r, a = -b and c = s^T C r.
     """
-    rows = _row_engine(state, target)
-    return lambda raxes, saxes: _coefficients(rows(raxes), saxes)
+    cost, gain = _row_engine(state, target)[0]
+
+    def coefficients(raxes, saxes):
+        b = np.tile(-0.5 * ((saxes @ cost) * saxes).sum(1), (len(raxes), 1))
+        return -b, b, raxes @ gain.T @ saxes.T
+
+    return coefficients
 
 
-def _coefficients(row, saxes):
-    """(a, b, c), each of shape (m, n), from the row stage `row` of m
-    measurement axes and the feedback axes `saxes`."""
-    bq, cr = row
-    basis = _feedback_basis(saxes)
-    b = bq @ basis[:10]
-    return -b, b, cr @ basis[10:]
-
-
-def _rotation_form(row):
-    """The objective's quadratic form in Bob's rotation, per measurement
-    axis: for the row stage `row` of m axes, the (m, 4, 4) real symmetric
-
-        K(r) = [[0, cr^T], [cr, -(B + B^T) - 2 beta I]],
-
-    with B = bq[:9] as a 3 x 3 matrix and beta = bq[9].  On a unit axis s,
-    b = s^T B s + beta, so for the unit quaternion y = (cos theta,
-    sin theta s) the objective -2 b sin^2 theta + 2 c sin theta cos theta
-    equals y^T K(r) y.  Every unit y is some (s, theta), so the maximum
-    over s and theta is the top eigenvalue of K(r), attained at its
-    eigenvector.
-    """
-    bq, cr = row
-    quad = bq[:, :9].reshape(-1, 3, 3)
-    form = np.zeros((len(bq), 4, 4))
+def _form_at(engine, raxes):
+    """K(r) of the (m, 3) axes `raxes` (or of one axis) from the engine's
+    (M0, C), as (m, 4, 4)."""
+    cost, gain = engine
+    cr = np.reshape(raxes, (-1, 3)) @ gain.T
+    form = np.zeros((len(cr), 4, 4))
     form[:, 0, 1:] = form[:, 1:, 0] = cr
-    form[:, 1:, 1:] = -(quad + quad.transpose(0, 2, 1))
-    form[:, [1, 2, 3], [1, 2, 3]] -= 2.0 * bq[:, 9:]
+    form[:, 1:, 1:] = cost
     return form
 
 
-def _rotation_forms(rows):
-    """K(r) = K0 + sum_i r_i K_i as (K0 = K(0), the stack K_i = K(e_i) - K0):
-    the row stage is affine in r, as `tc` is linear in (1, +-r)."""
-    form = _rotation_form(rows(np.vstack([np.zeros(3), np.eye(3)])))
-    return form[0], form[1:] - form[0]
+def _feedback_maxima(engine, saxes):
+    """The objective maximised over the measurement axis r and theta, for
+    each of the (m, 3) feedback axes `saxes`; returns (values, C^T s).
+
+    For a fixed s the objective is A sin 2 theta cos phi + (m/2)(1 - cos 2
+    theta), with A = |C^T s|, m = s^T M0 s and phi the angle between r and
+    C^T s.  Its maximum, at r = C^T s / A, is m/2 + hypot(A, m/2), the top
+    eigenvalue of [[0, A], [A, m]].  For m <= 0 it is taken as A^2 /
+    (hypot(A, m/2) - m/2), which does not cancel at large h/k; rounding
+    may leave m slightly positive, where the first form is kept.
+    """
+    cost, gain = engine
+    gains = saxes @ gain
+    amplitude = np.sqrt((gains * gains).sum(1))
+    half = 0.5 * ((saxes @ cost) * saxes).sum(1)
+    root = np.hypot(amplitude, half)
+    top = half + root
+    np.divide(amplitude * amplitude, root - half, out=top, where=half < 0.0)
+    return top, gains
 
 
-def _form_at(forms, raxes):
-    """K(r) of the (m, 3) axes `raxes` from (K0, K_i), as (m, 4, 4)."""
-    k0, kr = forms
-    return k0 + (raxes @ kr.reshape(3, 16)).reshape(-1, 4, 4)
+def _scan_grid(engine, resolution):
+    """Exhaustive scan over the feedback axes of the angle grid, with the
+    measurement axis and theta maximised in closed form
+    (:func:`_feedback_maxima`), one axis per symmetry orbit; `engine` is
+    the target's (M0, C) of :func:`_row_engine`.
 
-
-def _scan_grid(forms, resolution):
-    """Exhaustive scan over the measurement axes of the angle grid, with
-    the feedback axis and theta maximised exactly (:func:`_rotation_form`),
-    one axis per symmetry orbit; `forms` is (K0, K_i) of
-    :func:`_rotation_forms`.
-
-    The row maximum is invariant under a group of order 8 acting on the
-    measurement axis r, generated by
-      * r -> -r: it swaps Alice's outcomes n = +-1 and maps theta -> -theta;
+    The maximum over r and theta at a feedback axis s is invariant under a
+    group of order 8 acting on s, generated by
+      * s -> -s: U_B(-s, -theta) = U_B(s, theta);
       * the half turn R_z(pi): the parity operator, sigma_z on every site,
         commutes with H and psi is a parity eigenstate; it flips sigma_x
         and sigma_y on every site, so it maps P_A(r) and U_B(s) to
@@ -318,41 +297,46 @@ def _scan_grid(forms, resolution):
         sigma_x sigma_x on C2 B) unchanged;
       * y -> -y: H is real, so psi can be taken real, and complex
         conjugation flips only sigma_y, maps U_B(s, theta) to U_B(s',
-        -theta), s' being s with y negated, and fixes T.
-    Each map changes the feedback axis and theta along with r, over all
-    of which the row maximum is taken.  P_A, U_B and T act on sites A, B
-    and the bond C2 B only, so no other term of H enters.  On the grid
-    (mu_i, nu_j) with even n the maps send (i, j) to (n-1-i, j+n/2),
-    (i, j+n/2) and (i, -j), indices of nu mod n.  So every orbit has a
+        -theta) and P_A(r) to P_A(r'), primes negating y, and fixes T.
+    Each map changes the measurement axis and theta along with s, over all
+    of which the maximum is taken.  P_A, U_B and T act on sites A, B and
+    the bond C2 B only, so no other term of H enters.  On the grid
+    (xi_i, eta_j) with even n the maps send (i, j) to (n-1-i, j+n/2),
+    (i, j+n/2) and (i, -j), indices of eta mod n.  So every orbit has a
     member with i < n/2 and j <= n//4 ({j, -j, n/2+j, n/2-j} mod n always
     meets [0, n//4]), and only those (n/2)(n//4 + 1) axes are scanned.
 
-    Ties resolve to the first scanned axis.  Returns (value, winning axis,
-    axes scanned).
+    Ties resolve to the first scanned axis.  Returns (value, the best
+    measurement axis C^T s / |C^T s| for the winning s, or z where C^T s
+    = 0, axes scanned).
     """
     n = resolution
     polar = np.linspace(0.0, np.pi, n)[:n // 2]
     azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)[:n // 4 + 1]
-    raxes = ops.axis_vector(*np.meshgrid(polar, azimuth, indexing="ij"))
-    raxes = raxes.reshape(3, -1).T   # polar-major
-    top = np.linalg.eigvalsh(_form_at(forms, raxes))[:, -1]
+    saxes = ops.axis_vector(*np.meshgrid(polar, azimuth, indexing="ij"))
+    saxes = saxes.reshape(3, -1).T   # polar-major
+    top, gains = _feedback_maxima(engine, saxes)
     best = int(top.argmax())
-    return float(top[best]), raxes[best], len(raxes)
+    norm = np.sqrt(gains[best] @ gains[best])
+    r = gains[best] / norm if norm > 0.0 else np.array(_Z)
+    return float(top[best]), r, len(saxes)
 
 
-def _trial_axes(kr, r, w, v):
+def _trial_axes(c, r, w, v):
     """The two axes an ascent round tries from `r`, given the eigenpairs
-    (w, v) of K(r).  With y the top eigenvector, q_i = y^T K_i y is the
-    gradient of the top eigenvalue lambda(r), and C_ij = 2 sum_k (y^T K_i
-    v_k)(v_k^T K_j y) / (lambda - w_k) over the other eigenpairs (an exact
-    degeneracy drops out) its Hessian.  The axes are q / |q|, the best for
-    y, and the Newton point of lambda on the unit sphere, stepping only
-    along the tangent modes where lambda curves down.  Along flat
-    directions q / |q| alone gains as little as 2 % of the remaining gap
-    per round (the extracted target at h = 10 k on a 66-point grid).
+    (w, v) of K(r) and the gain matrix `c` (C).  With y the top eigenvector,
+    q_i = y^T K_i y (K_i = dK/dr_i) is the gradient of the top eigenvalue
+    lambda(r), and H_ij = 2 sum_k (y^T K_i v_k)(v_k^T K_j y) / (lambda -
+    w_k) over the other eigenpairs (an exact degeneracy drops out) its
+    Hessian.  The axes are q / |q|, the best for y, and the Newton point
+    of lambda on the unit sphere, stepping only along the tangent modes
+    where lambda curves down.  Along flat directions q / |q| alone gains
+    as little as 2 % of the remaining gap per round (the extracted target
+    at h = 10 k on a 66-point grid).
     """
     y = v[:, -1]
-    ky = kr @ y
+    # K_i y = (C[:, i] . y_s, y_0 C[:, i]), y_s = (y_1, y_2, y_3)
+    ky = np.concatenate([(y[1:] @ c)[:, None], y[0] * c.T], axis=1)
     q = ky @ y
     # the tangent plane's orthonormal basis: eigenvectors of eigenvalue 1
     tangent = np.linalg.eigh(np.eye(3) - np.outer(r, r))[1][:, 1:]
@@ -410,34 +394,34 @@ def validate_resolution(resolution: int) -> None:
 
 def brute_force_max(state: GroundState, target: str,
                     resolution: int = MIN_RESOLUTION) -> Certificate:
-    """Grid scan plus alternating ascent of the matrix-element objective.
+    """Feedback-axis scan plus alternating ascent of the matrix-element
+    objective.
 
     `resolution` is the number of points per angle: even, from 64 to
     1024.  The value is the top eigenvalue of K(r) at the final axis r;
     with its eigenvector y (y_0 >= 0), s is (y_1, y_2, y_3) normalised (z
     if zero) and theta = atan2(|(y_1, y_2, y_3)|, y_0).  The sinusoid
-    fields come from the engine at these axes, never from a closed form.
+    fields and the bond term come from the engine's forms at these axes
+    (amplitude s^T M0 s / 2, cross amplitude s^T C r, bond y^T K_bond(r)
+    y), never from a closed form or the protocol ledger.
     """
     validate_resolution(resolution)
-    rows = _row_engine(state, target)
-    forms = _rotation_forms(rows)
-    _, r, scanned = _scan_grid(forms, resolution)
-    value, r, y, rounds, converged = _ascend(forms, r)
+    engine, bond = _row_engine(state, target)
+    _, r, scanned = _scan_grid(engine, resolution)
+    value, r, y, rounds, converged = _ascend(engine, r)
     y = -y if y[0] < 0.0 else y
     norm = np.sqrt(y[1:] @ y[1:])
+    s = y[1:] / norm if norm > 0.0 else np.array(_Z)
     theta = np.arctan2(norm, y[0])
-    pp = ProtocolParams.from_vectors(r, y[1:] / norm if norm > 0.0 else _Z,
-                                     theta)
-    a, _, c = (float(x[0, 0]) for x in _coefficients(
-        rows(pp.measure_axis[None]), pp.feedback_axis[None]))
-    phase = np.arctan2(-c, -a) if np.hypot(a, c) > 0.0 else 0.0
-    bond = run_protocol(state, pp).extracted_bond
-    return Certificate(target=target, params=pp, value=value, amplitude=a,
-                       cross_amplitude=c, phase=phase,
-                       sin_2theta=np.sin(2.0 * theta),
-                       cos_2theta=np.cos(2.0 * theta), bond_reduction=bond,
-                       converged=converged, rounds=rounds,
-                       evaluations=scanned + 2 * rounds)
+    cost, gain = engine
+    a, c = 0.5 * float(s @ cost @ s), float(s @ gain @ r)
+    return Certificate(
+        target=target, params=ProtocolParams.from_vectors(r, s, theta),
+        value=value, amplitude=a, cross_amplitude=c,
+        phase=np.arctan2(-c, -a) if np.hypot(a, c) > 0.0 else 0.0,
+        sin_2theta=np.sin(2.0 * theta), cos_2theta=np.cos(2.0 * theta),
+        bond_reduction=float(y @ _form_at(bond, r)[0] @ y),
+        converged=converged, rounds=rounds, evaluations=scanned + 2 * rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Relative accuracy of the closed forms, the closed-form reductions at
-both optima and the grid oracle against a 60-digit reference.
+both optima and the grid oracle against a 60-digit reference, and of the
+oracle's bond term at the site optimum against the closed-form one.
 
 The reference solves the characteristic cubic in mpmath and evaluates the
 textbook formulas (alpha = 2k/(E + k - 2h), beta = 2k/(E + k + 2h),
@@ -111,3 +112,16 @@ def test_oracle_relative_accuracy(k):
            for name, target in (("extracted_max", TARGET_EXTRACTED),
                                 ("site_reduction_max", TARGET_SITE))}
     assert _beyond_bound(hs, k, got, _oracle_bound) == {}
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_oracle_bond_at_the_site_optimum(k):
+    # the bond term of the site-reduction certificate, y^T K_bond(r) y at
+    # the oracle's optimum, against reduction_closed at the closed-form one
+    hs = _fields(k)
+    state = ground_state(ModelParams(h=np.array(hs), k=k))
+    closed = reduction_closed(state, max_site_reduction(state).params)[1]
+    oracle = [brute_force_max(ground_state(ModelParams(h=h, k=k)),
+                              TARGET_SITE).bond_reduction for h in hs]
+    error = np.abs(np.array(oracle) / closed - 1.0)
+    assert error.max() <= BOUND, (error.max(), hs[int(error.argmax())] / k)

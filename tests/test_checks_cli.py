@@ -63,10 +63,12 @@ class TestChecks:
         assert not checks.check_second_law().passed
 
     def test_unconverged_oracle_fails(self, monkeypatch):
+        # at grid 64 the scan's start is already optimal and one flat
+        # round counts as converged, so only zero rounds stall
         original = optimize_mod._ascend
 
         def stalled(*args, **kwargs):
-            return original(*args, **kwargs, max_rounds=1)
+            return original(*args, **kwargs, max_rounds=0)
 
         monkeypatch.setattr(optimize_mod, "_ascend", stalled)
         result = checks.check_brute_force(fields=(0.5,))

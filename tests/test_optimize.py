@@ -163,6 +163,22 @@ class TestBruteForce:
         assert abs(brute_force_max(state, target).value
                    - closed(state).value) < 5e-14
 
+    def test_oracle_runs_no_protocol_ledger(self, monkeypatch):
+        # the certificate's bond term comes from the engine's bond form
+        def ledger(*args):
+            raise AssertionError("the oracle ran the protocol ledger")
+
+        state = gs(0.6)
+        expected = [brute_force_max(state, target)
+                    for target in (TARGET_EXTRACTED, TARGET_SITE)]
+        for module in (optimize, protocol):
+            if hasattr(module, "run_protocol"):
+                monkeypatch.setattr(module, "run_protocol", ledger)
+        with pytest.raises(AssertionError, match="protocol ledger"):
+            protocol.run_protocol(state, expected[0].params)
+        assert [brute_force_max(state, target)
+                for target in (TARGET_EXTRACTED, TARGET_SITE)] == expected
+
     def test_oracle_reads_no_closed_form(self, monkeypatch):
         def closed_form(*args):
             raise AssertionError("the oracle read a closed form")
@@ -224,21 +240,20 @@ class TestBruteForce:
             full = max(full, (a + np.sqrt(b * b + c * c)).max())
         closed = (max_extracted_energy if target == TARGET_EXTRACTED
                   else max_site_reduction)(state).value
-        value = optimize._scan_grid(
-            optimize._rotation_forms(optimize._row_engine(state, target)), n)[0]
+        value = optimize._scan_grid(optimize._row_engine(state, target)[0],
+                                    n)[0]
         assert full - 1e-15 * k <= value <= closed + 1e-15 * k
 
     @pytest.mark.parametrize("n", [MIN_RESOLUTION, 66])
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
     def test_reduced_scan_matches_the_halved_scan(self, h, k, target, n):
-        # one measurement axis per symmetry orbit gives the largest row
-        # maximum of every axis of the polar half; n = 66 has no azimuth
+        # one feedback axis per symmetry orbit gives the largest maximum
+        # of every feedback axis of the polar half; n = 66 has no azimuth
         # index n/4
-        rows = optimize._row_engine(gs(h, k), target)
-        axes = grid_axes(n, n // 2)
-        top = np.linalg.eigvalsh(optimize._rotation_form(rows(axes)))[:, -1]
-        value = optimize._scan_grid(optimize._rotation_forms(rows), n)[0]
+        engine = optimize._row_engine(gs(h, k), target)[0]
+        top = optimize._feedback_maxima(engine, grid_axes(n, n // 2))[0]
+        value = optimize._scan_grid(engine, n)[0]
         assert abs(value - top.max()) <= 1e-15 * (h + k)
 
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
@@ -272,35 +287,43 @@ class TestBruteForce:
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
     def test_row_maximum_is_the_top_eigenvalue(self, h, k, target):
-        # the top eigenvalue of K(r) bounds the theta envelope of every
-        # feedback axis of the grid, its eigenvector (either sign) attains
-        # it, and it is invariant under r -> -r, the half turn about z and
-        # y -> -y, to the rounding of terms of size h + k
+        # the closed-form maximum at a feedback axis s is the top
+        # eigenvalue of the restriction [[0, A], [A, m]] of K(C^T s / A)
+        # to span{(1, 0), (0, s)}, bounds the theta envelope of every
+        # measurement axis of the grid, is attained at r = C^T s / A and
+        # 2 theta = atan2(A, -m/2), and is invariant under s -> -s, the
+        # half turn about z and y -> -y, to the rounding of terms of size
+        # h + k
         tol = 1e-15 * (h + k)
         rng = np.random.default_rng(15)
-        r = rng.normal(size=(20, 3))
-        r /= np.linalg.norm(r, axis=1, keepdims=True)
-        raxes = np.concatenate([r, -r, r * [-1.0, -1.0, 1.0],
-                                r * [1.0, -1.0, 1.0]])
+        s = rng.normal(size=(20, 3))
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
+        saxes = np.concatenate([s, -s, s * [-1.0, -1.0, 1.0],
+                                s * [1.0, -1.0, 1.0]])
         state = gs(h, k)
-        rows = optimize._row_engine(state, target)
+        engine = optimize._row_engine(state, target)[0]
         coefficients = sinusoid_engine(state, target)
-        value, vectors = np.linalg.eigh(optimize._rotation_form(rows(r)))
-        top = np.linalg.eigvalsh(optimize._rotation_form(rows(raxes)))
-        top = top[:, -1].reshape(4, 20)
-        assert np.abs(top - value[:, -1]).max() <= tol
+        value, gains = optimize._feedback_maxima(engine, s)
+        top = optimize._feedback_maxima(engine, saxes)[0].reshape(4, 20)
+        assert np.abs(top - value).max() <= tol
 
-        a, b, c = coefficients(r, grid_axes(MIN_RESOLUTION))
-        assert np.all(a + np.sqrt(b * b + c * c) <= value[:, -1:] + tol)
+        amplitude = np.linalg.norm(gains, axis=1)
+        m = np.einsum("ni,ij,nj->n", s, engine[0], s)
+        restricted = np.stack([np.stack([np.zeros(20), amplitude], -1),
+                               np.stack([amplitude, m], -1)], -2)
+        assert (np.abs(np.linalg.eigvalsh(restricted)[:, -1] - value).max()
+                <= tol)
 
-        for y in (vectors[:, :, -1], -vectors[:, :, -1]):
-            norm = np.linalg.norm(y[:, 1:], axis=1)
-            s = np.where(norm[:, None] > 0.0, y[:, 1:] / norm[:, None],
-                         [0.0, 0.0, 1.0])
-            theta = np.arctan2(norm, y[:, 0])
-            a, b, c = (np.diagonal(x) for x in coefficients(r, s))
-            attained = a + b * np.cos(2 * theta) + c * np.sin(2 * theta)
-            assert np.abs(attained - value[:, -1]).max() <= tol
+        a, b, c = coefficients(grid_axes(MIN_RESOLUTION), s)
+        assert np.all(a + np.sqrt(b * b + c * c) <= value + tol)
+
+        r = np.divide(gains, amplitude[:, None],
+                      out=np.tile([0.0, 0.0, 1.0], (20, 1)),
+                      where=amplitude[:, None] > 0.0)
+        theta = 0.5 * np.arctan2(amplitude, -0.5 * m)
+        a, b, c = (np.diagonal(x) for x in coefficients(r, s))
+        attained = a + b * np.cos(2 * theta) + c * np.sin(2 * theta)
+        assert np.abs(attained - value).max() <= tol
 
     def test_scan_working_set_stays_small(self):
         # h = 0, where every row ties
@@ -318,13 +341,36 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
-    def test_rotation_form_is_affine_in_the_axis(self, h, k, target):
-        rows = optimize._row_engine(gs(h, k), target)
-        r = np.random.default_rng(16).normal(size=(20, 3))
-        r /= np.linalg.norm(r, axis=1, keepdims=True)
-        affine = optimize._form_at(optimize._rotation_forms(rows), r)
-        assert (np.abs(affine - optimize._rotation_form(rows(r))).max()
-                <= 1e-15 * (h + k))
+    def test_rotation_form_matches_run_protocol(self, h, k, target):
+        # two routes: y^T K(r) y of the target and of the bond term
+        # against the pointwise matrix algebra of run_protocol, at random
+        # (r, s, theta)
+        state = gs(h, k)
+        engine, bond = optimize._row_engine(state, target)
+        rng = np.random.default_rng(16)
+        mu, xi = rng.uniform(0.0, np.pi, (2, 20))
+        nu, eta = rng.uniform(0.0, 2.0 * np.pi, (2, 20))
+        theta = rng.uniform(-np.pi / 2, np.pi / 2, 20)
+        ledger = run_protocol(state, ProtocolParams(mu, nu, xi, eta, theta))
+        direct = (ledger.extracted if target == TARGET_EXTRACTED
+                  else ledger.extracted_site)
+        y = np.concatenate([np.cos(theta)[:, None],
+                            np.sin(theta)[:, None] * axis_vector(xi, eta).T],
+                           axis=1)
+        r = axis_vector(mu, nu).T
+        for form, expected in ((engine, direct),
+                               (bond, ledger.extracted_bond)):
+            quadratic = np.einsum("ni,nij,nj->n", y,
+                                  optimize._form_at(form, r), y)
+            assert np.abs(quadratic - expected).max() < 1e-13 * (h + k)
+
+    @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
+    @pytest.mark.parametrize("h, k", SCAN_FIELDS)
+    def test_cost_block_is_negative(self, h, k, target):
+        # at theta = pi/2 the objective is <T> - <sigma_s T sigma_s>, which
+        # a rotation of Bob's spin alone cannot make positive
+        cost = optimize._row_engine(gs(h, k), target)[0][0]
+        assert np.linalg.eigvalsh(cost).max() <= 1e-15 * (h + k)
 
     @pytest.mark.parametrize("n", [66, 96])
     @pytest.mark.parametrize("h", [1.5, 10.0])
@@ -360,8 +406,7 @@ class TestBruteForce:
         rng = np.random.default_rng(16)
         for h in rng.uniform(0.0, 3.0, 10):
             state = gs(h)
-            forms = optimize._rotation_forms(
-                optimize._row_engine(state, target))
+            forms = optimize._row_engine(state, target)[0]
             for r in rng.normal(size=(5, 3)):
                 tops.clear()
                 value, *_, rounds, converged = optimize._ascend(

@@ -123,14 +123,21 @@ def cmd_thermo(args):
 
 def _chain_fields(args):
     """--h alone, or the grid of --h-min and --h-max (either defaults to
-    --h); a field or --k that ModelParams refuses is refused whatever the
-    lengths."""
+    --h), times --k; a field or --k that ModelParams refuses is refused
+    whatever the lengths.  --k is checked first and the product h k on
+    Python floats, as in `_closed_form_grid`, so the refusal names the
+    values given."""
+    ModelParams(h=0.0, k=args.k)
     if args.h_min is None and args.h_max is None:
-        fields = np.array([args.h * args.k])
-    else:
-        fields = _field_grid(args.h if args.h_min is None else args.h_min,
-                             args.h if args.h_max is None else args.h_max,
-                             args.h_steps, args.k)
+        field = args.h * args.k
+        if not math.isfinite(field):
+            raise ValueError(f"--h and --k must be finite, also as the field "
+                             f"h k; got {args.h}, {args.k}")
+        ModelParams(h=field, k=args.k)
+        return np.array([field])
+    fields = _field_grid(args.h if args.h_min is None else args.h_min,
+                         args.h if args.h_max is None else args.h_max,
+                         args.h_steps, args.k)
     ModelParams(h=fields, k=args.k)
     return fields
 

@@ -331,8 +331,11 @@ _UNIT_TERMS = np.concatenate([t.T for t in vars(_UNIT_HAMILTONIAN).values()],
                              axis=1)
 
 
-def _unit_products(v):
-    """The products T v of the five unit-coupling terms, (..., 5, 16)."""
+def unit_products(v):
+    """The products T v of the five unit-coupling terms, in field order
+    (site_a, bond_left, bond_center, bond_right, site_b), for (..., 16)
+    vectors v; (..., 5, 16).  Scaled by h (site terms) and k (bonds) they
+    are the products of the terms of H."""
     return (v @ _UNIT_TERMS).reshape(v.shape[:-1] + (5, ops.DIM))
 
 
@@ -340,7 +343,7 @@ def apply_hamiltonian(params: ModelParams, v) -> np.ndarray:
     """H v for (..., 16) vectors v, from the products T v scaled by h and k
     (array-valued parameters broadcast); no (..., 16, 16) stack is formed."""
     h, k = (np.asarray(x)[..., None] for x in (params.h, params.k))
-    tv = _unit_products(v)
+    tv = unit_products(v)
     return h * (tv[..., 0, :] + tv[..., 4, :]) + k * tv[..., 1:4, :].sum(-2)
 
 
@@ -353,7 +356,7 @@ def term_expectations(state: GroundState, bra=None, ket=None) -> GroundEnergies:
     """
     bra = state.vector if bra is None else bra
     ket = bra if ket is None else ket
-    elements = (_unit_products(ket) @ bra.conj()[..., None])[..., 0].real
+    elements = (unit_products(ket) @ bra.conj()[..., None])[..., 0].real
     h, k = state.params.h, state.params.k
     site_a, site_b = h * elements[..., 0], h * elements[..., 4]
     left, center, right = (k * elements[..., i] for i in (1, 2, 3))

@@ -33,16 +33,20 @@ any fixed grid spacing once the edge field is large.
 
 * Row stage.  Both targets are one single-projector contraction of the
   terms next to Bob's site (see :func:`_row_engine`), which vanishes at
-  theta = 0.  It gives the 3 x 3 matrices (M0, C) from a few matrix-vector
-  products with the ground state, for the target and for the bond term
-  alone.  :func:`sinusoid_engine` returns (a, b, c) as a view over them.
+  theta = 0.  It gives the 3 x 3 matrices (M0, C) from the unit-coupling
+  products T v of the model (:func:`qetsim.model.unit_products`) scaled
+  by h and k, for the target and for the bond term alone.
+  :func:`sinusoid_engine` returns (a, b, c) as a view over them.
 * Feedback-axis scan.  For a fixed feedback axis s the maximum over r and
   theta is m/2 + hypot(A, m/2), with A = |C^T s| and m = s^T M0 s,
   attained at r = C^T s / A (:func:`_feedback_maxima`).  That maximum is
   invariant under a group of 8 maps of s (s -> -s, the half turn about z,
   y -> -y), each mapping an even angle grid to itself.  The scan keeps
   the first axis of each orbit, (n/2)(n//4 + 1) feedback axes, 544 at
-  n = 64 (:func:`_scan_grid`); it needs no eigensolver.
+  n = 64 (:func:`_scan_grid`).  These axes and their pair products s_i s_j
+  are cached per resolution (:func:`_scan_geometry`), so m and A^2 = s^T
+  (C C^T) s of every axis come from one (m, 6) @ (6, 2) product, and C^T s
+  is formed for the winning axis alone; the scan needs no eigensolver.
 * Alternating ascent.  From the best scanned axis's r = C^T s / A, each
   round takes the top eigenvector y of K(r) and moves r to the higher of
   q / |q| (q_i = y^T dK/dr_i y) and the Newton point of the top
@@ -55,14 +59,16 @@ any fixed grid spacing once the edge field is large.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import operators as ops
-from .model import (GroundState, ModelParams, build_hamiltonian,
-                    energy_decomposition, ground_state)
+from .model import (GroundState, ModelParams, energy_decomposition,
+                    ground_state, unit_products)
 from .protocol import (ProtocolParams, correlators_closed,
                        measurement_energy_closed)
 
@@ -206,7 +212,9 @@ def _row_engine(state: GroundState, target: str):
     linear in r and gives the gain column C r, with C[p, i] = Im(g_i[0, p]
     - g_i[p, 0]) = Im <phi_i| [T, sigma_B^p] |psi>.  M0 <= 0, as s^T M0 s
     is the objective at theta = pi/2, <T> - <sigma_s T sigma_s>, which is
-    never positive.
+    never positive.  The products T rot_q psi are the model's unit-coupling
+    products scaled by h (site_B) and k (bond_right); no 16 x 16 term is
+    built.
     """
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}")
@@ -214,11 +222,12 @@ def _row_engine(state: GroundState, target: str):
         raise ValueError(f"the oracle takes one state, got a batch of shape "
                          f"{state.vector.shape[:-1]}")
     v = state.vector
-    terms = build_hamiltonian(state.params)
-    near_b = np.stack([terms.site_b if target == TARGET_SITE
-                       else terms.site_b + terms.bond_right, terms.bond_right])
     rotated = np.vstack([v, _SIGMA_B @ v])           # rot_q psi, (4, 16)
-    applied = near_b @ rotated.T                     # T rot_q psi, (2, 16, 4)
+    products = unit_products(rotated)                # (4, 5, 16)
+    site = state.params.h * products[:, 4]
+    bond = state.params.k * products[:, 3]
+    near_b = np.stack([site if target == TARGET_SITE else site + bond, bond])
+    applied = near_b.transpose(0, 2, 1)              # T rot_q psi, (2, 16, 4)
     g0 = 0.5 * (rotated.conj() @ applied).real       # Re g_0, (2, 4, 4)
     flipped = _SIGMA_B @ applied[:, None, :, :1]     # sigma_B^p T psi
     commutator = applied[..., 1:] - flipped[..., 0].transpose(0, 2, 1)
@@ -260,25 +269,65 @@ def _form_at(engine, raxes):
     return form
 
 
-def _feedback_maxima(engine, saxes):
+# the pairs (i, j), i <= j, of the pair products s_i s_j of a feedback axis
+_PAIR_I, _PAIR_J = np.triu_indices(3)
+
+
+def _pair_products(saxes):
+    """(s_x^2, s_x s_y, s_x s_z, s_y^2, s_y s_z, s_z^2) of the (m, 3) axes
+    `saxes`, as (m, 6): every quadratic form s^T S s is linear in them."""
+    return saxes[:, _PAIR_I] * saxes[:, _PAIR_J]
+
+
+def _pair_coefficients(matrix):
+    """The coefficients of s^T S s over :func:`_pair_products`: S_ii, and
+    S_ij + S_ji off the diagonal."""
+    upper, lower = matrix[_PAIR_I, _PAIR_J], matrix[_PAIR_J, _PAIR_I]
+    return np.where(_PAIR_I == _PAIR_J, upper, upper + lower)
+
+
+def _feedback_maxima(engine, pairs):
     """The objective maximised over the measurement axis r and theta, for
-    each of the (m, 3) feedback axes `saxes`; returns (values, C^T s).
+    the feedback axes s whose :func:`_pair_products` are `pairs` (m, 6).
 
     For a fixed s the objective is A sin 2 theta cos phi + (m/2)(1 - cos 2
     theta), with A = |C^T s|, m = s^T M0 s and phi the angle between r and
     C^T s.  Its maximum, at r = C^T s / A, is m/2 + hypot(A, m/2), the top
-    eigenvalue of [[0, A], [A, m]].  For m <= 0 it is taken as A^2 /
-    (hypot(A, m/2) - m/2), which does not cancel at large h/k; rounding
-    may leave m slightly positive, where the first form is kept.
+    eigenvalue of [[0, A], [A, m]].  Both m and A^2 = s^T (C C^T) s come
+    from one (m, 6) @ (6, 2) product.  A^2 may round below 0 where C^T s
+    vanishes, so it is clamped at 0.  For m <= 0 the maximum is taken as
+    A^2 / (hypot(A, m/2) - m/2), which does not cancel at large h/k;
+    rounding may leave m slightly positive, where the first form is kept.
     """
     cost, gain = engine
-    gains = saxes @ gain
-    amplitude = np.sqrt((gains * gains).sum(1))
-    half = 0.5 * ((saxes @ cost) * saxes).sum(1)
-    root = np.hypot(amplitude, half)
+    forms = np.stack([_pair_coefficients(cost),
+                      _pair_coefficients(gain @ gain.T)], axis=1)
+    quadratic, squared = (pairs @ forms).T
+    half = 0.5 * quadratic
+    np.maximum(squared, 0.0, out=squared)
+    root = np.hypot(np.sqrt(squared), half)
     top = half + root
-    np.divide(amplitude * amplitude, root - half, out=top, where=half < 0.0)
-    return top, gains
+    np.divide(squared, root - half, out=top, where=half < 0.0)
+    return top
+
+
+# resolutions whose scan geometry is kept: it is 9.5 MB at n = 1024
+_GEOMETRY_CACHE_SIZE = 2
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
+def _scan_geometry(resolution):
+    """The feedback axes :func:`_scan_grid` scans at `resolution`,
+    polar-major, (m, 3), and their :func:`_pair_products`, (m, 6); cached,
+    so both are read-only."""
+    n = resolution
+    polar = np.linspace(0.0, np.pi, n)[:n // 2]
+    azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)[:n // 4 + 1]
+    saxes = ops.axis_vector(*np.meshgrid(polar, azimuth, indexing="ij"))
+    saxes = np.ascontiguousarray(saxes.reshape(3, -1).T)
+    pairs = _pair_products(saxes)
+    saxes.flags.writeable = pairs.flags.writeable = False
+    return saxes, pairs
 
 
 def _scan_grid(engine, resolution):
@@ -310,16 +359,29 @@ def _scan_grid(engine, resolution):
     measurement axis C^T s / |C^T s| for the winning s, or z where C^T s
     = 0, axes scanned).
     """
-    n = resolution
-    polar = np.linspace(0.0, np.pi, n)[:n // 2]
-    azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)[:n // 4 + 1]
-    saxes = ops.axis_vector(*np.meshgrid(polar, azimuth, indexing="ij"))
-    saxes = saxes.reshape(3, -1).T   # polar-major
-    top, gains = _feedback_maxima(engine, saxes)
+    saxes, pairs = _scan_geometry(resolution)
+    top = _feedback_maxima(engine, pairs)
     best = int(top.argmax())
-    norm = np.sqrt(gains[best] @ gains[best])
-    r = gains[best] / norm if norm > 0.0 else np.array(_Z)
+    gains = saxes[best] @ engine[1]
+    norm = np.sqrt(gains @ gains)
+    r = gains / norm if norm > 0.0 else np.array(_Z)
     return float(top[best]), r, len(saxes)
+
+
+def _tangent_basis(r):
+    """An orthonormal basis of the plane tangent to the unit sphere at the
+    unit vector `r`, as the columns of a 3 x 2 array: t = e - (r . e) r
+    normalised, for the coordinate axis e least aligned with r, and r x t.
+    Written out on Python floats, as it is one small vector per round."""
+    components = r.tolist()
+    i = min(range(3), key=lambda j: abs(components[j]))
+    t = [-components[i] * x for x in components]
+    t[i] += 1.0
+    norm = math.sqrt(sum(x * x for x in t))
+    (tx, ty, tz), (rx, ry, rz) = (x / norm for x in t), components
+    return np.array([[tx, ry * tz - rz * ty],
+                     [ty, rz * tx - rx * tz],
+                     [tz, rx * ty - ry * tx]])
 
 
 def _trial_axes(c, r, w, v):
@@ -338,8 +400,7 @@ def _trial_axes(c, r, w, v):
     # K_i y = (C[:, i] . y_s, y_0 C[:, i]), y_s = (y_1, y_2, y_3)
     ky = np.concatenate([(y[1:] @ c)[:, None], y[0] * c.T], axis=1)
     q = ky @ y
-    # the tangent plane's orthonormal basis: eigenvectors of eigenvalue 1
-    tangent = np.linalg.eigh(np.eye(3) - np.outer(r, r))[1][:, 1:]
+    tangent = _tangent_basis(r)
     cross = tangent.T @ ky @ v[:, :3]
     gap = w[-1] - w[:3]
     scaled = np.divide(cross, gap, out=np.zeros_like(cross), where=gap > 0.0)

@@ -183,6 +183,18 @@ class TestCli:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, named", [
+        (["--h", "0.5", "--k", "inf"], "k=inf"),
+        (["--h", "1e300", "--k", "1e10"], "got 1e+300, 10000000000.0"),
+        (["--h", "1e200"], "h=1e+200")])
+    def test_chain_refusal_names_the_given_value(self, capsys, args, named):
+        # --k is checked before the field h k, and h k is formed on Python
+        # floats, so no refusal reports an h = inf that was never given
+        assert cli.main(["chain", "--L-list", "4,50", *args]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "h=[inf]" not in err
+
     def test_chain_empty_length_list_exit_code(self, capsys):
         assert cli.main(["chain", "--L-list", ""]) == 2
         assert "chain length" in capsys.readouterr().err

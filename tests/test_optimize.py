@@ -252,7 +252,8 @@ class TestBruteForce:
         # of every feedback axis of the polar half; n = 66 has no azimuth
         # index n/4
         engine = optimize._row_engine(gs(h, k), target)[0]
-        top = optimize._feedback_maxima(engine, grid_axes(n, n // 2))[0]
+        top = optimize._feedback_maxima(
+            engine, optimize._pair_products(grid_axes(n, n // 2)))
         value = optimize._scan_grid(engine, n)[0]
         assert abs(value - top.max()) <= 1e-15 * (h + k)
 
@@ -303,10 +304,12 @@ class TestBruteForce:
         state = gs(h, k)
         engine = optimize._row_engine(state, target)[0]
         coefficients = sinusoid_engine(state, target)
-        value, gains = optimize._feedback_maxima(engine, s)
-        top = optimize._feedback_maxima(engine, saxes)[0].reshape(4, 20)
+        value = optimize._feedback_maxima(engine, optimize._pair_products(s))
+        top = optimize._feedback_maxima(
+            engine, optimize._pair_products(saxes)).reshape(4, 20)
         assert np.abs(top - value).max() <= tol
 
+        gains = s @ engine[1]
         amplitude = np.linalg.norm(gains, axis=1)
         m = np.einsum("ni,ij,nj->n", s, engine[0], s)
         restricted = np.stack([np.stack([np.zeros(20), amplitude], -1),
@@ -334,6 +337,109 @@ class TestBruteForce:
         finally:
             tracemalloc.stop()
         assert peak < 3e6
+
+    def test_scan_geometry_is_cached_read_only(self, monkeypatch):
+        # the feedback axes are built once per resolution, a few
+        # resolutions are held (9.5 MB each at n = 1024), and no call can
+        # change them for the next
+        calls = []
+        axis_vector = optimize.ops.axis_vector
+
+        def counted(*args):
+            calls.append(args)
+            return axis_vector(*args)
+
+        monkeypatch.setattr(optimize.ops, "axis_vector", counted)
+        optimize._scan_geometry.cache_clear()
+        state = gs(0.5)
+        first = brute_force_max(state, TARGET_EXTRACTED, 70)
+        assert len(calls) == 1
+        assert brute_force_max(state, TARGET_EXTRACTED, 70) == first
+        assert len(calls) == 1
+        for n in (64, 66, 68, 72):
+            optimize._scan_geometry(n)
+        assert optimize._scan_geometry.cache_info().currsize <= 2
+        for array in optimize._scan_geometry(MIN_RESOLUTION):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    def test_scan_clamps_rounded_negative_amplitudes(self):
+        # a gain matrix C = u v^T of rank 1 whose null plane u^T s = 0 is
+        # no coordinate plane and passes through two scanned axes: there
+        # A^2 = s^T (C C^T) s rounds to either side of 0, and a negative
+        # one must not become a NaN that argmax picks
+        h, k = 0.7, 1.0
+        saxes, pairs = optimize._scan_geometry(MIN_RESOLUTION)
+        cost = optimize._row_engine(gs(h, k), TARGET_EXTRACTED)[0][0]
+        gain = np.array([0.3, -0.2, 0.4])
+        rounded_below = False
+        for first, second in ((217, 485), (170, 405), (21, 300), (99, 512)):
+            u = np.cross(saxes[first], saxes[second])
+            engine = (cost, np.outer(u / np.linalg.norm(u), gain))
+            squared = pairs @ optimize._pair_coefficients(
+                engine[1] @ engine[1].T)
+            rounded_below |= bool((squared < 0.0).any())
+
+            gains = saxes @ engine[1]
+            amplitude = np.sqrt((gains * gains).sum(1))
+            half = 0.5 * np.einsum("ni,ij,nj->n", saxes, cost, saxes)
+            root = np.hypot(amplitude, half)
+            reference = np.where(half < 0.0, amplitude**2 / (root - half),
+                                 half + root)
+            top = optimize._feedback_maxima(engine, pairs)
+            assert np.all(np.isfinite(top))
+            assert np.abs(top - reference).max() <= 1e-15 * (h + k)
+            value = optimize._scan_grid(engine, MIN_RESOLUTION)[0]
+            assert abs(value - reference.max()) <= 1e-15 * (h + k)
+        assert rounded_below
+
+        # C = 0 exactly for the site target at h = 0: every A^2 is 0
+        for k in (1e-100, 1.0, 1e100):
+            engine = optimize._row_engine(gs(0.0, k), TARGET_SITE)[0]
+            value, r, _ = optimize._scan_grid(engine, MIN_RESOLUTION)
+            assert value == 0.0
+            assert r.tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
+    @pytest.mark.parametrize("h", [0.05, 0.7, 3.0, 10.0])
+    def test_newton_axis_ignores_the_tangent_basis(self, h, target,
+                                                   monkeypatch):
+        # the trial axes from the ascent's start axes do not depend on
+        # which orthonormal basis of the tangent plane the Newton step uses
+        engine = optimize._row_engine(gs(h), target)[0]
+        tangent_basis = optimize._tangent_basis
+        for n in (MIN_RESOLUTION, 66):
+            r = optimize._scan_grid(engine, n)[1]
+            basis = tangent_basis(r)
+            assert np.abs(basis.T @ basis - np.eye(2)).max() <= 1e-15
+            assert np.abs(r @ basis).max() <= 1e-15
+            w, v = np.linalg.eigh(optimize._form_at(engine, r)[0])
+            expected = optimize._trial_axes(engine[1], r, w, v)
+            for angle in (0.4, 2.0, 4.5):
+                turn = np.array([[np.cos(angle), -np.sin(angle)],
+                                 [np.sin(angle), np.cos(angle)]])
+                monkeypatch.setattr(
+                    optimize, "_tangent_basis",
+                    lambda r, turn=turn: tangent_basis(r) @ turn)
+                trial = optimize._trial_axes(engine[1], r, w, v)
+                assert np.abs(trial - expected).max() <= 1e-15
+
+    def test_oracle_builds_no_hamiltonian(self, monkeypatch):
+        # the row stage reads the unit-coupling products T v, scaled by h
+        # and k, and never the 16 x 16 terms
+        def terms(*args):
+            raise AssertionError("the oracle built the Hamiltonian")
+
+        state = gs(0.6)
+        expected = [brute_force_max(state, target)
+                    for target in (TARGET_EXTRACTED, TARGET_SITE)]
+        for module in (model, optimize):
+            if hasattr(module, "build_hamiltonian"):
+                monkeypatch.setattr(module, "build_hamiltonian", terms)
+        with pytest.raises(AssertionError, match="Hamiltonian"):
+            model.even_sector_spectrum(state.params)
+        assert [brute_force_max(state, target)
+                for target in (TARGET_EXTRACTED, TARGET_SITE)] == expected
 
     def test_evaluations_count_the_scanned_cells(self):
         cert = brute_force_max(gs(0.3), TARGET_EXTRACTED)

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import checks as checks_mod
-from .model import (MAX_FIELD_RATIO, ModelParams, even_sector_spectrum,
-                    ground_state)
+from .model import (MAX_FIELD_RATIO, MAX_PARAMETER, ModelParams,
+                    even_sector_spectrum, ground_state)
 from .optimize import MAX_RESOLUTION, MIN_RESOLUTION, protocol_sweep
 from .protocol import correlators_closed
 from .thermo import thermo_sweep
@@ -55,6 +55,15 @@ def _write_csv(path, header, rows):
             fh.write(text)
 
 
+def _check_coupling(k):
+    """Refuse a --k that ModelParams refuses, before any field is formed,
+    naming --k and the value given."""
+    if not 1.0 / MAX_PARAMETER <= k <= MAX_PARAMETER:
+        raise ValueError(f"--k must be finite and in "
+                         f"[{1.0 / MAX_PARAMETER:g}, {MAX_PARAMETER:g}], "
+                         f"got --k={k}")
+
+
 def _field_grid(h_min, h_max, steps, k):
     """np.linspace(h_min, h_max, steps) * k; refused unless steps >= 2,
     h_min <= h_max, and the ends, the span and both absolute end fields are
@@ -74,9 +83,9 @@ def _field_grid(h_min, h_max, steps, k):
 def _closed_form_grid(args):
     """The field grid of `sweep` and `thermo`, refused unless it lies in
     the accurate range of the closed forms (see model.MAX_FIELD_RATIO).
-    ModelParams checks --k first, so the grid's product with k does not
+    --k is checked first, so the grid's product with k does not
     overflow."""
-    ModelParams(h=0.0, k=args.k)
+    _check_coupling(args.k)
     if not (0.0 <= args.h_min and args.h_max <= MAX_FIELD_RATIO):
         raise ValueError(f"--h-min and --h-max must be finite and in "
                          f"[0, {MAX_FIELD_RATIO:g}] (in units of k), where "
@@ -86,6 +95,7 @@ def _closed_form_grid(args):
 
 
 def cmd_spectrum(args):
+    _check_coupling(args.k)
     rows = []
     for h in _field_grid(args.h_min, args.h_max, args.h_steps, args.k):
         levels = even_sector_spectrum(ModelParams(h=float(h), k=args.k))
@@ -127,7 +137,7 @@ def _chain_fields(args):
     whatever the lengths.  --k is checked first and the product h k on
     Python floats, as in `_closed_form_grid`, so the refusal names the
     values given."""
-    ModelParams(h=0.0, k=args.k)
+    _check_coupling(args.k)
     if args.h_min is None and args.h_max is None:
         field = args.h * args.k
         if not math.isfinite(field):

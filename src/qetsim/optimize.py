@@ -33,9 +33,12 @@ any fixed grid spacing once the edge field is large.
 
 * Row stage.  Both targets are one single-projector contraction of the
   terms next to Bob's site (see :func:`_row_engine`), which vanishes at
-  theta = 0.  It gives the 3 x 3 matrices (M0, C) from the unit-coupling
-  products T v of the model (:func:`qetsim.model.unit_products`) scaled
-  by h and k, for the target and for the bond term alone.
+  theta = 0.  Every entry of its 3 x 3 matrices (M0, C), for the target
+  and for the bond term alone, is a bilinear form Re <psi|O|psi> of a
+  fixed 16 x 16 operator O of the unit-coupling site_B or bond_right
+  term, so all 36 come from one product of a cached (36, 256) table
+  (:func:`_row_table`, built on first use) with conj(psi) (x) psi, scaled
+  by h and k; rows where the Pauli algebra cancels give exact zeros.
   :func:`sinusoid_engine` returns (a, b, c) as a view over them.
 * Feedback-axis scan.  For a fixed feedback axis s the maximum over r and
   theta is m/2 + hypot(A, m/2), with A = |C^T s| and m = s^T M0 s,
@@ -45,13 +48,17 @@ any fixed grid spacing once the edge field is large.
   the first axis of each orbit, (n/2)(n//4 + 1) feedback axes, 544 at
   n = 64 (:func:`_scan_grid`).  These axes and their pair products s_i s_j
   are cached per resolution (:func:`_scan_geometry`), so m and A^2 = s^T
-  (C C^T) s of every axis come from one (m, 6) @ (6, 2) product, and C^T s
-  is formed for the winning axis alone; the scan needs no eigensolver.
+  (C C^T) s of every axis come from one (m, 6) @ (6, 2) product, whose two
+  forms are one fixed (6, 9) map of [M0, C C^T], and C^T s is formed for
+  the winning axis alone; the scan needs no eigensolver.
 * Alternating ascent.  From the best scanned axis's r = C^T s / A, each
   round takes the top eigenvector y of K(r) and moves r to the higher of
   q / |q| (q_i = y^T dK/dr_i y) and the Newton point of the top
   eigenvalue (:func:`_ascend`).  The value is that eigenvalue, not a
   difference such as sqrt(b^2 + c^2) - b, which cancels at large h/k.
+  The trial axes (with a closed-form 2 x 2 curvature eigensolve) and the
+  certificate are computed on Python floats: they are a few vectors of 2
+  to 4 components, where numpy calls cost more than the arithmetic.
 * Convergence.  The ascent stops at the first round that does not rise;
   the certificate records whether it stopped within the round limit,
   and :func:`qetsim.checks.check_brute_force` fails if not.
@@ -67,8 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .model import (GroundState, ModelParams, energy_decomposition,
-                    ground_state, unit_products)
+from .model import (GroundState, ModelParams, build_hamiltonian,
+                    energy_decomposition, ground_state)
 from .protocol import (ProtocolParams, correlators_closed,
                        measurement_energy_closed)
 
@@ -180,8 +187,27 @@ def max_site_reduction(state: GroundState) -> Certificate:
 # ---------------------------------------------------------------------------
 # the matrix-element engine and the grid oracle
 
-_SIGMA_A = np.stack([ops.pauli(ops.SITE_A, ax) for ax in "xyz"])
-_SIGMA_B = np.stack([ops.pauli(ops.SITE_B, ax) for ax in "xyz"])
+@functools.cache
+def _row_table():
+    """The row stage's bilinear table, (36, 256) complex, built on first
+    use (not at import) and read-only.  Row 18 t + 9 b + 3 p + j holds the
+    16 x 16 operator O, flattened, whose Re <psi|O|psi> is entry (p, j) of
+    the cost block M0 (b = 0) or the gain matrix C (b = 1) of the
+    unit-coupling term t (0: site_B, 1: bond_right); see
+    :func:`_row_engine`."""
+    terms = build_hamiltonian(ModelParams(h=1.0, k=1.0))
+    sigma_a = [ops.pauli(ops.SITE_A, ax) for ax in "xyz"]
+    sigma_b = [ops.pauli(ops.SITE_B, ax) for ax in "xyz"]
+    rows = []
+    for term in (terms.site_b, terms.bond_right):
+        rows += [term * (p == q) - 0.5 * (sigma_b[p] @ term @ sigma_b[q]
+                                          + sigma_b[q] @ term @ sigma_b[p])
+                 for p in range(3) for q in range(3)]
+        rows += [-0.5j * sigma_a[i] @ (term @ sigma_b[p] - sigma_b[p] @ term)
+                 for p in range(3) for i in range(3)]
+    table = np.reshape(rows, (36, ops.DIM * ops.DIM))
+    table.flags.writeable = False
+    return table
 
 
 def _row_engine(state: GroundState, target: str):
@@ -212,9 +238,21 @@ def _row_engine(state: GroundState, target: str):
     linear in r and gives the gain column C r, with C[p, i] = Im(g_i[0, p]
     - g_i[p, 0]) = Im <phi_i| [T, sigma_B^p] |psi>.  M0 <= 0, as s^T M0 s
     is the objective at theta = pi/2, <T> - <sigma_s T sigma_s>, which is
-    never positive.  The products T rot_q psi are the model's unit-coupling
-    products scaled by h (site_B) and k (bond_right); no 16 x 16 term is
-    built.
+    never positive.
+
+    So every entry is a bilinear form Re <psi|O|psi> of a fixed operator:
+    O = T delta_pq - (sigma_B^p T sigma_B^q + sigma_B^q T sigma_B^p) / 2 in
+    the cost block and O = -(i/2) sigma_A^i [T, sigma_B^p] in the gain
+    matrix, for the unit-coupling T = site_B and T = bond_right.  The 36
+    operators are the rows of :func:`_row_table`, and one product of the
+    table with conj(psi) (x) psi gives every entry for both terms, scaled
+    afterwards by h (site_B) and k (bond_right).  The table's entries are
+    sums of Pauli products, exact in floating point, and a row is exactly
+    zero where the Pauli algebra cancels, which makes its entry an exact
+    0: for site_B the (z, z) and (x, y), (y, x) entries of M0 and the z-row
+    of C (sigma_B^z commutes with T); for bond_right the (x, x) and (y, z),
+    (z, y) entries of M0 and the x-row of C.  Nothing assumes psi real, and
+    no 16 x 16 operator is built per call.
     """
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}")
@@ -222,19 +260,11 @@ def _row_engine(state: GroundState, target: str):
         raise ValueError(f"the oracle takes one state, got a batch of shape "
                          f"{state.vector.shape[:-1]}")
     v = state.vector
-    rotated = np.vstack([v, _SIGMA_B @ v])           # rot_q psi, (4, 16)
-    products = unit_products(rotated)                # (4, 5, 16)
-    site = state.params.h * products[:, 4]
-    bond = state.params.k * products[:, 3]
-    near_b = np.stack([site if target == TARGET_SITE else site + bond, bond])
-    applied = near_b.transpose(0, 2, 1)              # T rot_q psi, (2, 16, 4)
-    g0 = 0.5 * (rotated.conj() @ applied).real       # Re g_0, (2, 4, 4)
-    flipped = _SIGMA_B @ applied[:, None, :, :1]     # sigma_B^p T psi
-    commutator = applied[..., 1:] - flipped[..., 0].transpose(0, 2, 1)
-    gain = 0.5 * ((_SIGMA_A @ v).conj() @ commutator).imag.transpose(0, 2, 1)
-    quad = g0[:, 1:, 1:]
-    cost = 2.0 * g0[:, :1, :1] * np.eye(3) - quad - quad.transpose(0, 2, 1)
-    return (cost[0], gain[0]), (cost[1], gain[1])
+    entries = (_row_table() @ np.outer(v.conj(), v).ravel()).real.reshape(
+        2, 2, 3, 3)
+    site, bond = state.params.h * entries[0], state.params.k * entries[1]
+    near_b = site if target == TARGET_SITE else site + bond
+    return tuple(near_b), tuple(bond)
 
 
 def sinusoid_engine(state: GroundState, target: str):
@@ -279,11 +309,12 @@ def _pair_products(saxes):
     return saxes[:, _PAIR_I] * saxes[:, _PAIR_J]
 
 
-def _pair_coefficients(matrix):
-    """The coefficients of s^T S s over :func:`_pair_products`: S_ii, and
-    S_ij + S_ji off the diagonal."""
-    upper, lower = matrix[_PAIR_I, _PAIR_J], matrix[_PAIR_J, _PAIR_I]
-    return np.where(_PAIR_I == _PAIR_J, upper, upper + lower)
+# the coefficients of s^T S s over the pair products, as a map of the
+# flattened 3 x 3 matrix S: S_ii, and S_ij + S_ji off the diagonal
+_PAIR_MAP = np.zeros((6, 9))
+_PAIR_MAP[np.arange(6), 3 * _PAIR_I + _PAIR_J] = 1.0
+_PAIR_MAP[np.arange(6), 3 * _PAIR_J + _PAIR_I] = 1.0
+_PAIR_MAP.flags.writeable = False
 
 
 def _feedback_maxima(engine, pairs):
@@ -294,14 +325,14 @@ def _feedback_maxima(engine, pairs):
     theta), with A = |C^T s|, m = s^T M0 s and phi the angle between r and
     C^T s.  Its maximum, at r = C^T s / A, is m/2 + hypot(A, m/2), the top
     eigenvalue of [[0, A], [A, m]].  Both m and A^2 = s^T (C C^T) s come
-    from one (m, 6) @ (6, 2) product.  A^2 may round below 0 where C^T s
+    from one (m, 6) @ (6, 2) product, the two forms from one product of
+    :data:`_PAIR_MAP` with [M0, C C^T].  A^2 may round below 0 where C^T s
     vanishes, so it is clamped at 0.  For m <= 0 the maximum is taken as
     A^2 / (hypot(A, m/2) - m/2), which does not cancel at large h/k;
     rounding may leave m slightly positive, where the first form is kept.
     """
     cost, gain = engine
-    forms = np.stack([_pair_coefficients(cost),
-                      _pair_coefficients(gain @ gain.T)], axis=1)
+    forms = _PAIR_MAP @ np.stack([cost, gain @ gain.T]).reshape(2, 9).T
     quadratic, squared = (pairs @ forms).T
     half = 0.5 * quadratic
     np.maximum(squared, 0.0, out=squared)
@@ -368,50 +399,82 @@ def _scan_grid(engine, resolution):
     return float(top[best]), r, len(saxes)
 
 
+def _dot(u, v):
+    """u . v of two 3-vectors of Python floats."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def _tangent_basis(r):
-    """An orthonormal basis of the plane tangent to the unit sphere at the
-    unit vector `r`, as the columns of a 3 x 2 array: t = e - (r . e) r
-    normalised, for the coordinate axis e least aligned with r, and r x t.
-    Written out on Python floats, as it is one small vector per round."""
-    components = r.tolist()
-    i = min(range(3), key=lambda j: abs(components[j]))
-    t = [-components[i] * x for x in components]
+    """An orthonormal basis (t1, t2) of the plane tangent to the unit
+    sphere at the unit vector `r` (3 floats), as two 3-tuples: t1 = e - (r
+    . e) r normalised, for the coordinate axis e least aligned with r (the
+    first on a tie), and t2 = r x t1."""
+    rx, ry, rz = r
+    ax, ay, az = abs(rx), abs(ry), abs(rz)
+    i = 0 if ax <= ay and ax <= az else 1 if ay <= az else 2
+    t = [-r[i] * rx, -r[i] * ry, -r[i] * rz]
     t[i] += 1.0
-    norm = math.sqrt(sum(x * x for x in t))
-    (tx, ty, tz), (rx, ry, rz) = (x / norm for x in t), components
-    return np.array([[tx, ry * tz - rz * ty],
-                     [ty, rz * tx - rx * tz],
-                     [tz, rx * ty - ry * tx]])
+    norm = math.sqrt(_dot(t, t))
+    tx, ty, tz = t[0] / norm, t[1] / norm, t[2] / norm
+    return (tx, ty, tz), (ry * tz - rz * ty, rz * tx - rx * tz,
+                          rx * ty - ry * tx)
+
+
+def _eigh2(a, b, d):
+    """Eigenpairs of the real symmetric 2 x 2 matrix [[a, b], [b, d]] in
+    closed form on Python floats, ascending like ``numpy.linalg.eigh``:
+    ((w_0, w_1), (u_0, u_1)), with u_1 = (cos phi, sin phi) at 2 phi =
+    atan2(b, (a - d) / 2) and u_0 = (-sin phi, cos phi).  An exactly
+    degenerate matrix gives the coordinate axes."""
+    half, mean = 0.5 * (a - d), 0.5 * (a + d)
+    radius = math.hypot(half, b)
+    phi = 0.5 * math.atan2(b, half)
+    cos, sin = math.cos(phi), math.sin(phi)
+    return (mean - radius, mean + radius), ((-sin, cos), (cos, sin))
 
 
 def _trial_axes(c, r, w, v):
     """The two axes an ascent round tries from `r`, given the eigenpairs
     (w, v) of K(r) and the gain matrix `c` (C).  With y the top eigenvector,
-    q_i = y^T K_i y (K_i = dK/dr_i) is the gradient of the top eigenvalue
-    lambda(r), and H_ij = 2 sum_k (y^T K_i v_k)(v_k^T K_j y) / (lambda -
-    w_k) over the other eigenpairs (an exact degeneracy drops out) its
-    Hessian.  The axes are q / |q|, the best for y, and the Newton point
-    of lambda on the unit sphere, stepping only along the tangent modes
-    where lambda curves down.  Along flat directions q / |q| alone gains
-    as little as 2 % of the remaining gap per round (the extracted target
-    at h = 10 k on a 66-point grid).
+    q_i = y^T K_i y = 2 y_0 (C^T y_s)_i (K_i = dK/dr_i, y_s = (y_1, y_2,
+    y_3)) is the gradient of the top eigenvalue lambda(r), and H_ab = (r .
+    q) delta_ab - 2 sum_k (y^T K_a v_k)(v_k^T K_b y) / (lambda - w_k) over
+    the other eigenpairs (an exact degeneracy drops out) its Hessian on
+    the sphere, in a tangent basis t_a at r (:func:`_tangent_basis`), with
+    y^T K_t v_k = (C t) . (y_0 v_k,s + v_k,0 y_s).  The axes are q / |q|,
+    the best for y, and the Newton point of lambda on the unit sphere,
+    stepping only along the tangent modes (:func:`_eigh2`) where lambda
+    curves down.  Along flat directions q / |q| alone gains as little as
+    2 % of the remaining gap per round (the extracted target at h = 10 k on
+    a 66-point grid).  On Python floats, as every vector here has 2 to 4
+    components.
     """
-    y = v[:, -1]
-    # K_i y = (C[:, i] . y_s, y_0 C[:, i]), y_s = (y_1, y_2, y_3)
-    ky = np.concatenate([(y[1:] @ c)[:, None], y[0] * c.T], axis=1)
-    q = ky @ y
-    tangent = _tangent_basis(r)
-    cross = tangent.T @ ky @ v[:, :3]
-    gap = w[-1] - w[:3]
-    scaled = np.divide(cross, gap, out=np.zeros_like(cross), where=gap > 0.0)
-    curvature, modes = np.linalg.eigh((r @ q) * np.eye(2)
-                                      - 2.0 * scaled @ cross.T)
-    gain = modes.T @ tangent.T @ q
-    newton = r + tangent @ modes @ np.divide(
-        gain, curvature, out=np.zeros(2), where=curvature > 0.0)
-    norm = np.sqrt(q @ q)
-    return np.stack([q / norm if norm > 0.0 else r,
-                     newton / np.sqrt(newton @ newton)])
+    rows, (*lower, top), r = c.tolist(), w.tolist(), r.tolist()
+    *others, (y0, *ys) = v.T.tolist()
+    q = [2.0 * y0 * _dot(ys, column) for column in zip(*rows)]
+    t1, t2 = _tangent_basis(r)
+    ct1, ct2 = [_dot(row, t1) for row in rows], [_dot(row, t2) for row in rows]
+    h11 = h22 = _dot(r, q)
+    h12 = 0.0
+    for wk, (v0, *vs) in zip(lower, others):
+        gap = top - wk
+        if gap > 0.0:
+            mixed = [y0 * x + v0 * y for x, y in zip(vs, ys)]
+            x1, x2 = _dot(ct1, mixed), _dot(ct2, mixed)
+            scale = 2.0 / gap
+            h11 -= scale * x1 * x1
+            h22 -= scale * x2 * x2
+            h12 -= scale * x1 * x2
+    along1, along2 = _dot(t1, q), _dot(t2, q)
+    newton = r
+    for bend, (m1, m2) in zip(*_eigh2(h11, h12, h22)):
+        if bend > 0.0:
+            step = (m1 * along1 + m2 * along2) / bend
+            d1, d2 = step * m1, step * m2
+            newton = [x + d1 * a + d2 * b for x, a, b in zip(newton, t1, t2)]
+    norm, newton_norm = math.sqrt(_dot(q, q)), math.sqrt(_dot(newton, newton))
+    return np.array([[x / norm for x in q] if norm > 0.0 else r,
+                     [x / newton_norm for x in newton]])
 
 
 def _ascend(forms, r, max_rounds=100):
@@ -470,19 +533,24 @@ def brute_force_max(state: GroundState, target: str,
     engine, bond = _row_engine(state, target)
     _, r, scanned = _scan_grid(engine, resolution)
     value, r, y, rounds, converged = _ascend(engine, r)
-    y = -y if y[0] < 0.0 else y
-    norm = np.sqrt(y[1:] @ y[1:])
-    s = y[1:] / norm if norm > 0.0 else np.array(_Z)
-    theta = np.arctan2(norm, y[0])
-    cost, gain = engine
-    a, c = 0.5 * float(s @ cost @ s), float(s @ gain @ r)
+    # the certificate on Python floats: a few 3-vectors
+    y0, *ys = (-y if y[0] < 0.0 else y).tolist()
+    r = r.tolist()
+    norm = math.sqrt(_dot(ys, ys))
+    s = [x / norm for x in ys] if norm > 0.0 else list(_Z)
+    theta = math.atan2(norm, y0)
+    cost, gain, bond_cost, bond_gain = (m.tolist() for m in (*engine, *bond))
+    a = 0.5 * _dot(s, [_dot(row, s) for row in cost])
+    c = _dot(s, [_dot(row, r) for row in gain])
+    bond_value = (2.0 * y0 * _dot(ys, [_dot(row, r) for row in bond_gain])
+                  + _dot(ys, [_dot(row, ys) for row in bond_cost]))
     return Certificate(
         target=target, params=ProtocolParams.from_vectors(r, s, theta),
         value=value, amplitude=a, cross_amplitude=c,
-        phase=np.arctan2(-c, -a) if np.hypot(a, c) > 0.0 else 0.0,
-        sin_2theta=np.sin(2.0 * theta), cos_2theta=np.cos(2.0 * theta),
-        bond_reduction=float(y @ _form_at(bond, r)[0] @ y),
-        converged=converged, rounds=rounds, evaluations=scanned + 2 * rounds)
+        phase=math.atan2(-c, -a) if math.hypot(a, c) > 0.0 else 0.0,
+        sin_2theta=math.sin(2.0 * theta), cos_2theta=math.cos(2.0 * theta),
+        bond_reduction=bond_value, converged=converged, rounds=rounds,
+        evaluations=scanned + 2 * rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ energies being unit-coupling matrix elements scaled by h and k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,20 +67,18 @@ class ProtocolParams:
 
     @classmethod
     def from_vectors(cls, r, s, theta):
-        r = np.asarray(r, dtype=float)
-        s = np.asarray(s, dtype=float)
+        """The angles of the unit 3-vectors r and s, on Python floats (one
+        pair per oracle call, where numpy scalars cost more than the
+        arithmetic)."""
+        angles = []
         for vec in (r, s):
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-                raise ValueError(f"axis vector must be unit length, got {vec}")
-
-        def angles(v):
-            polar = np.arccos(np.clip(v[2], -1.0, 1.0))
-            azimuth = np.arctan2(v[1], v[0]) % (2.0 * np.pi)
-            return polar, azimuth
-
-        mu, nu = angles(r)
-        xi, eta = angles(s)
-        return cls(mu=mu, nu=nu, xi=xi, eta=eta, theta=theta)
+            x, y, z = map(float, vec)
+            if abs(math.sqrt(x * x + y * y + z * z) - 1.0) > 1e-12:
+                raise ValueError(f"axis vector must be unit length, got "
+                                 f"{np.asarray(vec, dtype=float)}")
+            angles += [math.acos(min(max(z, -1.0), 1.0)),
+                       math.atan2(y, x) % (2.0 * math.pi)]
+        return cls(*angles, theta=theta)
 
 
 @dataclass(frozen=True)

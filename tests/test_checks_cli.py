@@ -195,6 +195,21 @@ class TestCli:
         assert named in err
         assert "h=[inf]" not in err
 
+    @pytest.mark.parametrize("command", ["chain", "sweep", "thermo"])
+    @pytest.mark.parametrize("k, shown", [("inf", "inf"), ("nan", "nan"),
+                                          ("-1", "-1.0"),
+                                          ("1e-200", "1e-200")])
+    def test_coupling_refusal_names_k_alone(self, tmp_path, capsys, command,
+                                            k, shown):
+        # --k is refused on its own, before any field is formed, so the
+        # message names --k and its value and no h the user never gave
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, "--k", k, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--k={shown}" in err
+        assert "h=" not in err
+        assert not out.exists()
+
     def test_chain_empty_length_list_exit_code(self, capsys):
         assert cli.main(["chain", "--L-list", ""]) == 2
         assert "chain length" in capsys.readouterr().err

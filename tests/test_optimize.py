@@ -1,9 +1,13 @@
+import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qetsim import model, optimize, protocol
+from qetsim import model, operators, optimize, protocol
 from qetsim.model import ModelParams, energy_decomposition, ground_state
 from qetsim.operators import axis_vector, even_parity_indices
 from qetsim.optimize import (MIN_RESOLUTION, TARGET_EXTRACTED, TARGET_SITE,
@@ -376,8 +380,8 @@ class TestBruteForce:
         for first, second in ((217, 485), (170, 405), (21, 300), (99, 512)):
             u = np.cross(saxes[first], saxes[second])
             engine = (cost, np.outer(u / np.linalg.norm(u), gain))
-            squared = pairs @ optimize._pair_coefficients(
-                engine[1] @ engine[1].T)
+            squared = pairs @ optimize._PAIR_MAP @ (
+                engine[1] @ engine[1].T).ravel()
             rounded_below |= bool((squared < 0.0).any())
 
             gains = saxes @ engine[1]
@@ -410,7 +414,7 @@ class TestBruteForce:
         tangent_basis = optimize._tangent_basis
         for n in (MIN_RESOLUTION, 66):
             r = optimize._scan_grid(engine, n)[1]
-            basis = tangent_basis(r)
+            basis = np.array(tangent_basis(r.tolist())).T
             assert np.abs(basis.T @ basis - np.eye(2)).max() <= 1e-15
             assert np.abs(r @ basis).max() <= 1e-15
             w, v = np.linalg.eigh(optimize._form_at(engine, r)[0])
@@ -420,24 +424,30 @@ class TestBruteForce:
                                  [np.sin(angle), np.cos(angle)]])
                 monkeypatch.setattr(
                     optimize, "_tangent_basis",
-                    lambda r, turn=turn: tangent_basis(r) @ turn)
+                    lambda r, turn=turn: tuple(
+                        (np.array(tangent_basis(r)).T @ turn).T.tolist()))
                 trial = optimize._trial_axes(engine[1], r, w, v)
                 assert np.abs(trial - expected).max() <= 1e-15
 
     def test_oracle_builds_no_hamiltonian(self, monkeypatch):
-        # the row stage reads the unit-coupling products T v, scaled by h
-        # and k, and never the 16 x 16 terms
+        # the row stage contracts a cached table, so after one warm call
+        # the oracle builds no 16 x 16 operator: no Pauli matrix, no
+        # unit-coupling product and no Hamiltonian term
         def terms(*args):
             raise AssertionError("the oracle built the Hamiltonian")
 
         state = gs(0.6)
         expected = [brute_force_max(state, target)
                     for target in (TARGET_EXTRACTED, TARGET_SITE)]
+        monkeypatch.setattr(operators, "pauli", terms)
         for module in (model, optimize):
-            if hasattr(module, "build_hamiltonian"):
-                monkeypatch.setattr(module, "build_hamiltonian", terms)
+            for name in ("build_hamiltonian", "unit_products"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, terms)
         with pytest.raises(AssertionError, match="Hamiltonian"):
             model.even_sector_spectrum(state.params)
+        with pytest.raises(AssertionError, match="Hamiltonian"):
+            model.apply_hamiltonian(state.params, state.vector)
         assert [brute_force_max(state, target)
                 for target in (TARGET_EXTRACTED, TARGET_SITE)] == expected
 
@@ -544,6 +554,127 @@ class TestBruteForce:
         two = brute_force_max(state, TARGET_SITE)
         assert one.value == two.value
         assert one.params == two.params
+
+
+class TestRowTable:
+    def test_table_is_cached_read_only(self):
+        table = optimize._row_table()
+        assert table.shape == (36, 256)
+        assert optimize._row_table() is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+
+    def test_table_is_not_built_at_import(self):
+        # every command line process imports optimize; the table is built
+        # by the first oracle call
+        code = ("import qetsim.cli, qetsim.optimize as o; "
+                "print(o._row_table.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                 sys.path)}).stdout
+        assert out.strip() == "0"
+
+    @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
+    @pytest.mark.parametrize("h, k", SCAN_FIELDS)
+    def test_forms_ignore_a_global_phase(self, h, k, target):
+        # the table contracts conj(psi) (x) psi, so nothing assumes a real
+        # state vector
+        state = gs(h, k)
+        expected = optimize._row_engine(state, target)
+        for phase in (0.3, 2.0, -2.9):
+            turned = dataclasses.replace(
+                state, vector=np.exp(1j * phase) * state.vector)
+            forms = optimize._row_engine(turned, target)
+            for got, want in zip(forms, expected):
+                for a, b in zip(got, want):
+                    assert np.abs(a - b).max() <= 1e-15 * (h + k)
+
+    def test_batch_is_refused(self):
+        with pytest.raises(ValueError, match=r"the oracle takes one state, "
+                           r"got a batch of shape \(2,\)"):
+            optimize._row_engine(gs(np.array([0.3, 0.5])), TARGET_EXTRACTED)
+
+
+def _numpy_trial_axes(c, r, w, v):
+    """The ascent step written with numpy (a 2 x 2 eigh and stacked
+    products), kept as the reference of the Python-float step."""
+    y = v[:, -1]
+    ky = np.concatenate([(y[1:] @ c)[:, None], y[0] * c.T], axis=1)
+    q = ky @ y
+    tangent = np.array(optimize._tangent_basis(r.tolist())).T
+    cross = tangent.T @ ky @ v[:, :3]
+    gap = w[-1] - w[:3]
+    scaled = np.divide(cross, gap, out=np.zeros_like(cross), where=gap > 0.0)
+    curvature, modes = np.linalg.eigh((r @ q) * np.eye(2)
+                                      - 2.0 * scaled @ cross.T)
+    gain = modes.T @ tangent.T @ q
+    newton = r + tangent @ modes @ np.divide(
+        gain, curvature, out=np.zeros(2), where=curvature > 0.0)
+    norm = np.sqrt(q @ q)
+    return np.stack([q / norm if norm > 0.0 else r,
+                     newton / np.sqrt(newton @ newton)])
+
+
+class TestAscentStep:
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(19)
+        for a, b, d in rng.normal(size=(200, 3)) * rng.choice(
+                [1e-8, 1.0, 1e8], (200, 1)):
+            yield a, b, d                        # random
+            yield a, 0.0, d                      # diagonal
+            yield d, 0.0, a                      # diagonal, either order
+            yield a, 0.0, a                      # exactly degenerate
+        yield 0.0, 0.0, 0.0
+
+    def test_closed_form_eigenpairs_match_eigh(self):
+        for a, b, d in self.matrices():
+            matrix = np.array([[a, b], [b, d]])
+            scale = np.abs(matrix).max()
+            values, vectors = optimize._eigh2(a, b, d)
+            reference, reference_vectors = np.linalg.eigh(matrix)
+            # both are backward stable: errors of a few ulps of the scale
+            assert np.abs(np.subtract(values, reference)).max() <= (
+                1e-15 * scale)
+            vectors = np.array(vectors).T          # columns, as eigh
+            assert np.abs(vectors.T @ vectors - np.eye(2)).max() <= 4e-16
+            assert np.abs(matrix @ vectors - vectors * values).max() <= (
+                1e-15 * scale)
+            if values[1] - values[0] > 1e-6 * scale:   # unique up to sign
+                alignment = np.abs((vectors * reference_vectors).sum(0))
+                assert np.abs(alignment - 1.0).max() <= 1e-9
+
+    def test_degenerate_matrix_gives_the_coordinate_axes(self):
+        values, vectors = optimize._eigh2(2.5, 0.0, 2.5)
+        assert values == (2.5, 2.5)
+        assert vectors == ((-0.0, 1.0), (1.0, 0.0))
+
+    def test_trial_axes_match_the_numpy_step(self):
+        # random gain matrices C, unit axes r and the eigenpairs of K(r)
+        # with a random cost block M0 <= 0
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            c = rng.normal(size=(3, 3))
+            root = rng.normal(size=(3, 3))
+            r = rng.normal(size=3)
+            r /= np.linalg.norm(r)
+            w, v = np.linalg.eigh(
+                optimize._form_at((-root @ root.T, c), r)[0])
+            got = optimize._trial_axes(c, r, w, v)
+            assert np.abs(got - _numpy_trial_axes(c, r, w, v)).max() <= 1e-14
+
+    @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
+    @pytest.mark.parametrize("h, k", SCAN_FIELDS)
+    def test_trial_axes_match_the_numpy_step_on_the_oracle(self, h, k,
+                                                           target):
+        engine = optimize._row_engine(gs(h, k), target)[0]
+        for n in (MIN_RESOLUTION, 66):
+            r = optimize._scan_grid(engine, n)[1]
+            w, v = np.linalg.eigh(optimize._form_at(engine, r)[0])
+            got = optimize._trial_axes(engine[1], r, w, v)
+            assert np.abs(got - _numpy_trial_axes(engine[1], r, w, v)
+                          ).max() <= 1e-14
 
 
 class TestSweep:

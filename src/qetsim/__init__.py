@@ -5,7 +5,7 @@ Library layout:
 * :mod:`qetsim.operators`  Pauli/fermion operators and basis conventions
 * :mod:`qetsim.model`      Hamiltonian, symmetries, exact ground state
 * :mod:`qetsim.protocol`   measurement, feedback, energy bookkeeping
-* :mod:`qetsim.optimize`   closed-form maxima and the grid-search oracle
+* :mod:`qetsim.optimize`   closed-form maxima and the fixed-point oracle
 * :mod:`qetsim.majorana`   Majorana operators and correlator identities
 * :mod:`qetsim.chain`      free-fermion solver for long chains
 * :mod:`qetsim.thermo`     entropies, effective temperature, second law

@@ -239,8 +239,8 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sampled-property checks")
     p.add_argument("--grid", type=int, default=MIN_RESOLUTION,
-                   help="angle-grid resolution for the optimizer oracle "
-                        f"(even, {MIN_RESOLUTION} to {MAX_RESOLUTION})")
+                   help=f"validated (even, {MIN_RESOLUTION} to "
+                        f"{MAX_RESOLUTION}) but not read by the oracle")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -1,4 +1,4 @@
-"""Protocol-parameter optimization: closed-form maxima and a grid oracle.
+"""Protocol-parameter optimization: closed-form maxima and an oracle.
 
 Two objectives over the five protocol angles (mu, nu, xi, eta, theta):
 
@@ -12,11 +12,11 @@ Both have closed-form maxima
 
 attained at measurement/feedback axes (y, x) and (x, y) respectively, with
 the rotation angle fixed by the ratio of the correlator gain to the site
-energy.  :func:`brute_force_max` cross-checks these by a search over all
-five angles that never reads a closed form, so agreement is a genuine
-two-route test.
+energy.  :func:`brute_force_max` cross-checks these by a global
+maximisation over all five angles that never reads a closed form, so
+agreement is a genuine two-route test.
 
-The search runs on one matrix-element engine.  Bob's rotation cos(theta)
+The oracle runs on one matrix-element engine.  Bob's rotation cos(theta)
 + i n sin(theta) s.sigma_B is the unit quaternion y = (cos theta,
 sin theta s), and for a measurement axis r the objective is the quadratic
 form y^T K(r) y of the 4 x 4 real symmetric arrowhead matrix
@@ -40,28 +40,25 @@ any fixed grid spacing once the edge field is large.
   (:func:`_row_table`, built on first use) with conj(psi) (x) psi, scaled
   by h and k; rows where the Pauli algebra cancels give exact zeros.
   :func:`sinusoid_engine` returns (a, b, c) as a view over them.
-* Feedback-axis scan.  For a fixed feedback axis s the maximum over r and
-  theta is m/2 + hypot(A, m/2), with A = |C^T s| and m = s^T M0 s,
-  attained at r = C^T s / A (:func:`_feedback_maxima`).  That maximum is
-  invariant under a group of 8 maps of s (s -> -s, the half turn about z,
-  y -> -y), each mapping an even angle grid to itself.  The scan keeps
-  the first axis of each orbit, (n/2)(n//4 + 1) feedback axes, 544 at
-  n = 64 (:func:`_scan_grid`).  These axes and their pair products s_i s_j
-  are cached per resolution (:func:`_scan_geometry`), so m and A^2 = s^T
-  (C C^T) s of every axis come from one (m, 6) @ (6, 2) product, whose two
-  forms are one fixed (6, 9) map of [M0, C C^T], and C^T s is formed for
-  the winning axis alone; the scan needs no eigensolver.
-* Alternating ascent.  From the best scanned axis's r = C^T s / A, each
-  round takes the top eigenvector y of K(r) and moves r to the higher of
-  q / |q| (q_i = y^T dK/dr_i y) and the Newton point of the top
-  eigenvalue (:func:`_ascend`).  The value is that eigenvalue, not a
-  difference such as sqrt(b^2 + c^2) - b, which cancels at large h/k.
-  The trial axes (with a closed-form 2 x 2 curvature eigensolve) and the
-  certificate are computed on Python floats: they are a few vectors of 2
-  to 4 components, where numpy calls cost more than the arithmetic.
-* Convergence.  The ascent stops at the first round that does not rise;
-  the certificate records whether it stopped within the round limit,
-  and :func:`qetsim.checks.check_brute_force` fails if not.
+* Fixed point.  At a feedback axis s the maximum over r and theta is
+  lambda(s) = m/2 + hypot(A, m/2), with A = |C^T s| and m = s^T M0 s
+  (:func:`_axis_maximum`).  The global maximum is the root of
+  lambda_max(C C^T + lambda M0) = lambda^2, reached by Dinkelbach's
+  parametric iteration (W. Dinkelbach, Management Science 13, 492
+  (1967)), one 3 x 3 eigensolve a round; the confirming round also proves
+  an upper bound (:func:`_fixed_point`).  An unconverged certificate
+  fails :func:`qetsim.checks.check_brute_force`.
+* Structure.  On physical states M0 and C C^T are diagonal, by the
+  parity symmetry (sigma_z on every site) and complex conjugation (a real
+  psi), so the maximum is the best of three per-axis closed forms: the
+  paper's two formulae.  The iteration does not assume this; it takes 2
+  or 3 rounds on physical states, at most 10 on random (M0 <= 0, C).
+* Tightness.  The bound's slack is rounding of order u |C|_F^2, the size
+  of the terms that cancel in C C^T + lambda M0.  (upper - value) / value
+  is below 1e-11 for 0.05 k <= h <= 1.5 k and 7.5e-9 at h = 1e-6 k; at
+  h = 100 k it is 7e-2 (``extracted``) and 1.3e-6 (``site_reduction``),
+  at 1e4 k 4e5 and 15, while the value stays relatively accurate
+  (tests/test_accuracy.py).
 """
 
 from __future__ import annotations
@@ -83,8 +80,9 @@ TARGET_EXTRACTED = "extracted"
 TARGET_SITE = "site_reduction"
 _TARGETS = (TARGET_EXTRACTED, TARGET_SITE)
 
+# the accepted range of the oracle's resolution, which it does not read
 MIN_RESOLUTION = 64
-MAX_RESOLUTION = 1024   # 131 584 scanned feedback axes
+MAX_RESOLUTION = 1024
 
 # angles of the constant axes of the closed forms, computed once: the
 # conversion from vectors costs more than the closed forms themselves.
@@ -109,14 +107,12 @@ class Certificate:
     the reported parameters (zero when the extracted energy is maximised,
     strictly negative at the site-reduction optimum for h > 0).
 
-    `converged`, `rounds` and `evaluations` describe the search that found
-    the optimum: whether the ascent stopped rising within its round
-    limit, how many ascent rounds it took, and how many axes it
-    evaluated: one per scanned feedback axis, maximised over the
-    measurement axis and theta at once, plus two measurement axes per
-    round, each maximised over the feedback axis and theta at once.
-    Closed-form certificates involve no search: converged, 0 rounds, 0
-    evaluations.
+    `upper_bound` is proven: the maximum over all five angles lies in
+    [value, upper_bound] (:func:`_fixed_point`); a closed form is exact,
+    so there it is the value.  `converged` and `rounds` describe the
+    oracle's fixed point: whether it stopped rising within its round
+    limit, and its rounds (one 3 x 3 eigensolve each, the confirming one
+    included); closed forms: converged, 0 rounds.
     """
 
     target: str
@@ -128,9 +124,9 @@ class Certificate:
     sin_2theta: float
     cos_2theta: float
     bond_reduction: float
+    upper_bound: float
     converged: bool = True
     rounds: int = 0
-    evaluations: int = 0
 
 
 def _closed_certificate(target, amplitude, cross, axes,
@@ -148,10 +144,11 @@ def _closed_certificate(target, amplitude, cross, axes,
     zero = root == 0.0   # adding or multiplying by it is exact elsewhere
     sin2, cos2 = cross / (root + zero), -amplitude / (root + zero) + zero
     theta = 0.5 * np.arctan2(sin2, cos2)
+    value = cross * cross / (root + abs(amplitude) + zero)
     return Certificate(
         target=target, params=ProtocolParams(axes.mu, axes.nu, axes.xi,
                                              axes.eta, theta),
-        value=cross * cross / (root + abs(amplitude) + zero),
+        value=value, upper_bound=value,
         amplitude=amplitude, cross_amplitude=cross,
         phase=np.arctan2(-cross, -amplitude) * ~zero, sin_2theta=sin2,
         cos_2theta=cos2, bond_reduction=bond(sin2, 2.0 * np.sin(theta)**2))
@@ -185,7 +182,7 @@ def max_site_reduction(state: GroundState) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# the matrix-element engine and the grid oracle
+# the matrix-element engine and the oracle
 
 @functools.cache
 def _row_table():
@@ -240,19 +237,15 @@ def _row_engine(state: GroundState, target: str):
     is the objective at theta = pi/2, <T> - <sigma_s T sigma_s>, which is
     never positive.
 
-    So every entry is a bilinear form Re <psi|O|psi> of a fixed operator:
-    O = T delta_pq - (sigma_B^p T sigma_B^q + sigma_B^q T sigma_B^p) / 2 in
-    the cost block and O = -(i/2) sigma_A^i [T, sigma_B^p] in the gain
-    matrix, for the unit-coupling T = site_B and T = bond_right.  The 36
-    operators are the rows of :func:`_row_table`, and one product of the
-    table with conj(psi) (x) psi gives every entry for both terms, scaled
-    afterwards by h (site_B) and k (bond_right).  The table's entries are
-    sums of Pauli products, exact in floating point, and a row is exactly
-    zero where the Pauli algebra cancels, which makes its entry an exact
-    0: for site_B the (z, z) and (x, y), (y, x) entries of M0 and the z-row
-    of C (sigma_B^z commutes with T); for bond_right the (x, x) and (y, z),
-    (z, y) entries of M0 and the x-row of C.  Nothing assumes psi real, and
-    no 16 x 16 operator is built per call.
+    So every entry is Re <psi|O|psi> of a fixed operator, O = T delta_pq -
+    (sigma_B^p T sigma_B^q + sigma_B^q T sigma_B^p) / 2 in M0 and O = -(i/2)
+    sigma_A^i [T, sigma_B^p] in C, for the unit-coupling T = site_B and T =
+    bond_right: the rows of :func:`_row_table`, scaled by h and k, so no 16
+    x 16 operator is built per call.  The rows are sums of Pauli products,
+    exact in floating point, so where the algebra cancels an entry is an
+    exact 0: for site_B the (z, z), (x, y), (y, x) entries of M0 and the
+    z-row of C (sigma_B^z commutes with T); for bond_right the (x, x), (y,
+    z), (z, y) entries of M0 and the x-row of C.  Nothing assumes psi real.
     """
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}")
@@ -288,218 +281,81 @@ def sinusoid_engine(state: GroundState, target: str):
     return coefficients
 
 
-def _form_at(engine, raxes):
-    """K(r) of the (m, 3) axes `raxes` (or of one axis) from the engine's
-    (M0, C), as (m, 4, 4)."""
-    cost, gain = engine
-    cr = np.reshape(raxes, (-1, 3)) @ gain.T
-    form = np.zeros((len(cr), 4, 4))
-    form[:, 0, 1:] = form[:, 1:, 0] = cr
-    form[:, 1:, 1:] = cost
-    return form
-
-
-# the pairs (i, j), i <= j, of the pair products s_i s_j of a feedback axis
-_PAIR_I, _PAIR_J = np.triu_indices(3)
-
-
-def _pair_products(saxes):
-    """(s_x^2, s_x s_y, s_x s_z, s_y^2, s_y s_z, s_z^2) of the (m, 3) axes
-    `saxes`, as (m, 6): every quadratic form s^T S s is linear in them."""
-    return saxes[:, _PAIR_I] * saxes[:, _PAIR_J]
-
-
-# the coefficients of s^T S s over the pair products, as a map of the
-# flattened 3 x 3 matrix S: S_ii, and S_ij + S_ji off the diagonal
-_PAIR_MAP = np.zeros((6, 9))
-_PAIR_MAP[np.arange(6), 3 * _PAIR_I + _PAIR_J] = 1.0
-_PAIR_MAP[np.arange(6), 3 * _PAIR_J + _PAIR_I] = 1.0
-_PAIR_MAP.flags.writeable = False
-
-
-def _feedback_maxima(engine, pairs):
-    """The objective maximised over the measurement axis r and theta, for
-    the feedback axes s whose :func:`_pair_products` are `pairs` (m, 6).
-
-    For a fixed s the objective is A sin 2 theta cos phi + (m/2)(1 - cos 2
-    theta), with A = |C^T s|, m = s^T M0 s and phi the angle between r and
-    C^T s.  Its maximum, at r = C^T s / A, is m/2 + hypot(A, m/2), the top
-    eigenvalue of [[0, A], [A, m]].  Both m and A^2 = s^T (C C^T) s come
-    from one (m, 6) @ (6, 2) product, the two forms from one product of
-    :data:`_PAIR_MAP` with [M0, C C^T].  A^2 may round below 0 where C^T s
-    vanishes, so it is clamped at 0.  For m <= 0 the maximum is taken as
-    A^2 / (hypot(A, m/2) - m/2), which does not cancel at large h/k;
-    rounding may leave m slightly positive, where the first form is kept.
-    """
-    cost, gain = engine
-    forms = _PAIR_MAP @ np.stack([cost, gain @ gain.T]).reshape(2, 9).T
-    quadratic, squared = (pairs @ forms).T
-    half = 0.5 * quadratic
-    np.maximum(squared, 0.0, out=squared)
-    root = np.hypot(np.sqrt(squared), half)
-    top = half + root
-    np.divide(squared, root - half, out=top, where=half < 0.0)
-    return top
-
-
-# resolutions whose scan geometry is kept: it is 9.5 MB at n = 1024
-_GEOMETRY_CACHE_SIZE = 2
-
-
-@functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
-def _scan_geometry(resolution):
-    """The feedback axes :func:`_scan_grid` scans at `resolution`,
-    polar-major, (m, 3), and their :func:`_pair_products`, (m, 6); cached,
-    so both are read-only."""
-    n = resolution
-    polar = np.linspace(0.0, np.pi, n)[:n // 2]
-    azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)[:n // 4 + 1]
-    saxes = ops.axis_vector(*np.meshgrid(polar, azimuth, indexing="ij"))
-    saxes = np.ascontiguousarray(saxes.reshape(3, -1).T)
-    pairs = _pair_products(saxes)
-    saxes.flags.writeable = pairs.flags.writeable = False
-    return saxes, pairs
-
-
-def _scan_grid(engine, resolution):
-    """Exhaustive scan over the feedback axes of the angle grid, with the
-    measurement axis and theta maximised in closed form
-    (:func:`_feedback_maxima`), one axis per symmetry orbit; `engine` is
-    the target's (M0, C) of :func:`_row_engine`.
-
-    The maximum over r and theta at a feedback axis s is invariant under a
-    group of order 8 acting on s, generated by
-      * s -> -s: U_B(-s, -theta) = U_B(s, theta);
-      * the half turn R_z(pi): the parity operator, sigma_z on every site,
-        commutes with H and psi is a parity eigenstate; it flips sigma_x
-        and sigma_y on every site, so it maps P_A(r) and U_B(s) to
-        P_A(R_z(pi) r) and U_B(R_z(pi) s) and leaves T (sigma_z on B,
-        sigma_x sigma_x on C2 B) unchanged;
-      * y -> -y: H is real, so psi can be taken real, and complex
-        conjugation flips only sigma_y, maps U_B(s, theta) to U_B(s',
-        -theta) and P_A(r) to P_A(r'), primes negating y, and fixes T.
-    Each map changes the measurement axis and theta along with s, over all
-    of which the maximum is taken.  P_A, U_B and T act on sites A, B and
-    the bond C2 B only, so no other term of H enters.  On the grid
-    (xi_i, eta_j) with even n the maps send (i, j) to (n-1-i, j+n/2),
-    (i, j+n/2) and (i, -j), indices of eta mod n.  So every orbit has a
-    member with i < n/2 and j <= n//4 ({j, -j, n/2+j, n/2-j} mod n always
-    meets [0, n//4]), and only those (n/2)(n//4 + 1) axes are scanned.
-
-    Ties resolve to the first scanned axis.  Returns (value, the best
-    measurement axis C^T s / |C^T s| for the winning s, or z where C^T s
-    = 0, axes scanned).
-    """
-    saxes, pairs = _scan_geometry(resolution)
-    top = _feedback_maxima(engine, pairs)
-    best = int(top.argmax())
-    gains = saxes[best] @ engine[1]
-    norm = np.sqrt(gains @ gains)
-    r = gains / norm if norm > 0.0 else np.array(_Z)
-    return float(top[best]), r, len(saxes)
-
-
 def _dot(u, v):
     """u . v of two 3-vectors of Python floats."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _tangent_basis(r):
-    """An orthonormal basis (t1, t2) of the plane tangent to the unit
-    sphere at the unit vector `r` (3 floats), as two 3-tuples: t1 = e - (r
-    . e) r normalised, for the coordinate axis e least aligned with r (the
-    first on a tie), and t2 = r x t1."""
-    rx, ry, rz = r
-    ax, ay, az = abs(rx), abs(ry), abs(rz)
-    i = 0 if ax <= ay and ax <= az else 1 if ay <= az else 2
-    t = [-r[i] * rx, -r[i] * ry, -r[i] * rz]
-    t[i] += 1.0
-    norm = math.sqrt(_dot(t, t))
-    tx, ty, tz = t[0] / norm, t[1] / norm, t[2] / norm
-    return (tx, ty, tz), (ry * tz - rz * ty, rz * tx - rx * tz,
-                          rx * ty - ry * tx)
+def _axis_maximum(costs, columns, s):
+    """lambda(s): the objective maximised over r and theta at the feedback
+    axis s, on Python floats (`costs` the rows of M0, `columns` those of
+    C); returns ``(lambda, C^T s, A, m)``.
+
+    The objective at s is A sin 2 theta cos phi + (m/2)(1 - cos 2 theta),
+    A = |C^T s|, m = s^T M0 s, phi the angle between r and C^T s.  Its
+    maximum, at r = C^T s / A, is m/2 + hypot(A, m/2), the top eigenvalue
+    of [[0, A], [A, m]]; for m < 0 (M0 <= 0 but for rounding) it is taken
+    as A^2 / (hypot(A, m/2) - m/2), which does not cancel at large h/k."""
+    gains = [_dot(column, s) for column in columns]
+    squared = _dot(gains, gains)
+    amplitude = math.sqrt(squared)
+    m = _dot(s, [_dot(row, s) for row in costs])
+    half = 0.5 * m
+    root = math.hypot(amplitude, half)
+    value = squared / (root - half) if half < 0.0 else half + root
+    return value, gains, amplitude, m
 
 
-def _eigh2(a, b, d):
-    """Eigenpairs of the real symmetric 2 x 2 matrix [[a, b], [b, d]] in
-    closed form on Python floats, ascending like ``numpy.linalg.eigh``:
-    ((w_0, w_1), (u_0, u_1)), with u_1 = (cos phi, sin phi) at 2 phi =
-    atan2(b, (a - d) / 2) and u_0 = (-sin phi, cos phi).  An exactly
-    degenerate matrix gives the coordinate axes."""
-    half, mean = 0.5 * (a - d), 0.5 * (a + d)
-    radius = math.hypot(half, b)
-    phi = 0.5 * math.atan2(b, half)
-    cos, sin = math.cos(phi), math.sin(phi)
-    return (mean - radius, mean + radius), ((-sin, cos), (cos, sin))
+def _fixed_point(cost, gain, max_rounds=100):
+    """Dinkelbach's iteration for the maximum of y^T K(r) y over all five
+    angles, with a proven upper bound.
 
+    F(lambda) = max_s (A^2 + lambda m - lambda^2) = lambda_max(C C^T +
+    lambda M0) - lambda^2 is >= 0 up to the global maximum lambda* and < 0
+    above it, as each s's quadratic is >= 0 exactly on [0, lambda(s)].
+    From lambda = 0, each round takes s as the top eigenvector of C C^T +
+    lambda M0 and moves lambda to lambda(s), which does not fall (that s's
+    quadratic is F(lambda) >= 0 at lambda); it stops at the first round
+    that does not rise.
 
-def _trial_axes(c, r, w, v):
-    """The two axes an ascent round tries from `r`, given the eigenpairs
-    (w, v) of K(r) and the gain matrix `c` (C).  With y the top eigenvector,
-    q_i = y^T K_i y = 2 y_0 (C^T y_s)_i (K_i = dK/dr_i, y_s = (y_1, y_2,
-    y_3)) is the gradient of the top eigenvalue lambda(r), and H_ab = (r .
-    q) delta_ab - 2 sum_k (y^T K_a v_k)(v_k^T K_b y) / (lambda - w_k) over
-    the other eigenpairs (an exact degeneracy drops out) its Hessian on
-    the sphere, in a tangent basis t_a at r (:func:`_tangent_basis`), with
-    y^T K_t v_k = (C t) . (y_0 v_k,s + v_k,0 y_s).  The axes are q / |q|,
-    the best for y, and the Newton point of lambda on the unit sphere,
-    stepping only along the tangent modes (:func:`_eigh2`) where lambda
-    curves down.  Along flat directions q / |q| alone gains as little as
-    2 % of the remaining gap per round (the extracted target at h = 10 k on
-    a 66-point grid).  On Python floats, as every vector here has 2 to 4
-    components.
+    Bound: with mu the last round's top eigenvalue at lambda and t >= the
+    top eigenvalue of M0 (Gershgorin: max_i M0_ii + sum_(j != i) |M0_ij|,
+    at least 0; 0 for a diagonal M0 <= 0), F(lambda') <= mu + delta +
+    (lambda' - lambda) t - lambda'^2 for lambda' >= lambda, so lambda* <=
+    sqrt(mu + delta) + t.  delta bounds the rounding of mu: forming the
+    matrix errs by (n + 2) u (|C||C|^T + lambda |M0|) entrywise and a
+    backward-stable eigensolver by p(n) u of its norm; taking p(n) = 6n,
+    delta = 8 n u (|C|_F^2 + lambda |M0|_F), with n = 3 and u = 2^-53.
+
+    Returns ``(value, upper, s, (C^T s, A, m), rounds, converged)``, s
+    (floats) attaining the value; converged: stopped within `max_rounds`.
     """
-    rows, (*lower, top), r = c.tolist(), w.tolist(), r.tolist()
-    *others, (y0, *ys) = v.T.tolist()
-    q = [2.0 * y0 * _dot(ys, column) for column in zip(*rows)]
-    t1, t2 = _tangent_basis(r)
-    ct1, ct2 = [_dot(row, t1) for row in rows], [_dot(row, t2) for row in rows]
-    h11 = h22 = _dot(r, q)
-    h12 = 0.0
-    for wk, (v0, *vs) in zip(lower, others):
-        gap = top - wk
-        if gap > 0.0:
-            mixed = [y0 * x + v0 * y for x, y in zip(vs, ys)]
-            x1, x2 = _dot(ct1, mixed), _dot(ct2, mixed)
-            scale = 2.0 / gap
-            h11 -= scale * x1 * x1
-            h22 -= scale * x2 * x2
-            h12 -= scale * x1 * x2
-    along1, along2 = _dot(t1, q), _dot(t2, q)
-    newton = r
-    for bend, (m1, m2) in zip(*_eigh2(h11, h12, h22)):
-        if bend > 0.0:
-            step = (m1 * along1 + m2 * along2) / bend
-            d1, d2 = step * m1, step * m2
-            newton = [x + d1 * a + d2 * b for x, a, b in zip(newton, t1, t2)]
-    norm, newton_norm = math.sqrt(_dot(q, q)), math.sqrt(_dot(newton, newton))
-    return np.array([[x / norm for x in q] if norm > 0.0 else r,
-                     [x / newton_norm for x in newton]])
-
-
-def _ascend(forms, r, max_rounds=100):
-    """Alternating ascent on y^T K(r) y from the axis `r`: y is the top
-    eigenvector of K(r), and r moves to the higher of the two
-    :func:`_trial_axes` (one stacked eigh).  The top eigenvalue is convex
-    in r, as K(r) is affine, so q / |q| never lowers it.  Stops at the
-    first round that does not rise; returns (value, r, y, rounds,
-    converged), converged meaning it stopped within `max_rounds`.
-    """
-    w, v = np.linalg.eigh(_form_at(forms, r)[0])
+    gram = gain @ gain.T
+    costs, columns = cost.tolist(), gain.T.tolist()
+    value, best = 0.0, None
     for rounds in range(1, max_rounds + 1):
-        trial = _trial_axes(forms[1], r, w, v)
-        tw, tv = np.linalg.eigh(_form_at(forms, trial))
-        best = int(tw[:, -1].argmax())
-        if tw[best, -1] <= w[-1]:
-            return float(w[-1]), r, v[:, -1], rounds, True
-        r, w, v = trial[best], tw[best], tv[best]
-    return float(w[-1]), r, v[:, -1], max_rounds, False
+        at = value
+        w, v = np.linalg.eigh(gram + at * cost)
+        s = v[:, -1].tolist()
+        rise, *parts = _axis_maximum(costs, columns, s)
+        if best is None or rise > at:
+            best, value = (s, parts), rise
+        if rise <= at:
+            break
+    (a, b, c), (d, e, f), (g, h, i) = costs
+    spread = max(0.0, a + abs(b) + abs(c), e + abs(d) + abs(f),
+                 i + abs(g) + abs(h))
+    size = math.hypot(*columns[0], *columns[1], *columns[2])**2 + at * \
+        math.hypot(*costs[0], *costs[1], *costs[2])
+    # delta = 8 n u size, n = 3, u = 2^-53
+    upper = math.sqrt(max(0.0, float(w[-1]) + 24 * 2.0**-53 * size)) + spread
+    return value, upper, *best, rounds, rise <= at
 
 
 def validate_resolution(resolution: int) -> None:
     """Reject an oracle grid resolution that is not an integer, is below
-    64 or above 1024, or is odd (the reduced scan needs the antipode and
-    the half turn about z of every grid axis on the grid)."""
+    64 or above 1024, or is odd.  The oracle reads no grid; the limits are
+    kept so that every value accepted before is accepted, and no other."""
     try:
         operator.index(resolution)
     except TypeError:
@@ -518,39 +374,33 @@ def validate_resolution(resolution: int) -> None:
 
 def brute_force_max(state: GroundState, target: str,
                     resolution: int = MIN_RESOLUTION) -> Certificate:
-    """Feedback-axis scan plus alternating ascent of the matrix-element
-    objective.
+    """Global maximum of the matrix-element objective over all five
+    angles, bracketed by a proven upper bound (:func:`_fixed_point`).
 
-    `resolution` is the number of points per angle: even, from 64 to
-    1024.  The value is the top eigenvalue of K(r) at the final axis r;
-    with its eigenvector y (y_0 >= 0), s is (y_1, y_2, y_3) normalised (z
-    if zero) and theta = atan2(|(y_1, y_2, y_3)|, y_0).  The sinusoid
-    fields and the bond term come from the engine's forms at these axes
-    (amplitude s^T M0 s / 2, cross amplitude s^T C r, bond y^T K_bond(r)
-    y), never from a closed form or the protocol ledger.
+    `resolution` is validated but not read: the oracle uses no grid.  At
+    the fixed point's feedback axis s, r = C^T s / A (z where A = |C^T s|
+    = 0) and theta = atan2(value, A), as (A, value) is the top
+    eigenvector of [[0, A], [A, m]].  The sinusoid fields (m/2 and s^T C r
+    = A) and the bond term y^T K_bond(r) y come from the engine's forms,
+    never from a closed form or the protocol ledger; all on Python floats.
     """
     validate_resolution(resolution)
-    engine, bond = _row_engine(state, target)
-    _, r, scanned = _scan_grid(engine, resolution)
-    value, r, y, rounds, converged = _ascend(engine, r)
-    # the certificate on Python floats: a few 3-vectors
-    y0, *ys = (-y if y[0] < 0.0 else y).tolist()
-    r = r.tolist()
-    norm = math.sqrt(_dot(ys, ys))
-    s = [x / norm for x in ys] if norm > 0.0 else list(_Z)
-    theta = math.atan2(norm, y0)
-    cost, gain, bond_cost, bond_gain = (m.tolist() for m in (*engine, *bond))
-    a = 0.5 * _dot(s, [_dot(row, s) for row in cost])
-    c = _dot(s, [_dot(row, r) for row in gain])
-    bond_value = (2.0 * y0 * _dot(ys, [_dot(row, r) for row in bond_gain])
-                  + _dot(ys, [_dot(row, ys) for row in bond_cost]))
+    (cost, gain), (bond_cost, bond_gain) = _row_engine(state, target)
+    value, upper, s, (gains, amplitude, m), rounds, converged = _fixed_point(
+        cost, gain)
+    r = [x / amplitude for x in gains] if amplitude > 0.0 else list(_Z)
+    theta = math.atan2(value, amplitude)
+    sin, sin2, a = math.sin(theta), math.sin(2.0 * theta), 0.5 * m
+    bond_value = (sin2 * _dot(s, [_dot(row, r) for row in bond_gain.tolist()])
+                  + sin * sin * _dot(s, [_dot(row, s)
+                                         for row in bond_cost.tolist()]))
     return Certificate(
         target=target, params=ProtocolParams.from_vectors(r, s, theta),
-        value=value, amplitude=a, cross_amplitude=c,
-        phase=math.atan2(-c, -a) if math.hypot(a, c) > 0.0 else 0.0,
-        sin_2theta=math.sin(2.0 * theta), cos_2theta=math.cos(2.0 * theta),
-        bond_reduction=bond_value, converged=converged, rounds=rounds,
-        evaluations=scanned + 2 * rounds)
+        value=value, amplitude=a, cross_amplitude=amplitude,
+        phase=math.atan2(-amplitude, -a) if math.hypot(a, amplitude) > 0.0
+        else 0.0, sin_2theta=sin2, cos_2theta=math.cos(2.0 * theta),
+        bond_reduction=bond_value, upper_bound=upper, converged=converged,
+        rounds=rounds)
 
 
 # ---------------------------------------------------------------------------

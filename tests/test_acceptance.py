@@ -1,7 +1,7 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion.
 
 Each criterion asserts on the `qetsim.checks` results that `qetsim verify`
-prints; criterion 03 reruns the grid-oracle check on a denser field grid.
+prints; criterion 03 reruns the oracle check on a denser field grid.
 Only the landmarks of criterion 04 and the power-law scan of criterion 10
 have no check counterpart and compute their own residual.  Every line
 reports the worst residual over its tolerance; a value below 1 passes.
@@ -49,7 +49,7 @@ def test_criterion_02_algebraic_invariants(verify_results):
 def test_criterion_03_optimizer_equivalence(verify_results):
     fields = np.arange(0.05, 2.0001, 0.05)
     oracle = checks.check_brute_force(fields=fields)
-    report(3, "grid search vs closed-form maxima", oracle,
+    report(3, "oracle brackets the closed-form maxima", oracle,
            verify_results[checks.check_random_never_beats_maxima],
            verify_results[checks.check_monotone_feedback_tilt],
            extra=f"({len(fields)} fields, both targets, {oracle.detail})")

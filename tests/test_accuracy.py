@@ -1,6 +1,7 @@
 """Relative accuracy of the closed forms, the closed-form reductions at
-both optima and the grid oracle against a 60-digit reference, and of the
-oracle's bond term at the site optimum against the closed-form one.
+both optima and the oracle against a 60-digit reference, the oracle's
+upper bound against that reference, and the oracle's bond term at the
+site optimum against the closed-form one.
 
 The reference solves the characteristic cubic in mpmath and evaluates the
 textbook formulas (alpha = 2k/(E + k - 2h), beta = 2k/(E + k + 2h),
@@ -125,3 +126,16 @@ def test_oracle_bond_at_the_site_optimum(k):
                               TARGET_SITE).bond_reduction for h in hs]
     error = np.abs(np.array(oracle) / closed - 1.0)
     assert error.max() <= BOUND, (error.max(), hs[int(error.argmax())] / k)
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_oracle_upper_bound_is_above_the_reference(k):
+    # the proven bound of the oracle's certificate lies above the 60-digit
+    # maximum, to the oracle's own relative accuracy
+    for h in _fields(k):
+        state = ground_state(ModelParams(h=h, k=k))
+        for name, target in (("extracted_max", TARGET_EXTRACTED),
+                             ("site_reduction_max", TARGET_SITE)):
+            bound = brute_force_max(state, target).upper_bound
+            assert _reference(h, k)[name] <= bound * (
+                1.0 + _oracle_bound(name, h / k)), (name, h / k)

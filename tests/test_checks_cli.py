@@ -41,7 +41,7 @@ class TestChecks:
 
     def test_mutation_is_caught(self, monkeypatch):
         # flip the sign of the correlator gain inside the closed-form route;
-        # the grid oracle evaluates the protocol directly and must disagree
+        # the oracle evaluates the matrix elements directly and must disagree
         original = optimize_mod.correlators_closed
 
         def flipped(state):
@@ -51,6 +51,17 @@ class TestChecks:
         monkeypatch.setattr(optimize_mod, "correlators_closed", flipped)
         result = checks.check_brute_force(fields=(0.5,))
         assert not result.passed
+
+    def test_bound_below_the_closed_form_fails(self, monkeypatch):
+        # the closed-form maximum must lie in [value, upper_bound]
+        original = optimize_mod.brute_force_max
+
+        def undercut(state, target, resolution=64):
+            cert = original(state, target, resolution)
+            return dataclasses.replace(cert, upper_bound=0.5 * cert.value)
+
+        monkeypatch.setattr(optimize_mod, "brute_force_max", undercut)
+        assert not checks.check_brute_force(fields=(0.5,)).passed
 
     def test_negative_mutual_information_fails(self, monkeypatch):
         original = thermo_mod.second_law_report
@@ -63,14 +74,14 @@ class TestChecks:
         assert not checks.check_second_law().passed
 
     def test_unconverged_oracle_fails(self, monkeypatch):
-        # at grid 64 the scan's start is already optimal and one flat
-        # round counts as converged, so only zero rounds stall
-        original = optimize_mod._ascend
+        # at h = 0.5 both targets rise in the first round and confirm in
+        # the second, so one round stalls
+        original = optimize_mod._fixed_point
 
         def stalled(*args, **kwargs):
-            return original(*args, **kwargs, max_rounds=0)
+            return original(*args, **kwargs, max_rounds=1)
 
-        monkeypatch.setattr(optimize_mod, "_ascend", stalled)
+        monkeypatch.setattr(optimize_mod, "_fixed_point", stalled)
         result = checks.check_brute_force(fields=(0.5,))
         assert not result.passed
         assert "not converged" in result.detail

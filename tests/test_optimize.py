@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -41,6 +42,40 @@ def grid_axes(n, polar_points=None):
     azimuth = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     return axis_vector(*np.meshgrid(polar, azimuth,
                                     indexing="ij")).reshape(3, -1).T
+
+
+def sphere_sample(n, seed=0):
+    """n random unit vectors, (n, 3)."""
+    axes = np.random.default_rng(seed).normal(size=(n, 3))
+    return axes / np.linalg.norm(axes, axis=1, keepdims=True)
+
+
+def axis_maxima(cost, gain, saxes):
+    """The objective maximised over r and theta at each of the (n, 3)
+    feedback axes, with numpy: m/2 + hypot(A, m/2), A = |C^T s| and m =
+    s^T M0 s, as A^2 / (hypot(A, m/2) - m/2) where m < 0."""
+    gains = saxes @ gain
+    squared = (gains * gains).sum(1)
+    half = 0.5 * np.einsum("ni,ij,nj->n", saxes, cost, saxes)
+    root = np.hypot(np.sqrt(squared), half)
+    top = half + root
+    np.divide(squared, root - half, out=top, where=half < 0.0)
+    return top
+
+
+def form_at(form, raxes):
+    """K(r) = [[0, (C r)^T], [C r, M0]] of the (m, 3) axes `raxes`, from a
+    pair (M0, C), as (m, 4, 4)."""
+    cost, gain = form
+    cr = raxes @ gain.T
+    matrices = np.zeros((len(cr), 4, 4))
+    matrices[:, 0, 1:] = matrices[:, 1:, 0] = cr
+    matrices[:, 1:, 1:] = cost
+    return matrices
+
+
+CLOSED = {TARGET_EXTRACTED: max_extracted_energy,
+          TARGET_SITE: max_site_reduction}
 
 
 class TestClosedFormMaxima:
@@ -231,35 +266,35 @@ class TestBruteForce:
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
     def test_halved_scan_picks_the_full_grid_cell(self, h, k, target):
-        # lower bound: every cell of the full 64^4 axis grid through the
+        # lower bound: every cell of the full 32^4 axis grid through the
         # public (a, b, c) view and a plain float64 envelope; upper bound:
-        # the closed form, which no axis pair can beat
-        n = MIN_RESOLUTION
+        # the closed form, which no axis pair can beat and which the
+        # oracle's proven bound must not undercut
         state = gs(h, k)
         coefficients = sinusoid_engine(state, target)
-        axes = grid_axes(n)
+        axes = grid_axes(32)
         full = -np.inf
         for lo in range(0, len(axes), 256):
             a, b, c = coefficients(axes[lo:lo + 256], axes)
             full = max(full, (a + np.sqrt(b * b + c * c)).max())
-        closed = (max_extracted_energy if target == TARGET_EXTRACTED
-                  else max_site_reduction)(state).value
-        value = optimize._scan_grid(optimize._row_engine(state, target)[0],
-                                    n)[0]
-        assert full - 1e-15 * k <= value <= closed + 1e-15 * k
+        closed = CLOSED[target](state).value
+        cert = brute_force_max(state, target)
+        assert full - 1e-15 * k <= cert.value <= closed + 1e-15 * k
+        assert closed <= cert.upper_bound + 1e-15 * k
 
     @pytest.mark.parametrize("n", [MIN_RESOLUTION, 66])
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
     def test_reduced_scan_matches_the_halved_scan(self, h, k, target, n):
-        # one feedback axis per symmetry orbit gives the largest maximum
-        # of every feedback axis of the polar half; n = 66 has no azimuth
-        # index n/4
-        engine = optimize._row_engine(gs(h, k), target)[0]
-        top = optimize._feedback_maxima(
-            engine, optimize._pair_products(grid_axes(n, n // 2)))
-        value = optimize._scan_grid(engine, n)[0]
-        assert abs(value - top.max()) <= 1e-15 * (h + k)
+        # the resolution is accepted but not read, and no feedback axis of
+        # the polar half of its grid has a larger maximum over r and theta;
+        # n = 66 has no azimuth index n/4
+        state = gs(h, k)
+        cert = brute_force_max(state, target, n)
+        assert cert == brute_force_max(state, target)
+        top = axis_maxima(*optimize._row_engine(state, target)[0],
+                          grid_axes(n, n // 2))
+        assert top.max() <= cert.value + 1e-15 * (h + k)
 
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
     def test_symmetry_preconditions(self, h, k):
@@ -308,14 +343,17 @@ class TestBruteForce:
         state = gs(h, k)
         engine = optimize._row_engine(state, target)[0]
         coefficients = sinusoid_engine(state, target)
-        value = optimize._feedback_maxima(engine, optimize._pair_products(s))
-        top = optimize._feedback_maxima(
-            engine, optimize._pair_products(saxes)).reshape(4, 20)
+        costs, columns = engine[0].tolist(), engine[1].T.tolist()
+        value, gains, amplitude, m = (np.array(x) for x in zip(*(
+            optimize._axis_maximum(costs, columns, axis)
+            for axis in s.tolist())))
+        top = np.array([optimize._axis_maximum(costs, columns, axis)[0]
+                        for axis in saxes.tolist()]).reshape(4, 20)
         assert np.abs(top - value).max() <= tol
-
-        gains = s @ engine[1]
-        amplitude = np.linalg.norm(gains, axis=1)
-        m = np.einsum("ni,ij,nj->n", s, engine[0], s)
+        assert np.abs(gains - s @ engine[1]).max() <= tol
+        assert np.abs(amplitude - np.linalg.norm(gains, axis=1)).max() <= tol
+        assert np.abs(m - np.einsum("ni,ij,nj->n", s, engine[0], s)
+                      ).max() <= tol
         restricted = np.stack([np.stack([np.zeros(20), amplitude], -1),
                                np.stack([amplitude, m], -1)], -2)
         assert (np.abs(np.linalg.eigvalsh(restricted)[:, -1] - value).max()
@@ -328,6 +366,11 @@ class TestBruteForce:
                       out=np.tile([0.0, 0.0, 1.0], (20, 1)),
                       where=amplitude[:, None] > 0.0)
         theta = 0.5 * np.arctan2(amplitude, -0.5 * m)
+        # the certificate's theta = atan2(value, A), the same angle where
+        # it is unique (A > 0)
+        unique = amplitude > 0.0
+        assert np.abs(np.arctan2(value, amplitude)
+                      - theta)[unique].max(initial=0.0) <= 1e-15
         a, b, c = (np.diagonal(x) for x in coefficients(r, s))
         attained = a + b * np.cos(2 * theta) + c * np.sin(2 * theta)
         assert np.abs(attained - value).max() <= tol
@@ -342,92 +385,53 @@ class TestBruteForce:
             tracemalloc.stop()
         assert peak < 3e6
 
-    def test_scan_geometry_is_cached_read_only(self, monkeypatch):
-        # the feedback axes are built once per resolution, a few
-        # resolutions are held (9.5 MB each at n = 1024), and no call can
-        # change them for the next
-        calls = []
-        axis_vector = optimize.ops.axis_vector
-
-        def counted(*args):
-            calls.append(args)
-            return axis_vector(*args)
-
-        monkeypatch.setattr(optimize.ops, "axis_vector", counted)
-        optimize._scan_geometry.cache_clear()
-        state = gs(0.5)
-        first = brute_force_max(state, TARGET_EXTRACTED, 70)
-        assert len(calls) == 1
-        assert brute_force_max(state, TARGET_EXTRACTED, 70) == first
-        assert len(calls) == 1
-        for n in (64, 66, 68, 72):
-            optimize._scan_geometry(n)
-        assert optimize._scan_geometry.cache_info().currsize <= 2
-        for array in optimize._scan_geometry(MIN_RESOLUTION):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1.0
-
     def test_scan_clamps_rounded_negative_amplitudes(self):
-        # a gain matrix C = u v^T of rank 1 whose null plane u^T s = 0 is
-        # no coordinate plane and passes through two scanned axes: there
-        # A^2 = s^T (C C^T) s rounds to either side of 0, and a negative
-        # one must not become a NaN that argmax picks
+        # a gain matrix C = u v^T of rank 1, whose null plane u^T s = 0 is
+        # no coordinate plane: there C^T s vanishes up to rounding, and
+        # A^2 = |C^T s|^2, a squared norm, cannot round below 0 into a NaN;
+        # the fixed point still finds the best axis of a dense sample
         h, k = 0.7, 1.0
-        saxes, pairs = optimize._scan_geometry(MIN_RESOLUTION)
+        tol = 1e-15 * (h + k)
         cost = optimize._row_engine(gs(h, k), TARGET_EXTRACTED)[0][0]
-        gain = np.array([0.3, -0.2, 0.4])
-        rounded_below = False
-        for first, second in ((217, 485), (170, 405), (21, 300), (99, 512)):
-            u = np.cross(saxes[first], saxes[second])
-            engine = (cost, np.outer(u / np.linalg.norm(u), gain))
-            squared = pairs @ optimize._PAIR_MAP @ (
-                engine[1] @ engine[1].T).ravel()
-            rounded_below |= bool((squared < 0.0).any())
+        sample = sphere_sample(20000, seed=17)
+        rng = np.random.default_rng(17)
+        for u in rng.normal(size=(4, 3)):
+            gain = np.outer(u / np.linalg.norm(u), [0.3, -0.2, 0.4])
+            for other in rng.normal(size=(2, 3)):
+                axis = np.cross(u, other)
+                axis /= np.linalg.norm(axis)
+                value, _, amplitude, _ = optimize._axis_maximum(
+                    cost.tolist(), gain.T.tolist(), axis.tolist())
+                assert 0.0 <= value <= tol and 0.0 <= amplitude <= tol
+            value, upper, *_, converged = optimize._fixed_point(cost, gain)
+            assert converged and np.isfinite([value, upper]).all()
+            sampled = axis_maxima(cost, gain, sample).max()
+            assert sampled <= value + tol and value <= upper
 
-            gains = saxes @ engine[1]
-            amplitude = np.sqrt((gains * gains).sum(1))
-            half = 0.5 * np.einsum("ni,ij,nj->n", saxes, cost, saxes)
-            root = np.hypot(amplitude, half)
-            reference = np.where(half < 0.0, amplitude**2 / (root - half),
-                                 half + root)
-            top = optimize._feedback_maxima(engine, pairs)
-            assert np.all(np.isfinite(top))
-            assert np.abs(top - reference).max() <= 1e-15 * (h + k)
-            value = optimize._scan_grid(engine, MIN_RESOLUTION)[0]
-            assert abs(value - reference.max()) <= 1e-15 * (h + k)
-        assert rounded_below
-
-        # C = 0 exactly for the site target at h = 0: every A^2 is 0
+        # C = 0 exactly for the site target at h = 0: every A is 0, the
+        # value and its bound are 0, and the measurement axis is z
         for k in (1e-100, 1.0, 1e100):
-            engine = optimize._row_engine(gs(0.0, k), TARGET_SITE)[0]
-            value, r, _ = optimize._scan_grid(engine, MIN_RESOLUTION)
-            assert value == 0.0
-            assert r.tolist() == [0.0, 0.0, 1.0]
+            cert = brute_force_max(gs(0.0, k), TARGET_SITE)
+            assert cert.value == cert.upper_bound == 0.0
+            assert cert.params.mu == 0.0
 
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h", [0.05, 0.7, 3.0, 10.0])
-    def test_newton_axis_ignores_the_tangent_basis(self, h, target,
-                                                   monkeypatch):
-        # the trial axes from the ascent's start axes do not depend on
-        # which orthonormal basis of the tangent plane the Newton step uses
-        engine = optimize._row_engine(gs(h), target)[0]
-        tangent_basis = optimize._tangent_basis
-        for n in (MIN_RESOLUTION, 66):
-            r = optimize._scan_grid(engine, n)[1]
-            basis = np.array(tangent_basis(r.tolist())).T
-            assert np.abs(basis.T @ basis - np.eye(2)).max() <= 1e-15
-            assert np.abs(r @ basis).max() <= 1e-15
-            w, v = np.linalg.eigh(optimize._form_at(engine, r)[0])
-            expected = optimize._trial_axes(engine[1], r, w, v)
-            for angle in (0.4, 2.0, 4.5):
-                turn = np.array([[np.cos(angle), -np.sin(angle)],
-                                 [np.sin(angle), np.cos(angle)]])
-                monkeypatch.setattr(
-                    optimize, "_tangent_basis",
-                    lambda r, turn=turn: tuple(
-                        (np.array(tangent_basis(r)).T @ turn).T.tolist()))
-                trial = optimize._trial_axes(engine[1], r, w, v)
-                assert np.abs(trial - expected).max() <= 1e-15
+    def test_newton_axis_ignores_the_tangent_basis(self, h, target):
+        # the fixed point assumes no basis: turning Bob's axes (M0 -> Q M0
+        # Q^T, C -> Q C) and Alice's (C -> C P^T) leaves the value
+        # unchanged and below the bound, although M0 and C C^T are then
+        # no longer diagonal
+        cost, gain = optimize._row_engine(gs(h), target)[0]
+        value = optimize._fixed_point(cost, gain)[0]
+        rng = np.random.default_rng(18)
+        for _ in range(4):
+            q, p = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in "qp")
+            turned, upper, _, _, rounds, converged = optimize._fixed_point(
+                q @ cost @ q.T, q @ gain @ p.T)
+            assert converged and rounds <= 10
+            assert abs(turned - value) <= 1e-14 * value
+            assert value <= upper
 
     def test_oracle_builds_no_hamiltonian(self, monkeypatch):
         # the row stage contracts a cached table, so after one warm call
@@ -451,10 +455,6 @@ class TestBruteForce:
         assert [brute_force_max(state, target)
                 for target in (TARGET_EXTRACTED, TARGET_SITE)] == expected
 
-    def test_evaluations_count_the_scanned_cells(self):
-        cert = brute_force_max(gs(0.3), TARGET_EXTRACTED)
-        assert cert.evaluations == 544 + 2 * cert.rounds
-
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
     def test_rotation_form_matches_run_protocol(self, h, k, target):
@@ -476,8 +476,7 @@ class TestBruteForce:
         r = axis_vector(mu, nu).T
         for form, expected in ((engine, direct),
                                (bond, ledger.extracted_bond)):
-            quadratic = np.einsum("ni,nij,nj->n", y,
-                                  optimize._form_at(form, r), y)
+            quadratic = np.einsum("ni,nij,nj->n", y, form_at(form, r), y)
             assert np.abs(quadratic - expected).max() < 1e-13 * (h + k)
 
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
@@ -495,42 +494,39 @@ class TestBruteForce:
                               (TARGET_SITE, max_site_reduction)])
     def test_ascent_converges_off_the_optimal_axes(self, target, closed, h,
                                                    n):
-        # these grids miss the optimal axes' azimuth pi/2 or polar angle
-        # pi/2, and the extracted target has a flat direction there
+        # resolutions whose grids would miss the optimal axes' azimuth
+        # pi/2 or polar angle pi/2: the fixed point reads no grid, and the
+        # extracted target's flat direction at large h costs it no rounds
         state = gs(h)
         cert = brute_force_max(state, target, n)
-        assert cert.converged and cert.rounds <= 6
+        assert cert.converged and cert.rounds <= 3
         assert abs(cert.value - closed(state).value) <= 1e-15
 
     @pytest.mark.parametrize("target, closed",
                              [(TARGET_EXTRACTED, max_extracted_energy),
                               (TARGET_SITE, max_site_reduction)])
     def test_ascent_rises_to_the_maximum(self, target, closed, monkeypatch):
-        # from random measurement axes, each round's top eigenvalue (the
-        # higher of its two trial axes) is no lower than the last but for
-        # rounding, and the best is the closed-form maximum
-        eigh = np.linalg.eigh
-        tops = []
+        # from lambda = 0, each round's lambda(s) is no lower than the last
+        # but for rounding, the value is the best of them, and it is the
+        # closed-form maximum
+        axis_maximum = optimize._axis_maximum
+        rises = []
 
-        def recorded(matrix):
-            w, v = eigh(matrix)
-            if matrix.shape[-1] == 4:   # a K(r), not a step's small solve
-                tops.append(w[..., -1].max())
-            return w, v
+        def recorded(*args):
+            result = axis_maximum(*args)
+            rises.append(result[0])
+            return result
 
-        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        monkeypatch.setattr(optimize, "_axis_maximum", recorded)
         rng = np.random.default_rng(16)
         for h in rng.uniform(0.0, 3.0, 10):
             state = gs(h)
-            forms = optimize._row_engine(state, target)[0]
-            for r in rng.normal(size=(5, 3)):
-                tops.clear()
-                value, *_, rounds, converged = optimize._ascend(
-                    forms, r / np.linalg.norm(r))
-                assert converged and len(tops) == rounds + 1
-                assert np.all(np.diff(tops) >= -1e-15)
-                assert value == max(tops)
-                assert abs(value - closed(state).value) <= 1e-15
+            rises.clear()
+            cert = brute_force_max(state, target)
+            assert cert.converged and len(rises) == cert.rounds
+            assert np.all(np.diff([0.0] + rises) >= -1e-15)
+            assert cert.value == max(rises)
+            assert abs(cert.value - closed(state).value) <= 1e-15
 
     @pytest.mark.parametrize("k", [1e-100, 1.0, 1e100])
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
@@ -596,85 +592,180 @@ class TestRowTable:
             optimize._row_engine(gs(np.array([0.3, 0.5])), TARGET_EXTRACTED)
 
 
-def _numpy_trial_axes(c, r, w, v):
-    """The ascent step written with numpy (a 2 x 2 eigh and stacked
-    products), kept as the reference of the Python-float step."""
-    y = v[:, -1]
-    ky = np.concatenate([(y[1:] @ c)[:, None], y[0] * c.T], axis=1)
-    q = ky @ y
-    tangent = np.array(optimize._tangent_basis(r.tolist())).T
-    cross = tangent.T @ ky @ v[:, :3]
-    gap = w[-1] - w[:3]
-    scaled = np.divide(cross, gap, out=np.zeros_like(cross), where=gap > 0.0)
-    curvature, modes = np.linalg.eigh((r @ q) * np.eye(2)
-                                      - 2.0 * scaled @ cross.T)
-    gain = modes.T @ tangent.T @ q
-    newton = r + tangent @ modes @ np.divide(
-        gain, curvature, out=np.zeros(2), where=curvature > 0.0)
-    norm = np.sqrt(q @ q)
-    return np.stack([q / norm if norm > 0.0 else r,
-                     newton / np.sqrt(newton @ newton)])
+def _numpy_fixed_point(cost, gain, max_rounds=100):
+    """The fixed point written with numpy (:func:`axis_maxima` on the
+    iterate's axis), kept as the reference of the Python-float step:
+    (value, s, rounds)."""
+    value, best = 0.0, None
+    for rounds in range(1, max_rounds + 1):
+        s = np.linalg.eigh(gain @ gain.T + value * cost)[1][:, -1]
+        rise = axis_maxima(cost, gain, s[None])[0]
+        if best is None or rise > value:
+            best = s
+        if rise <= value:
+            return value, best, rounds
+        value = rise
+    raise AssertionError("the numpy fixed point did not converge")
+
+
+def top_pair(amplitude, m):
+    """The oracle's closed-form top eigenpair of [[0, A], [A, m]]: the
+    value of :func:`optimize._axis_maximum` at a feedback axis with A =
+    |C^T s| and m = s^T M0 s, and the certificate's unit vector (cos theta,
+    sin theta) at theta = atan2(value, A)."""
+    value = optimize._axis_maximum([[m, 0.0, 0.0], [0.0] * 3, [0.0] * 3],
+                                   [[amplitude, 0.0, 0.0], [0.0] * 3,
+                                    [0.0] * 3], [1.0, 0.0, 0.0])[0]
+    theta = math.atan2(value, amplitude)
+    return value, (math.cos(theta), math.sin(theta))
 
 
 class TestAscentStep:
+    """One round of the fixed point: the top eigenvector s of C C^T +
+    lambda M0, then lambda(s) and the angle theta in closed form on Python
+    floats, against numpy."""
+
     @staticmethod
     def matrices():
+        # (A, m) of [[0, A], [A, m]]: A >= 0 is a norm, m <= 0 but for
+        # rounding
         rng = np.random.default_rng(19)
-        for a, b, d in rng.normal(size=(200, 3)) * rng.choice(
+        for a, m in rng.normal(size=(200, 2)) * rng.choice(
                 [1e-8, 1.0, 1e8], (200, 1)):
-            yield a, b, d                        # random
-            yield a, 0.0, d                      # diagonal
-            yield d, 0.0, a                      # diagonal, either order
-            yield a, 0.0, a                      # exactly degenerate
-        yield 0.0, 0.0, 0.0
+            yield abs(a), -abs(m)                # as on the oracle
+            yield abs(a), abs(m) * 1e-3          # m rounded above 0
+            yield 0.0, -abs(m)                   # diagonal
+            yield abs(a), 0.0                    # zero cost
+        yield 0.0, 0.0
 
     def test_closed_form_eigenpairs_match_eigh(self):
-        for a, b, d in self.matrices():
-            matrix = np.array([[a, b], [b, d]])
+        for amplitude, m in self.matrices():
+            matrix = np.array([[0.0, amplitude], [amplitude, m]])
             scale = np.abs(matrix).max()
-            values, vectors = optimize._eigh2(a, b, d)
+            value, vector = top_pair(amplitude, m)
             reference, reference_vectors = np.linalg.eigh(matrix)
             # both are backward stable: errors of a few ulps of the scale
-            assert np.abs(np.subtract(values, reference)).max() <= (
-                1e-15 * scale)
-            vectors = np.array(vectors).T          # columns, as eigh
-            assert np.abs(vectors.T @ vectors - np.eye(2)).max() <= 4e-16
-            assert np.abs(matrix @ vectors - vectors * values).max() <= (
-                1e-15 * scale)
-            if values[1] - values[0] > 1e-6 * scale:   # unique up to sign
-                alignment = np.abs((vectors * reference_vectors).sum(0))
-                assert np.abs(alignment - 1.0).max() <= 1e-9
+            assert abs(value - reference[-1]) <= 1e-15 * scale
+            assert abs(math.hypot(*vector) - 1.0) <= 4e-16
+            assert np.abs(matrix @ vector - value * np.array(vector)
+                          ).max() <= 1e-15 * scale
+            if reference[1] - reference[0] > 1e-6 * scale:  # unique up to sign
+                alignment = abs(np.dot(vector, reference_vectors[:, -1]))
+                assert abs(alignment - 1.0) <= 1e-9
 
     def test_degenerate_matrix_gives_the_coordinate_axes(self):
-        values, vectors = optimize._eigh2(2.5, 0.0, 2.5)
-        assert values == (2.5, 2.5)
-        assert vectors == ((-0.0, 1.0), (1.0, 0.0))
+        # without a gain (A = 0) the top eigenvector is (1, 0), no
+        # rotation, unless rounding left the cost above 0
+        assert top_pair(0.0, -2.5) == (0.0, (1.0, 0.0))
+        assert top_pair(0.0, 0.0) == (0.0, (1.0, 0.0))
+        value, (cos, sin) = top_pair(0.0, 2.5)
+        assert value == 2.5 and abs(cos) <= 1e-16 and sin == 1.0
 
     def test_trial_axes_match_the_numpy_step(self):
-        # random gain matrices C, unit axes r and the eigenpairs of K(r)
-        # with a random cost block M0 <= 0
+        # random gain matrices C, cost blocks M0 <= 0 and unit axes s
         rng = np.random.default_rng(20)
         for _ in range(300):
-            c = rng.normal(size=(3, 3))
+            gain = rng.normal(size=(3, 3))
             root = rng.normal(size=(3, 3))
-            r = rng.normal(size=3)
-            r /= np.linalg.norm(r)
-            w, v = np.linalg.eigh(
-                optimize._form_at((-root @ root.T, c), r)[0])
-            got = optimize._trial_axes(c, r, w, v)
-            assert np.abs(got - _numpy_trial_axes(c, r, w, v)).max() <= 1e-14
+            cost = -root @ root.T
+            s = rng.normal(size=3)
+            s /= np.linalg.norm(s)
+            value, gains, amplitude, m = optimize._axis_maximum(
+                cost.tolist(), gain.T.tolist(), s.tolist())
+            assert abs(value - axis_maxima(cost, gain, s[None])[0]) <= 1e-14
+            assert np.abs(np.subtract(gains, s @ gain)).max() <= 1e-14
+            assert abs(amplitude - np.linalg.norm(s @ gain)) <= 1e-14
+            assert abs(m - s @ cost @ s) <= 1e-14
 
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
     def test_trial_axes_match_the_numpy_step_on_the_oracle(self, h, k,
                                                            target):
-        engine = optimize._row_engine(gs(h, k), target)[0]
-        for n in (MIN_RESOLUTION, 66):
-            r = optimize._scan_grid(engine, n)[1]
-            w, v = np.linalg.eigh(optimize._form_at(engine, r)[0])
-            got = optimize._trial_axes(engine[1], r, w, v)
-            assert np.abs(got - _numpy_trial_axes(engine[1], r, w, v)
-                          ).max() <= 1e-14
+        # the Python-float fixed point on the oracle's forms takes the
+        # rounds of the numpy one, to the same axis and value
+        cost, gain = optimize._row_engine(gs(h, k), target)[0]
+        value, _, s, _, rounds, converged = optimize._fixed_point(cost, gain)
+        reference, reference_s, reference_rounds = _numpy_fixed_point(cost,
+                                                                      gain)
+        assert converged and rounds == reference_rounds
+        assert abs(value - reference) <= 1e-15 * (h + k)
+        assert np.abs(np.subtract(s, reference_s)).max() <= 1e-15
+
+
+def random_forms(count, seed):
+    """(M0, C) pairs for the fixed point: M0 = -R R^T and a normal C at
+    scales from 1e-3 to 1e3, a third of them with a zero column of C, then
+    exactly diagonal pairs with ties."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        root = rng.normal(size=(3, 3))
+        gain = scale * rng.normal(size=(3, 3))
+        if i % 3 == 0:
+            gain[:, rng.integers(3)] = 0.0
+        yield -scale * root @ root.T, gain
+    for cost, gain in (([1.0, 1.0, 2.0], [1.0, 1.0, 0.5]),
+                       ([1.0, 2.0, 2.0], [0.0, 1.0, 1.0]),
+                       ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+                       ([0.0, 1.0, 1.0], [0.0, 0.0, 0.0]),
+                       ([3.0, 1.0, 0.0], [2.0, 2.0, 0.0])):
+        for scale in (1e-3, 1.0, 1e3):
+            yield -scale * np.diag(cost), scale * np.diag(gain)
+
+
+class TestFixedPoint:
+    def test_random_forms_bracket_every_sampled_axis(self, monkeypatch):
+        # the value beats every axis of a dense sphere sample and the
+        # bound every sampled maximum; lambda never falls between rounds,
+        # at most 10 rounds are taken, and for a diagonal M0 the bound is
+        # tight
+        axis_maximum = optimize._axis_maximum
+        rises = []
+
+        def recorded(*args):
+            result = axis_maximum(*args)
+            rises.append(result[0])
+            return result
+
+        monkeypatch.setattr(optimize, "_axis_maximum", recorded)
+        sample = sphere_sample(20000, seed=21)
+        for cost, gain in random_forms(300, seed=21):
+            rises.clear()
+            value, upper, _, _, rounds, converged = optimize._fixed_point(
+                cost, gain)
+            assert converged and rounds == len(rises) <= 10
+            sampled = axis_maxima(cost, gain, sample).max()
+            assert sampled <= value * (1.0 + 1e-15)
+            assert sampled <= upper
+            assert np.all(np.diff([0.0] + rises) >= -4e-15 * value)
+            assert value == max(rises)
+            if not np.any(cost - np.diag(np.diag(cost))):
+                # no Gershgorin reach: the slack is rounding alone
+                assert upper - value <= 1e-13 * value
+
+    @pytest.mark.parametrize("k", [1e-3, 1.0, 1e3])
+    def test_upper_bound_over_the_accepted_range(self, k):
+        # 41 log-spaced h/k in [1e-6, 1e4], both targets
+        for ratio in np.logspace(-6.0, 4.0, 41):
+            state = gs(float(ratio * k), k)
+            for target in (TARGET_EXTRACTED, TARGET_SITE):
+                cert = brute_force_max(state, target)
+                assert cert.value <= cert.upper_bound
+
+    def test_upper_bound_is_tight_in_the_readme_range(self):
+        # M0 is diagonal on physical states, so no Gershgorin reach
+        # loosens the bound; its slack is rounding alone
+        for h in np.linspace(0.05, 1.5, 30):
+            state = gs(float(h))
+            for target in (TARGET_EXTRACTED, TARGET_SITE):
+                cert = brute_force_max(state, target)
+                assert cert.upper_bound - cert.value <= 1e-11 * cert.value
+
+    def test_closed_forms_are_their_own_bound(self):
+        state = gs(np.array([0.0, 0.3, 2.0]))
+        for closed in CLOSED.values():
+            cert = closed(state)
+            assert np.array_equal(cert.upper_bound, cert.value)
 
 
 class TestSweep:

@@ -173,8 +173,8 @@ def check_correlators(rng=None):
 
 def check_certificates(rng=None):
     """Closed-form optima: protocol evaluation reproduces the certified
-    value, the heat vanishes at the extracted optimum and is negative at
-    the site optimum for h > 0, and the sinusoid bookkeeping is consistent.
+    value and bond term, the heat vanishes at the extracted optimum and is
+    negative at the site optimum for h > 0.
 
     Residual is reported in units of each quantity's tolerance (1e-12 for
     the heat at the extracted optimum, 1e-10 for the rest)."""
@@ -184,30 +184,16 @@ def check_certificates(rng=None):
     site = optimize_mod.max_site_reduction(gs)
     ledger_ext = protocol_mod.run_protocol(gs, ext.params)
     ledger_site = protocol_mod.run_protocol(gs, site.params)
-    c = protocol_mod.correlators_closed(gs)
-    # cross-amplitude consistency: (r_y s_x - r_x s_y) h yy
-    rx, ry, _ = ext.params.measure_axis
-    sx, sy, _ = ext.params.feedback_axis
-    residuals = [abs(ledger_ext.extracted - ext.value),
-                 abs(ledger_ext.extracted_site - ext.value),
-                 abs(ledger_site.extracted_site - site.value),
-                 abs(ledger_site.heat - site.bond_reduction),
-                 np.maximum(0.0, site.bond_reduction),
-                 abs(ext.sin_2theta**2 + ext.cos_2theta**2 - 1.0),
-                 abs(ext.cross_amplitude - (ry * sx - rx * sy) * h * c.yy)]
-    for cert in (ext, site):
-        lhs = cert.amplitude**2 + cert.cross_amplitude**2
-        rhs = (cert.value + abs(cert.amplitude)) ** 2
-        two_theta = np.arctan2(cert.sin_2theta, cert.cos_2theta)
-        residuals += [abs(lhs - rhs) / np.maximum(1.0, abs(rhs)),
-                      abs((two_theta + cert.phase + np.pi) % (2.0 * np.pi)
-                          - np.pi)]
+    residuals = _worst(abs(ledger_ext.extracted - ext.value),
+                       abs(ledger_ext.extracted_site - ext.value),
+                       abs(ledger_site.extracted_site - site.value),
+                       abs(ledger_site.heat - site.bond_reduction),
+                       np.maximum(0.0, site.bond_reduction))
     heat = _worst(abs(ledger_ext.heat))
     if not np.all(ledger_site.heat[h > 0.0] < 0.0):
         heat = np.inf
     return _result("optimization certificates",
-                   max(_worst(*residuals) / 1e-10, heat / 1e-12), 1.0,
-                   detail=_RATIO)
+                   max(residuals / 1e-10, heat / 1e-12), 1.0, detail=_RATIO)
 
 
 def check_random_never_beats_maxima(rng):
@@ -221,25 +207,27 @@ def check_random_never_beats_maxima(rng):
 
 
 def check_monotone_feedback_tilt(rng):
-    """The rotation-optimised extracted energy grows with sin^2 xi."""
+    """The rotation-optimised extracted energy grows with sin^2 xi: at
+    feedback axis s its maximum over theta is m/2 + hypot(m/2, s^T C r),
+    with m = s^T M0 s, from the oracle's rotation form (M0, C)."""
     worst = 0.0
     for _ in range(12):
         h = rng.uniform(0.05, 2.0)
         gs = ground_state(ModelParams(h=float(h), k=1.0))
-        coefficients = optimize_mod.sinusoid_engine(
-            gs, optimize_mod.TARGET_EXTRACTED)
+        cost, gain = optimize_mod._row_engine(
+            gs, optimize_mod.TARGET_EXTRACTED)[0]
         mu = rng.uniform(0.0, np.pi)
         nu = rng.uniform(0.0, 2.0 * np.pi)
         eta = rng.uniform(0.0, 2.0 * np.pi)
         saxes = ops.axis_vector(np.linspace(0.0, np.pi / 2.0, 13), eta).T
-        a, b, c = coefficients(ops.axis_vector(mu, nu)[None], saxes)
-        envelope = a[0] + np.hypot(b[0], c[0])   # max over theta
+        half = 0.5 * ((saxes @ cost) * saxes).sum(1)   # m/2
+        cross = ops.axis_vector(mu, nu) @ gain.T @ saxes.T   # s^T C r
+        envelope = half + np.hypot(half, cross)   # max over theta
         worst = max(worst, float(np.max(envelope[:-1] - envelope[1:])))
     return _result("extracted energy monotone in feedback tilt", worst, 1e-10)
 
 
-def check_brute_force(rng=None, fields=(0.1, 0.5, 1.5),
-                      resolution=optimize_mod.MIN_RESOLUTION):
+def check_brute_force(rng=None, fields=(0.1, 0.5, 1.5)):
     """The oracle agrees with the closed-form maxima, in value and at the
     claimed optimal parameters (so sign errors in the closed-form angles
     cannot hide behind an even power), the closed form lies in its
@@ -254,7 +242,7 @@ def check_brute_force(rng=None, fields=(0.1, 0.5, 1.5),
                 (optimize_mod.TARGET_EXTRACTED,
                  optimize_mod.max_extracted_energy),
                 (optimize_mod.TARGET_SITE, optimize_mod.max_site_reduction)):
-            cert = optimize_mod.brute_force_max(gs, target, resolution)
+            cert = optimize_mod.brute_force_max(gs, target)
             closed_cert = closed(gs)
             ledger = protocol_mod.run_protocol(gs, closed_cert.params)
             direct = (ledger.extracted if target == optimize_mod.TARGET_EXTRACTED
@@ -472,19 +460,6 @@ CHECKS = (
 )
 
 
-def run_all(seed: int = 0, resolution: int = optimize_mod.MIN_RESOLUTION):
-    """Run every check with a fresh seeded generator; returns the results.
-
-    `resolution` is validated before any check runs and passed to the
-    oracle check, whose oracle does not read it (see
-    :func:`qetsim.optimize.brute_force_max`).
-    """
-    optimize_mod.validate_resolution(resolution)
-    results = []
-    for fn in CHECKS:
-        rng = np.random.default_rng(seed)
-        if fn is check_brute_force:
-            results.append(fn(rng, resolution=resolution))
-        else:
-            results.append(fn(rng))
-    return results
+def run_all(seed: int = 0):
+    """Run every check with a fresh seeded generator; returns the results."""
+    return [fn(np.random.default_rng(seed)) for fn in CHECKS]

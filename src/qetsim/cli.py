@@ -26,7 +26,8 @@ from . import chain as chain_mod
 from . import checks as checks_mod
 from .model import (MAX_FIELD_RATIO, MAX_PARAMETER, ModelParams,
                     even_sector_spectrum, ground_state)
-from .optimize import MAX_RESOLUTION, MIN_RESOLUTION, protocol_sweep
+from .optimize import (MAX_RESOLUTION, MIN_RESOLUTION, protocol_sweep,
+                       validate_resolution)
 from .protocol import correlators_closed
 from .thermo import thermo_sweep
 
@@ -173,7 +174,8 @@ def cmd_chain(args):
 
 
 def cmd_verify(args):
-    results = checks_mod.run_all(seed=args.seed, resolution=args.grid)
+    validate_resolution(args.grid)
+    results = checks_mod.run_all(seed=args.seed)
     width = max(len(r.name) for r in results)
     all_passed = True
     for r in results:

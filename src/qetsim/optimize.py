@@ -25,9 +25,9 @@ form y^T K(r) y of the 4 x 4 real symmetric arrowhead matrix
 
 whose cost block M0 <= 0 depends on Bob's site alone and whose gain
 s^T C r is bilinear in the two axes, as in the paper's two formulae.
-Equivalently the objective is the exact sinusoid a + b cos 2 theta + c
-sin 2 theta with a = -b = s^T M0 s / 2 and c = s^T C r (no higher
-harmonics), so theta is maximised exactly instead of on a theta grid: the
+As y is linear in (cos theta, sin theta), the objective at fixed axes is
+(m/2)(1 - cos 2 theta) + s^T C r sin 2 theta with m = s^T M0 s, no higher
+harmonic, so theta is maximised exactly instead of on a theta grid: the
 positive basin in theta narrows like the maximum itself and falls below
 any fixed grid spacing once the edge field is large.
 
@@ -39,7 +39,6 @@ any fixed grid spacing once the edge field is large.
   term, so all 36 come from one product of a cached (36, 256) table
   (:func:`_row_table`, built on first use) with conj(psi) (x) psi, scaled
   by h and k; rows where the Pauli algebra cancels give exact zeros.
-  :func:`sinusoid_engine` returns (a, b, c) as a view over them.
 * Fixed point.  At a feedback axis s the maximum over r and theta is
   lambda(s) = m/2 + hypot(A, m/2), with A = |C^T s| and m = s^T M0 s
   (:func:`_axis_maximum`).  The global maximum is the root of
@@ -96,16 +95,11 @@ _AXIS_MEASUREMENTS = {name: ProtocolParams.from_vectors(vec, _Z, 0.0)
 
 @dataclass(frozen=True)
 class Certificate:
-    """Location and value of an optimum, plus its sinusoid decomposition.
+    """Location and value of an optimum, with its bond term and bound.
 
-    At the optimal axes the objective as a function of the rotation angle is
-
-        value(theta) = sqrt(W^2 + X^2) cos(2 theta + phase) - |W|
-
-    with W = `amplitude`, X = `cross_amplitude`, and the optimum at
-    2 theta = -phase.  `bond_reduction` is the bond-term energy change at
-    the reported parameters (zero when the extracted energy is maximised,
-    strictly negative at the site-reduction optimum for h > 0).
+    `bond_reduction` is the bond-term energy change at the reported
+    parameters (zero when the extracted energy is maximised, strictly
+    negative at the site-reduction optimum for h > 0).
 
     `upper_bound` is proven: the maximum over all five angles lies in
     [value, upper_bound] (:func:`_fixed_point`); a closed form is exact,
@@ -118,40 +112,33 @@ class Certificate:
     target: str
     params: ProtocolParams
     value: float
-    amplitude: float
-    cross_amplitude: float
-    phase: float
-    sin_2theta: float
-    cos_2theta: float
     bond_reduction: float
     upper_bound: float
     converged: bool = True
     rounds: int = 0
 
 
-def _closed_certificate(target, amplitude, cross, axes,
+def _closed_certificate(target, site, gain, axes,
                         bond=lambda sin2, versine: 0.0):
-    """Certificate at the optimum of the :class:`Certificate` sinusoid with
-    amplitude W and cross amplitude X, at the axes of `axes`:
-    (sin 2 theta, cos 2 theta) = (X, -W) / hypot(W, X), or theta = phase = 0
-    where W = X = 0 (h = 0); `bond(sin2, versine)` is the bond reduction,
-    with versine = 1 - cos 2 theta.
+    """Certificate at the maximum over theta of site (1 - cos 2 theta) +
+    gain sin 2 theta, the objective at the axes of `axes` (site = e_B <=
+    0): (sin 2 theta, cos 2 theta) = (gain, -site) / hypot(site, gain), or
+    theta = 0 where site = gain = 0 (h = 0); `bond(sin2, versine)` is the
+    bond reduction, with versine = 1 - cos 2 theta.
 
-    Where |X| << |W| (large h/k) the value hypot(W, X) - |W| and
-    1 - cos 2 theta cancel, so they are taken as X^2 / (hypot(W, X) + |W|)
-    and 2 sin^2 theta."""
-    root = np.hypot(amplitude, cross)
+    Where |gain| << |site| (large h/k) the value hypot(site, gain) - |site|
+    and 1 - cos 2 theta cancel, so they are taken as gain^2 /
+    (hypot(site, gain) + |site|) and 2 sin^2 theta."""
+    root = np.hypot(site, gain)
     zero = root == 0.0   # adding or multiplying by it is exact elsewhere
-    sin2, cos2 = cross / (root + zero), -amplitude / (root + zero) + zero
+    sin2, cos2 = gain / (root + zero), -site / (root + zero) + zero
     theta = 0.5 * np.arctan2(sin2, cos2)
-    value = cross * cross / (root + abs(amplitude) + zero)
+    value = gain * gain / (root + abs(site) + zero)
     return Certificate(
         target=target, params=ProtocolParams(axes.mu, axes.nu, axes.xi,
                                              axes.eta, theta),
         value=value, upper_bound=value,
-        amplitude=amplitude, cross_amplitude=cross,
-        phase=np.arctan2(-cross, -amplitude) * ~zero, sin_2theta=sin2,
-        cos_2theta=cos2, bond_reduction=bond(sin2, 2.0 * np.sin(theta)**2))
+        bond_reduction=bond(sin2, 2.0 * np.sin(theta)**2))
 
 
 def max_extracted_energy(state: GroundState) -> Certificate:
@@ -260,27 +247,6 @@ def _row_engine(state: GroundState, target: str):
     return tuple(near_b), tuple(bond)
 
 
-def sinusoid_engine(state: GroundState, target: str):
-    """Exact theta dependence of the objective for sets of axes.
-
-    Returns ``coefficients(raxes, saxes) -> (a, b, c)``: for measurement
-    axes `raxes` (shape (m, 3)) and feedback axes `saxes` (shape (n, 3)),
-    arrays of shape (m, n) with
-
-        objective(r_i, s_j, theta) = a + b cos 2 theta + c sin 2 theta.
-
-    A view over the rotation form of the oracle (:func:`_row_engine`):
-    b = -s^T M0 s / 2, which does not depend on r, a = -b and c = s^T C r.
-    """
-    cost, gain = _row_engine(state, target)[0]
-
-    def coefficients(raxes, saxes):
-        b = np.tile(-0.5 * ((saxes @ cost) * saxes).sum(1), (len(raxes), 1))
-        return -b, b, raxes @ gain.T @ saxes.T
-
-    return coefficients
-
-
 def _dot(u, v):
     """u . v of two 3-vectors of Python floats."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
@@ -367,9 +333,9 @@ def validate_resolution(resolution: int) -> None:
         raise ValueError(f"resolution must be at most {MAX_RESOLUTION}, "
                          f"got {resolution}")
     if resolution % 2:
-        raise ValueError(f"resolution must be even, got {resolution}: the "
-                         f"scan needs the antipode of every grid axis on "
-                         f"the grid")
+        raise ValueError(f"resolution must be even, got {resolution}; the "
+                         f"oracle reads no grid, and the value is only "
+                         f"validated for compatibility")
 
 
 def brute_force_max(state: GroundState, target: str,
@@ -380,27 +346,24 @@ def brute_force_max(state: GroundState, target: str,
     `resolution` is validated but not read: the oracle uses no grid.  At
     the fixed point's feedback axis s, r = C^T s / A (z where A = |C^T s|
     = 0) and theta = atan2(value, A), as (A, value) is the top
-    eigenvector of [[0, A], [A, m]].  The sinusoid fields (m/2 and s^T C r
-    = A) and the bond term y^T K_bond(r) y come from the engine's forms,
-    never from a closed form or the protocol ledger; all on Python floats.
+    eigenvector of [[0, A], [A, m]].  The bond term y^T K_bond(r) y comes
+    from the engine's bond form, never from a closed form or the protocol
+    ledger; all on Python floats.
     """
     validate_resolution(resolution)
     (cost, gain), (bond_cost, bond_gain) = _row_engine(state, target)
-    value, upper, s, (gains, amplitude, m), rounds, converged = _fixed_point(
+    value, upper, s, (gains, amplitude, _), rounds, converged = _fixed_point(
         cost, gain)
     r = [x / amplitude for x in gains] if amplitude > 0.0 else list(_Z)
     theta = math.atan2(value, amplitude)
-    sin, sin2, a = math.sin(theta), math.sin(2.0 * theta), 0.5 * m
+    sin, sin2 = math.sin(theta), math.sin(2.0 * theta)
     bond_value = (sin2 * _dot(s, [_dot(row, r) for row in bond_gain.tolist()])
                   + sin * sin * _dot(s, [_dot(row, s)
                                          for row in bond_cost.tolist()]))
     return Certificate(
         target=target, params=ProtocolParams.from_vectors(r, s, theta),
-        value=value, amplitude=a, cross_amplitude=amplitude,
-        phase=math.atan2(-amplitude, -a) if math.hypot(a, amplitude) > 0.0
-        else 0.0, sin_2theta=sin2, cos_2theta=math.cos(2.0 * theta),
-        bond_reduction=bond_value, upper_bound=upper, converged=converged,
-        rounds=rounds)
+        value=value, bond_reduction=bond_value, upper_bound=upper,
+        converged=converged, rounds=rounds)
 
 
 # ---------------------------------------------------------------------------

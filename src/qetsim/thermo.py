@@ -291,12 +291,14 @@ def thermo_sweep(h_values, k: float = 1.0):
         report = second_law_report(state)
         cert = max_site_reduction(state)
         site_b = energy_decomposition(state).site_b
+        gain = -float(h) * correlators_closed(state).xx
         rows.append(ThermoRow(
             h=float(h),
             site_reduction_max=cert.value,
             # 1 - cos 2 theta as 2 sin^2 theta, which does not cancel
             rotation_cost=site_b * 2.0 * np.sin(cert.params.theta)**2,
-            correlator_gain=-float(h) * correlators_closed(state).xx * cert.sin_2theta,
+            # sin 2 theta = gain / hypot(e_B, gain), as in the certificate
+            correlator_gain=gain * (gain / np.hypot(site_b, gain)),
             kl_over_beta=report.divergence / report.beta_eff,
             info_over_beta=report.mutual_information / report.beta_eff,
         ))

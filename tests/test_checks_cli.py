@@ -56,12 +56,26 @@ class TestChecks:
         # the closed-form maximum must lie in [value, upper_bound]
         original = optimize_mod.brute_force_max
 
-        def undercut(state, target, resolution=64):
-            cert = original(state, target, resolution)
+        def undercut(state, target):
+            cert = original(state, target)
             return dataclasses.replace(cert, upper_bound=0.5 * cert.value)
 
         monkeypatch.setattr(optimize_mod, "brute_force_max", undercut)
         assert not checks.check_brute_force(fields=(0.5,)).passed
+
+    def test_negated_cost_block_breaks_the_tilt_check(self, monkeypatch):
+        # with M0 -> -M0 the envelope m/2 + hypot(m/2, s^T C r) falls as the
+        # feedback axis tilts away from z
+        original = optimize_mod._row_engine
+
+        def negated(state, target):
+            (cost, gain), bond = original(state, target)
+            return (-cost, gain), bond
+
+        monkeypatch.setattr(optimize_mod, "_row_engine", negated)
+        result = checks.check_monotone_feedback_tilt(np.random.default_rng(0))
+        assert not result.passed
+        assert result.residual > 1e3 * result.tolerance
 
     def test_negative_mutual_information_fails(self, monkeypatch):
         original = thermo_mod.second_law_report
@@ -263,32 +277,33 @@ class TestCli:
             name="oracle", passed=False, residual=np.inf, tolerance=1e-8,
             detail="not converged: h=0.5 extracted")
         monkeypatch.setattr(checks, "run_all",
-                            lambda seed=0, resolution=64: [passing])
+                            lambda seed=0: [passing])
         assert cli.main(["verify"]) == 0
         assert "PASS" in capsys.readouterr().out
         monkeypatch.setattr(checks, "run_all",
-                            lambda seed=0, resolution=64: [passing, failing])
+                            lambda seed=0: [passing, failing])
         assert cli.main(["verify"]) == 1
         assert "FAIL" in capsys.readouterr().out
         monkeypatch.setattr(checks, "run_all",
-                            lambda seed=0, resolution=64: [unconverged])
+                            lambda seed=0: [unconverged])
         assert cli.main(["verify"]) == 1
         assert ("(tolerance 1e-08)  not converged: h=0.5 extracted"
                 in capsys.readouterr().out)
 
     def test_verify_forwards_seed_and_grid(self, monkeypatch):
-        captured = {}
+        # the seed reaches the checks; a valid --grid is accepted and goes
+        # no further, as the oracle reads no grid
+        captured = []
         stub = checks.CheckResult(name="stub", passed=True, residual=0.0,
                                   tolerance=1.0)
 
-        def fake_run_all(seed=0, resolution=64):
-            captured["seed"] = seed
-            captured["resolution"] = resolution
+        def fake_run_all(seed=0):
+            captured.append(seed)
             return [stub]
 
         monkeypatch.setattr(checks, "run_all", fake_run_all)
         assert cli.main(["verify", "--seed", "7", "--grid", "96"]) == 0
-        assert captured == {"seed": 7, "resolution": 96}
+        assert captured == [7]
 
     def test_non_finite_cell_writes_nothing(self, tmp_path):
         out = tmp_path / "rows.csv"

@@ -14,8 +14,7 @@ from qetsim.operators import axis_vector, even_parity_indices
 from qetsim.optimize import (MIN_RESOLUTION, TARGET_EXTRACTED, TARGET_SITE,
                              brute_force_max, crossover_field,
                              max_extracted_energy, max_site_reduction,
-                             peak_extracted_energy, protocol_sweep,
-                             sinusoid_engine)
+                             peak_extracted_energy, protocol_sweep)
 from qetsim.protocol import ProtocolParams, correlators_closed, run_protocol
 
 # landmarks of the closed forms, frozen from a high-precision evaluation
@@ -61,6 +60,15 @@ def axis_maxima(cost, gain, saxes):
     top = half + root
     np.divide(squared, root - half, out=top, where=half < 0.0)
     return top
+
+
+def envelopes(form, raxes, saxes):
+    """The objective maximised over theta for each measurement axis of
+    `raxes` (m, 3) and feedback axis of `saxes` (n, 3), as (m, n), from a
+    pair (M0, C): m/2 + hypot(m/2, s^T C r), with m = s^T M0 s."""
+    cost, gain = form
+    half = 0.5 * np.einsum("ni,ij,nj->n", saxes, cost, saxes)
+    return half + np.hypot(half, raxes @ gain.T @ saxes.T)
 
 
 def form_at(form, raxes):
@@ -123,30 +131,6 @@ class TestClosedFormMaxima:
         assert abs(site.bond_reduction) > 5.0 * site.value
         assert site.value + site.bond_reduction < 0.0
 
-    def test_certificate_identities(self):
-        for h in (0.1, 0.7, 1.9):
-            state = gs(h)
-            for cert in (max_extracted_energy(state), max_site_reduction(state)):
-                lhs = cert.amplitude**2 + cert.cross_amplitude**2
-                rhs = (cert.value + abs(cert.amplitude))**2
-                assert lhs == pytest.approx(rhs, rel=1e-10)
-                assert (cert.sin_2theta**2 + cert.cos_2theta**2
-                        == pytest.approx(1.0, abs=1e-12))
-                two_theta = np.arctan2(cert.sin_2theta, cert.cos_2theta)
-                wrapped = (two_theta + cert.phase + np.pi) % (2 * np.pi) - np.pi
-                assert abs(wrapped) < 1e-12
-
-    def test_cross_amplitude_consistency(self):
-        # the gain amplitude collapses to (r_y s_x - r_x s_y) h yy via the
-        # correlator identity k*xxz = h*(xx - yy)
-        for h in (0.2, 1.1):
-            state = gs(h)
-            cert = max_extracted_energy(state)
-            rx, ry, _ = cert.params.measure_axis
-            sx, sy, _ = cert.params.feedback_axis
-            expected = (ry * sx - rx * sy) * h * correlators_closed(state).yy
-            assert abs(cert.cross_amplitude - expected) < 1e-12
-
 
 class TestLandmarks:
     def test_peak_location_and_ratio(self):
@@ -156,27 +140,6 @@ class TestLandmarks:
 
     def test_crossover(self):
         assert abs(crossover_field() - CROSSOVER_FIELD) < 1e-3
-
-
-class TestSinusoid:
-    @pytest.mark.parametrize("h, k", SCAN_FIELDS)
-    def test_engine_matches_run_protocol(self, h, k):
-        # two routes: the engine's contraction coefficients against the
-        # pointwise matrix algebra of run_protocol, at random angles
-        rng = np.random.default_rng(12)
-        state = gs(h, k)
-        for target in (TARGET_EXTRACTED, TARGET_SITE):
-            coefficients = sinusoid_engine(state, target)
-            mu, nu, xi, eta = rng.uniform(0, np.pi, 4) * [1, 2, 1, 2]
-            a, b, c = (float(x[0, 0]) for x in coefficients(
-                axis_vector(mu, nu)[None], axis_vector(xi, eta)[None]))
-            for theta in rng.uniform(-np.pi / 2, np.pi / 2, 5):
-                ledger = run_protocol(state,
-                                      ProtocolParams(mu, nu, xi, eta, theta))
-                direct = (ledger.extracted if target == TARGET_EXTRACTED
-                          else ledger.extracted_site)
-                expected = a + b * np.cos(2 * theta) + c * np.sin(2 * theta)
-                assert abs(direct - expected) < 1e-13 * k
 
 
 class TestBruteForce:
@@ -256,27 +219,23 @@ class TestBruteForce:
         state = gs(np.array([0.3, 0.5]))
         with pytest.raises(ValueError, match=r"shape \(2,\)"):
             brute_force_max(state, TARGET_EXTRACTED)
-        with pytest.raises(ValueError, match=r"shape \(2,\)"):
-            sinusoid_engine(state, TARGET_SITE)
 
     def test_odd_resolution_rejected(self):
-        with pytest.raises(ValueError, match="antipode"):
+        with pytest.raises(ValueError, match="reads no grid"):
             brute_force_max(gs(0.5), TARGET_EXTRACTED, resolution=65)
 
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
     def test_halved_scan_picks_the_full_grid_cell(self, h, k, target):
-        # lower bound: every cell of the full 32^4 axis grid through the
-        # public (a, b, c) view and a plain float64 envelope; upper bound:
-        # the closed form, which no axis pair can beat and which the
-        # oracle's proven bound must not undercut
+        # lower bound: every cell of the full 32^4 axis grid through a
+        # plain float64 envelope of the rotation form; upper bound: the
+        # closed form, which no axis pair can beat and which the oracle's
+        # proven bound must not undercut
         state = gs(h, k)
-        coefficients = sinusoid_engine(state, target)
+        form = optimize._row_engine(state, target)[0]
         axes = grid_axes(32)
-        full = -np.inf
-        for lo in range(0, len(axes), 256):
-            a, b, c = coefficients(axes[lo:lo + 256], axes)
-            full = max(full, (a + np.sqrt(b * b + c * c)).max())
+        full = max(envelopes(form, axes[lo:lo + 256], axes).max()
+                   for lo in range(0, len(axes), 256))
         closed = CLOSED[target](state).value
         cert = brute_force_max(state, target)
         assert full - 1e-15 * k <= cert.value <= closed + 1e-15 * k
@@ -313,15 +272,14 @@ class TestBruteForce:
     def test_row_maximum_is_symmetric(self, h, k, target):
         # over the full feedback grid, r, its half turn about z and r with
         # y negated have the same row maximum, to the rounding of
-        # sqrt(b^2 + c^2) - b, whose b is of size h + k
+        # m/2 + hypot(m/2, s^T C r), whose m is of size h + k
         rng = np.random.default_rng(14)
         r = rng.normal(size=(20, 3))
         r /= np.linalg.norm(r, axis=1, keepdims=True)
         raxes = np.concatenate([r, r * [-1.0, -1.0, 1.0],
                                 r * [1.0, -1.0, 1.0]])
-        a, b, c = sinusoid_engine(gs(h, k), target)(
-            raxes, grid_axes(MIN_RESOLUTION))
-        top = (a + np.sqrt(b * b + c * c)).max(1).reshape(3, 20)
+        top = envelopes(optimize._row_engine(gs(h, k), target)[0], raxes,
+                        grid_axes(MIN_RESOLUTION)).max(1).reshape(3, 20)
         assert np.abs(top[1:] - top[0]).max() <= 1e-15 * (h + k)
 
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
@@ -342,7 +300,6 @@ class TestBruteForce:
                                 s * [1.0, -1.0, 1.0]])
         state = gs(h, k)
         engine = optimize._row_engine(state, target)[0]
-        coefficients = sinusoid_engine(state, target)
         costs, columns = engine[0].tolist(), engine[1].T.tolist()
         value, gains, amplitude, m = (np.array(x) for x in zip(*(
             optimize._axis_maximum(costs, columns, axis)
@@ -359,8 +316,8 @@ class TestBruteForce:
         assert (np.abs(np.linalg.eigvalsh(restricted)[:, -1] - value).max()
                 <= tol)
 
-        a, b, c = coefficients(grid_axes(MIN_RESOLUTION), s)
-        assert np.all(a + np.sqrt(b * b + c * c) <= value + tol)
+        assert np.all(envelopes(engine, grid_axes(MIN_RESOLUTION), s)
+                      <= value + tol)
 
         r = np.divide(gains, amplitude[:, None],
                       out=np.tile([0.0, 0.0, 1.0], (20, 1)),
@@ -371,8 +328,9 @@ class TestBruteForce:
         unique = amplitude > 0.0
         assert np.abs(np.arctan2(value, amplitude)
                       - theta)[unique].max(initial=0.0) <= 1e-15
-        a, b, c = (np.diagonal(x) for x in coefficients(r, s))
-        attained = a + b * np.cos(2 * theta) + c * np.sin(2 * theta)
+        y = np.concatenate([np.cos(theta)[:, None],
+                            np.sin(theta)[:, None] * s], axis=1)
+        attained = np.einsum("ni,nij,nj->n", y, form_at(engine, r), y)
         assert np.abs(attained - value).max() <= tol
 
     def test_scan_working_set_stays_small(self):

@@ -272,12 +272,14 @@ class TestBatch:
             cert = closed(state)
             for i, single, _ in self.rounds(batch):
                 ref = closed(single)
-                for field in ("value", "sin_2theta", "cos_2theta", "phase",
-                              "bond_reduction"):
-                    batched = np.broadcast_to(getattr(cert, field), h.shape)
-                    assert abs(batched[i] - getattr(ref, field)) <= 1e-15, \
-                        field
-            assert cert.value[0] == 0.0 and cert.cos_2theta[0] == 1.0
+                for field, batched, scalar in (
+                        ("value", cert.value, ref.value),
+                        ("theta", cert.params.theta, ref.params.theta),
+                        ("bond_reduction", cert.bond_reduction,
+                         ref.bond_reduction)):
+                    batched = np.broadcast_to(batched, h.shape)
+                    assert abs(batched[i] - scalar) <= 1e-15, field
+            assert cert.value[0] == 0.0 and cert.params.theta[0] == 0.0
 
     def test_sweep_rows_match_per_field_calls(self, batch):
         h, _ = batch

@@ -278,8 +278,9 @@ class TestSecondLaw:
         state = gs(h)
         cert = max_site_reduction(state)
         site_b = energy_decomposition(state).site_b
-        gain = -h * correlators_closed(state).xx * cert.sin_2theta
-        cost = site_b * (1.0 - cert.cos_2theta)
+        two_theta = 2.0 * cert.params.theta
+        gain = -h * correlators_closed(state).xx * np.sin(two_theta)
+        cost = site_b * (1.0 - np.cos(two_theta))
         assert cost <= 0.0
         assert gain >= cert.value
         assert abs(cost + gain - cert.value) < 1e-12

@@ -116,17 +116,20 @@ def check_energy_decomposition(rng=None):
 
 def check_protocol_two_routes(rng):
     """Direct matrix elements against the closed forms for the
-    measurement cost and both reduction terms, on random parameters."""
+    measurement cost and both reductions, and after_feedback against sum_n
+    <U P psi|H|U P psi> (no term away from B moves), on random parameters."""
     gs, pp = _random_batch(rng, 1000)
     ledger = protocol_mod.run_protocol(gs, pp)
     after_c, injected_c = protocol_mod.measurement_energy_closed(gs, pp)
     site_c, bond_c = protocol_mod.reduction_closed(gs, pp)
+    n = np.array([[1], [-1]])   # both outcomes on a leading axis
+    fed = protocol_mod.rotate(pp, n, protocol_mod.project(pp, n, gs.vector))
     worst = _worst(abs(ledger.after_measurement - after_c),
                    abs(ledger.injected - injected_c),
                    abs(ledger.extracted_site - site_c),
                    abs(ledger.extracted_bond - bond_c),
-                   abs(ledger.extracted - ledger.extracted_site
-                       - ledger.extracted_bond),
+                   abs(ledger.after_feedback - model_mod.term_expectations(
+                       gs, fed).total.sum(axis=0)),
                    np.maximum(0.0, -1e-16 - ledger.injected))
     return _result("protocol two-route agreement (1000 samples)", worst, 1e-12)
 

@@ -347,16 +347,15 @@ def apply_hamiltonian(params: ModelParams, v) -> np.ndarray:
     return h * (tv[..., 0, :] + tv[..., 4, :]) + k * tv[..., 1:4, :].sum(-2)
 
 
-def term_expectations(state: GroundState, bra=None, ket=None) -> GroundEnergies:
-    """The decomposition measured directly as matrix elements: Re <bra| T |ket>
-    for every term T of H and (..., 16) vectors, by default the state's own.
+def term_expectations(state: GroundState, vectors=None) -> GroundEnergies:
+    """The decomposition measured directly as matrix elements: <v| T |v> for
+    every term T of H and (..., 16) vectors v, by default the state's own.
 
     Unit-coupling matrix elements scaled by the state's h (site terms) and
     k (bonds), so array-valued parameters broadcast against the vectors.
     """
-    bra = state.vector if bra is None else bra
-    ket = bra if ket is None else ket
-    elements = (unit_products(ket) @ bra.conj()[..., None])[..., 0].real
+    v = state.vector if vectors is None else vectors
+    elements = (unit_products(v) @ v.conj()[..., None])[..., 0].real
     h, k = state.params.h, state.params.k
     site_a, site_b = h * elements[..., 0], h * elements[..., 4]
     left, center, right = (k * elements[..., i] for i in (1, 2, 3))

@@ -31,14 +31,12 @@ harmonic, so theta is maximised exactly instead of on a theta grid: the
 positive basin in theta narrows like the maximum itself and falls below
 any fixed grid spacing once the edge field is large.
 
-* Row stage.  Both targets are one single-projector contraction of the
-  terms next to Bob's site (see :func:`_row_engine`), which vanishes at
-  theta = 0.  Every entry of its 3 x 3 matrices (M0, C), for the target
-  and for the bond term alone, is a bilinear form Re <psi|O|psi> of a
-  fixed 16 x 16 operator O of the unit-coupling site_B or bond_right
-  term, so all 36 come from one product of a cached (36, 256) table
-  (:func:`_row_table`, built on first use) with conj(psi) (x) psi, scaled
-  by h and k; rows where the Pauli algebra cancels give exact zeros.
+* Row stage.  Both targets are single-projector contractions of the
+  terms next to Bob's site, which vanish at theta = 0: the rotation forms
+  (M0, C) of site_B and bond_right from
+  :func:`qetsim.protocol.rotation_forms`, one product of a cached (36,
+  256) table with conj(psi) (x) psi, which the protocol ledger reads too
+  (see :func:`_row_engine`).
 * Fixed point.  At a feedback axis s the maximum over r and theta is
   lambda(s) = m/2 + hypot(A, m/2), with A = |C^T s| and m = s^T M0 s
   (:func:`_axis_maximum`).  The global maximum is the root of
@@ -62,18 +60,16 @@ any fixed grid spacing once the edge field is large.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators as ops
-from .model import (GroundState, ModelParams, build_hamiltonian,
-                    energy_decomposition, ground_state)
+from .model import (GroundState, ModelParams, energy_decomposition,
+                    ground_state)
 from .protocol import (ProtocolParams, correlators_closed,
-                       measurement_energy_closed)
+                       measurement_energy_closed, rotation_forms)
 
 TARGET_EXTRACTED = "extracted"
 TARGET_SITE = "site_reduction"
@@ -171,78 +167,18 @@ def max_site_reduction(state: GroundState) -> Certificate:
 # ---------------------------------------------------------------------------
 # the matrix-element engine and the oracle
 
-@functools.cache
-def _row_table():
-    """The row stage's bilinear table, (36, 256) complex, built on first
-    use (not at import) and read-only.  Row 18 t + 9 b + 3 p + j holds the
-    16 x 16 operator O, flattened, whose Re <psi|O|psi> is entry (p, j) of
-    the cost block M0 (b = 0) or the gain matrix C (b = 1) of the
-    unit-coupling term t (0: site_B, 1: bond_right); see
-    :func:`_row_engine`."""
-    terms = build_hamiltonian(ModelParams(h=1.0, k=1.0))
-    sigma_a = [ops.pauli(ops.SITE_A, ax) for ax in "xyz"]
-    sigma_b = [ops.pauli(ops.SITE_B, ax) for ax in "xyz"]
-    rows = []
-    for term in (terms.site_b, terms.bond_right):
-        rows += [term * (p == q) - 0.5 * (sigma_b[p] @ term @ sigma_b[q]
-                                          + sigma_b[q] @ term @ sigma_b[p])
-                 for p in range(3) for q in range(3)]
-        rows += [-0.5j * sigma_a[i] @ (term @ sigma_b[p] - sigma_b[p] @ term)
-                 for p in range(3) for i in range(3)]
-    table = np.reshape(rows, (36, ops.DIM * ops.DIM))
-    table.flags.writeable = False
-    return table
-
-
 def _row_engine(state: GroundState, target: str):
-    """The row stage: the objective's rotation form in (M0, C).
-
-    Returns ``((M0, C), (M0_bond, C_bond))``, 3 x 3 real matrices for the
-    target and for the bond term bond_right alone, such that
-
-        objective(r, s, theta) = y^T K(r) y,
-        K(r) = [[0, (C r)^T], [C r, M0]],
-
-    for the unit quaternion y = (cos theta, sin theta s) of Bob's rotation.
-
-    Bob's rotation U_B(n) acts on site B alone, so it changes only the
-    terms T next to B: T = site_B for ``site_reduction`` and T = site_B +
-    bond_right for ``extracted``.  P_A(n) commutes with U_B(n) and with T,
-    and sum_n P_A(n) = 1, so each target is the single-projector form
-
-        objective = <T> - sum_n <P_A(n) psi| U_B(n)^+ T U_B(n) |psi>,
-
-    which vanishes at theta = 0.  The states P_A(n)|psi> are linear in
-    (1, n r) and the rotation is linear in (cos t, i n sin t s), so every
-    matrix element is a contraction of g_i[p, q] = <phi_i| rot_p T rot_q
-    |psi> (phi = (psi, sigma_A psi) / 2, rot = (1, sigma_B)).  Summed over
-    both outcomes they leave 2 Re g_0 + 2i sum_i r_i Im g_i.  The real part
-    does not depend on r and gives the cost block M0 = -(G + G^T) + 2 G_00
-    I, with G = Re g_0 restricted to p, q >= 1.  The imaginary part is
-    linear in r and gives the gain column C r, with C[p, i] = Im(g_i[0, p]
-    - g_i[p, 0]) = Im <phi_i| [T, sigma_B^p] |psi>.  M0 <= 0, as s^T M0 s
-    is the objective at theta = pi/2, <T> - <sigma_s T sigma_s>, which is
-    never positive.
-
-    So every entry is Re <psi|O|psi> of a fixed operator, O = T delta_pq -
-    (sigma_B^p T sigma_B^q + sigma_B^q T sigma_B^p) / 2 in M0 and O = -(i/2)
-    sigma_A^i [T, sigma_B^p] in C, for the unit-coupling T = site_B and T =
-    bond_right: the rows of :func:`_row_table`, scaled by h and k, so no 16
-    x 16 operator is built per call.  The rows are sums of Pauli products,
-    exact in floating point, so where the algebra cancels an entry is an
-    exact 0: for site_B the (z, z), (x, y), (y, x) entries of M0 and the
-    z-row of C (sigma_B^z commutes with T); for bond_right the (x, x), (y,
-    z), (z, y) entries of M0 and the x-row of C.  Nothing assumes psi real.
-    """
+    """The row stage: ``((M0, C), (M0_bond, C_bond))``, the rotation forms
+    of :func:`qetsim.protocol.rotation_forms` (objective = y^T K(r) y) for
+    the target, T = site_B + bond_right (``extracted``) or T = site_B
+    (``site_reduction``), and for bond_right alone.  One state only, as
+    :func:`_fixed_point` reads one form."""
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}")
     if state.vector.ndim != 1:
         raise ValueError(f"the oracle takes one state, got a batch of shape "
                          f"{state.vector.shape[:-1]}")
-    v = state.vector
-    entries = (_row_table() @ np.outer(v.conj(), v).ravel()).real.reshape(
-        2, 2, 3, 3)
-    site, bond = state.params.h * entries[0], state.params.k * entries[1]
+    site, bond = rotation_forms(state)
     near_b = site if target == TARGET_SITE else site + bond
     return tuple(near_b), tuple(bond)
 

@@ -21,20 +21,23 @@ ground-state correlators returned by :func:`correlators`.
 Batches: every function here takes ground states of an array-valued field
 (vectors of shape (..., 16)) and/or array-valued angles and returns
 results of their broadcast shape, on one code path.  The measurement and
-the rotation act on the vectors (:func:`project`, :func:`rotate`); the
-ledger builds no 16 x 16 matrix and reads no closed form, its term
-energies being unit-coupling matrix elements scaled by h and k.
+the rotation act on the vectors (:func:`project`, :func:`rotate`).  The
+ledger reads no closed form: its measured energies are unit-coupling
+matrix elements scaled by h and k, and its reductions the single-projector
+forms of :func:`rotation_forms`, which the oracle reads too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import operators as ops
-from .model import (GroundEnergies, GroundState, energy_decomposition,
+from .model import (GroundEnergies, GroundState, ModelParams,
+                    build_hamiltonian, energy_decomposition,
                     term_expectations)
 
 OUTCOMES = (1, -1)
@@ -190,30 +193,91 @@ def measurement_energy_closed(state: GroundState, pp: ProtocolParams):
     return after, injected
 
 
-def run_protocol(state: GroundState, pp: ProtocolParams) -> EnergyLedger:
-    """Full ledger of one round (or a batch), by direct matrix elements;
-    both outcomes are evaluated at once, on a leading axis, and summed."""
+@functools.cache
+def _row_table():
+    """The bilinear table of :func:`rotation_forms`, (36, 256) complex,
+    built on first use (not at import) and read-only.  Row 18 t + 9 b +
+    3 p + j holds the 16 x 16 operator O, flattened, whose Re <psi|O|psi>
+    is entry (p, j) of the cost block M0 (b = 0) or the gain matrix C
+    (b = 1) of the unit-coupling term t (0: site_B, 1: bond_right)."""
+    terms = build_hamiltonian(ModelParams(h=1.0, k=1.0))
+    sigma_a = [ops.pauli(ops.SITE_A, ax) for ax in "xyz"]
+    sigma_b = [ops.pauli(ops.SITE_B, ax) for ax in "xyz"]
+    rows = []
+    for term in (terms.site_b, terms.bond_right):
+        rows += [term * (p == q) - 0.5 * (sigma_b[p] @ term @ sigma_b[q]
+                                          + sigma_b[q] @ term @ sigma_b[p])
+                 for p in range(3) for q in range(3)]
+        rows += [-0.5j * sigma_a[i] @ (term @ sigma_b[p] - sigma_b[p] @ term)
+                 for p in range(3) for i in range(3)]
+    table = np.reshape(rows, (36, ops.DIM * ops.DIM))
+    table.flags.writeable = False
+    return table
+
+
+def rotation_forms(state: GroundState):
+    """Bob's rotation forms ``(site, bond)``: for T = site_B and T =
+    bond_right, the 3 x 3 real matrices (M0, C), shape (..., 2, 3, 3), with
+
+        <T> - sum_n <P_A(n) psi| U_B(n)^+ T U_B(n) |psi> = y^T K(r) y,
+        K(r) = [[0, (C r)^T], [C r, M0]],
+
+    y = (cos theta, sin theta s) the unit quaternion of Bob's rotation.  As
+    P_A(n) commutes with U_B(n) and T and sum_n P_A(n) = 1, this
+    single-projector form is the reduction of T; it vanishes at theta = 0.
+    P_A(n)|psi> is linear in (1, n r) and U_B(n) in (cos t, i n sin t s), so
+    each element contracts g_i[p, q] = <phi_i| rot_p T rot_q |psi> (phi =
+    (psi, sigma_A psi) / 2, rot = (1, sigma_B)), summed over n to 2 Re g_0 +
+    2i sum_i r_i Im g_i: M0 = -(G + G^T) + 2 G_00 I with G = Re g_0 at p, q
+    >= 1, and C[p, i] = Im <phi_i| [T, sigma_B^p] |psi>.  M0 <= 0: s^T M0 s
+    = <T> - <sigma_s T sigma_s> is the reduction at theta = pi/2.
+
+    Each entry is thus Re <psi|O|psi> of a fixed operator (O = T delta_pq -
+    (sigma_B^p T sigma_B^q + sigma_B^q T sigma_B^p) / 2 in M0, -(i/2)
+    sigma_A^i [T, sigma_B^p] in C): one product of the cached
+    :func:`_row_table` with conj(psi) (x) psi, scaled by h and k.  Its rows
+    are sums of Pauli products, so where the algebra cancels an entry is an
+    exact 0 (site_B: M0's (z, z), (x, y), (y, x) and C's z-row; bond_right:
+    M0's (x, x), (y, z), (z, y) and C's x-row).  Nothing assumes psi real.
+    """
     v = state.vector
-    n = _both_outcomes(pp, v)
-    pv = project(pp, n, v)
-    upv, uv = rotate(pp, n, np.array([pv, np.broadcast_to(v, pv.shape)]))
+    pair = (v.conj()[..., :, None] * v[..., None, :]).reshape(
+        v.shape[:-1] + (ops.DIM * ops.DIM,))
+    entries = (_row_table() @ pair[..., None]).real.reshape(
+        v.shape[:-1] + (2, 2, 3, 3))
+    h, k = np.asarray(state.params.h), np.asarray(state.params.k)
+    return (h[..., None, None, None] * entries[..., 0, :, :, :],
+            k[..., None, None, None] * entries[..., 1, :, :, :])
+
+
+def _reductions(forms, pp: ProtocolParams):
+    """y^T K(r) y = sin^2 theta s^T M0 s + sin 2 theta s^T C r of each
+    (..., 2, 3, 3) form (M0, C) of `forms`, at the angles of `pp`."""
+    r, s = (np.moveaxis(np.asarray(axis), 0, -1)[..., None]
+            for axis in (pp.measure_axis, pp.feedback_axis))
+    st = np.swapaxes(s, -1, -2)
+    sin_sq, sin2 = np.sin(pp.theta)**2, np.sin(2.0 * pp.theta)
+    return [sin_sq * (st @ form[..., 0, :, :] @ s)[..., 0, 0]
+            + sin2 * (st @ form[..., 1, :, :] @ r)[..., 0, 0]
+            for form in forms]
+
+
+def run_protocol(state: GroundState, pp: ProtocolParams) -> EnergyLedger:
+    """Full ledger of one round (or a batch): the measured energy from
+    P_A(n)|psi>, both outcomes at once on a leading axis, and the reductions
+    from :func:`rotation_forms`, not as differences of O(h) energies;
+    `extracted` = site + bond, `after_feedback` = after_measurement - it."""
+    v = state.vector
     ground = term_expectations(state)
-    # rows: the measured state, the rotated state, and the single-projector
-    # elements <P psi| U+ T U |psi>, equal to the sandwiched form because
-    # P_A commutes with anything supported away from site A
-    pv = np.broadcast_to(pv, upv.shape)
-    rows = term_expectations(state, np.array([pv, upv, upv]),
-                             np.array([pv, upv, uv]))
-    after_measurement, after_feedback = rows.total[:2].sum(axis=1)
+    after_measurement = term_expectations(
+        state, project(pp, _both_outcomes(pp, v), v)).total.sum(axis=0)
+    site, bond = _reductions(rotation_forms(state), pp)
+    extracted = site + bond
     return EnergyLedger(
-        ground=ground,
-        after_measurement=after_measurement,
+        ground=ground, after_measurement=after_measurement,
         injected=after_measurement - ground.total,
-        after_feedback=after_feedback,
-        extracted=after_measurement - after_feedback,
-        extracted_site=ground.site_b - rows.site_b[2].sum(axis=0),
-        extracted_bond=ground.bond_right - rows.bond_right[2].sum(axis=0),
-    )
+        after_feedback=after_measurement - extracted, extracted=extracted,
+        extracted_site=site, extracted_bond=bond)
 
 
 def reduction_closed(state: GroundState, pp: ProtocolParams):
@@ -244,16 +308,14 @@ def reduction_closed(state: GroundState, pp: ProtocolParams):
 def no_feedback_reduction(state: GroundState, pp: ProtocolParams, fixed_n):
     """Energy reduction when the same rotation is applied for both outcomes.
 
-    Without conditioning on n the measurement averages out and the
-    correlator gain disappears, leaving only the non-positive rotation
-    cost on the site and bond terms.
+    Without conditioning on n the measurement averages out (sum_n P_A(n)
+    = 1) and the correlator gain disappears, leaving only the non-positive
+    rotation cost on the site and bond terms.
     """
     ground = term_expectations(state)
-    uv = rotate(pp, fixed_n, state.vector)
-    puv = project(pp, _both_outcomes(pp, uv), uv)
-    cross = term_expectations(state, puv, uv)
-    return (ground.site_b - cross.site_b.sum(axis=0),
-            ground.bond_right - cross.bond_right.sum(axis=0))
+    rotated = term_expectations(state, rotate(pp, fixed_n, state.vector))
+    return (ground.site_b - rotated.site_b,
+            ground.bond_right - rotated.bond_right)
 
 
 def correlators(state: GroundState) -> EdgeCorrelators:

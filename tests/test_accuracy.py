@@ -1,7 +1,7 @@
 """Relative accuracy of the closed forms, the closed-form reductions at
-both optima and the oracle against a 60-digit reference, the oracle's
-upper bound against that reference, and the oracle's bond term at the
-site optimum against the closed-form one.
+both optima, the protocol ledger at both optima and the oracle against a
+60-digit reference, the oracle's upper bound against that reference, and
+the bond terms of the oracle and of the ledger against the closed form.
 
 The reference solves the characteristic cubic in mpmath and evaluates the
 textbook formulas (alpha = 2k/(E + k - 2h), beta = 2k/(E + k + 2h),
@@ -18,7 +18,7 @@ from qetsim.model import (MAX_FIELD_RATIO, MAX_PARAMETER, ModelParams,
                           energy_decomposition, ground_state)
 from qetsim.optimize import (TARGET_EXTRACTED, TARGET_SITE, brute_force_max,
                              max_extracted_energy, max_site_reduction)
-from qetsim.protocol import correlators_closed, reduction_closed
+from qetsim.protocol import correlators_closed, reduction_closed, run_protocol
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -125,6 +125,23 @@ def test_oracle_bond_at_the_site_optimum(k):
     oracle = [brute_force_max(ground_state(ModelParams(h=h, k=k)),
                               TARGET_SITE).bond_reduction for h in hs]
     error = np.abs(np.array(oracle) / closed - 1.0)
+    assert error.max() <= BOUND, (error.max(), hs[int(error.argmax())] / k)
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_ledger_at_the_optima(k):
+    # run_protocol's reductions are single-projector forms, not differences
+    # of O(h) energies, so they keep their relative accuracy at large h/k
+    hs = _fields(k)
+    state = ground_state(ModelParams(h=np.array(hs), k=k))
+    at_ext = run_protocol(state, max_extracted_energy(state).params)
+    at_site = run_protocol(state, max_site_reduction(state).params)
+    assert _beyond_bound(hs, k, {"extracted_max": at_ext.extracted},
+                         _oracle_bound) == {}
+    assert _beyond_bound(hs, k,
+                         {"site_reduction_max": at_site.extracted_site}) == {}
+    closed = reduction_closed(state, max_site_reduction(state).params)[1]
+    error = np.abs(at_site.extracted_bond / closed - 1.0)
     assert error.max() <= BOUND, (error.max(), hs[int(error.argmax())] / k)
 
 

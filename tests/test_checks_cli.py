@@ -11,6 +11,7 @@ import pytest
 import qetsim
 from qetsim import checks, cli
 from qetsim import optimize as optimize_mod
+from qetsim import protocol as protocol_mod
 from qetsim import thermo as thermo_mod
 
 
@@ -76,6 +77,21 @@ class TestChecks:
         result = checks.check_monotone_feedback_tilt(np.random.default_rng(0))
         assert not result.passed
         assert result.residual > 1e3 * result.tolerance
+
+    def test_negated_gain_blocks_break_the_ledger_checks(self, monkeypatch):
+        # with C -> -C in the shared rotation forms the ledger's reductions
+        # leave the closed forms, and at the closed-form optima the ledger
+        # no longer reproduces the maxima
+        original = protocol_mod.rotation_forms
+
+        def negated(state):
+            return tuple(form * np.array([1.0, -1.0])[:, None, None]
+                         for form in original(state))
+
+        monkeypatch.setattr(protocol_mod, "rotation_forms", negated)
+        assert not checks.check_protocol_two_routes(
+            np.random.default_rng(0)).passed
+        assert not checks.check_brute_force().passed
 
     def test_negative_mutual_information_fails(self, monkeypatch):
         original = thermo_mod.second_law_report

@@ -416,26 +416,43 @@ class TestBruteForce:
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
     def test_rotation_form_matches_run_protocol(self, h, k, target):
-        # two routes: y^T K(r) y of the target and of the bond term
-        # against the pointwise matrix algebra of run_protocol, at random
-        # (r, s, theta)
+        # two routes: y^T K(r) y of the target and of the bond term, and
+        # run_protocol's ledger, which reads the same forms, against
+        # sum_n <P_n psi| U_n^+ T U_n |psi>, taken pointwise from project
+        # and rotate, at random (r, s, theta)
         state = gs(h, k)
         engine, bond = optimize._row_engine(state, target)
         rng = np.random.default_rng(16)
         mu, xi = rng.uniform(0.0, np.pi, (2, 20))
         nu, eta = rng.uniform(0.0, 2.0 * np.pi, (2, 20))
         theta = rng.uniform(-np.pi / 2, np.pi / 2, 20)
-        ledger = run_protocol(state, ProtocolParams(mu, nu, xi, eta, theta))
-        direct = (ledger.extracted if target == TARGET_EXTRACTED
-                  else ledger.extracted_site)
+        pp = ProtocolParams(mu, nu, xi, eta, theta)
+        n = np.array([[1], [-1]])
+        v = state.vector
+        pv, uv = protocol.project(pp, n, v), protocol.rotate(pp, n, v)
+        upv = protocol.rotate(pp, n, pv)
+        terms = model.build_hamiltonian(state.params)
+        reductions = {}
+        for name in ("site_b", "bond_right"):
+            term = getattr(terms, name)
+            reductions[name] = (np.vdot(v, term @ v).real - np.einsum(
+                "nmi,ij,nmj->m", upv.conj(), term, uv).real)
+        direct = reductions["site_b"] + (reductions["bond_right"]
+                                         if target == TARGET_EXTRACTED
+                                         else 0.0)
         y = np.concatenate([np.cos(theta)[:, None],
                             np.sin(theta)[:, None] * axis_vector(xi, eta).T],
                            axis=1)
         r = axis_vector(mu, nu).T
-        for form, expected in ((engine, direct),
-                               (bond, ledger.extracted_bond)):
+        ledger = run_protocol(state, pp)
+        ledger_target = (ledger.extracted if target == TARGET_EXTRACTED
+                         else ledger.extracted_site)
+        for form, read, expected in (
+                (engine, ledger_target, direct),
+                (bond, ledger.extracted_bond, reductions["bond_right"])):
             quadratic = np.einsum("ni,nij,nj->n", y, form_at(form, r), y)
             assert np.abs(quadratic - expected).max() < 1e-13 * (h + k)
+            assert np.abs(read - expected).max() < 1e-13 * (h + k)
 
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
@@ -512,17 +529,17 @@ class TestBruteForce:
 
 class TestRowTable:
     def test_table_is_cached_read_only(self):
-        table = optimize._row_table()
+        table = protocol._row_table()
         assert table.shape == (36, 256)
-        assert optimize._row_table() is table
+        assert protocol._row_table() is table
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1.0
 
     def test_table_is_not_built_at_import(self):
-        # every command line process imports optimize; the table is built
-        # by the first oracle call
-        code = ("import qetsim.cli, qetsim.optimize as o; "
-                "print(o._row_table.cache_info().currsize)")
+        # every command line process imports protocol; the table is built
+        # by the first ledger or oracle call
+        code = ("import qetsim.cli, qetsim.protocol as p; "
+                "print(p._row_table.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -115,9 +115,9 @@ def check_energy_decomposition(rng=None):
 
 
 def check_protocol_two_routes(rng):
-    """Direct matrix elements against the closed forms for the
-    measurement cost and both reductions, and after_feedback against sum_n
-    <U P psi|H|U P psi> (no term away from B moves), on random parameters."""
+    """Closed forms against the ledger's measurement cost and reductions,
+    and its after_feedback (the whole table) against sum_n <U P psi|H|U P
+    psi> (no term away from B moves), on random parameters."""
     gs, pp = _random_batch(rng, 1000)
     ledger = protocol_mod.run_protocol(gs, pp)
     after_c, injected_c = protocol_mod.measurement_energy_closed(gs, pp)
@@ -212,21 +212,20 @@ def check_random_never_beats_maxima(rng):
 def check_monotone_feedback_tilt(rng):
     """The rotation-optimised extracted energy grows with sin^2 xi: at
     feedback axis s its maximum over theta is m/2 + hypot(m/2, s^T C r),
-    with m = s^T M0 s, from the oracle's rotation form (M0, C)."""
-    worst = 0.0
-    for _ in range(12):
-        h = rng.uniform(0.05, 2.0)
-        gs = ground_state(ModelParams(h=float(h), k=1.0))
-        cost, gain = optimize_mod._row_engine(
-            gs, optimize_mod.TARGET_EXTRACTED)[0]
-        mu = rng.uniform(0.0, np.pi)
-        nu = rng.uniform(0.0, 2.0 * np.pi)
-        eta = rng.uniform(0.0, 2.0 * np.pi)
-        saxes = ops.axis_vector(np.linspace(0.0, np.pi / 2.0, 13), eta).T
-        half = 0.5 * ((saxes @ cost) * saxes).sum(1)   # m/2
-        cross = ops.axis_vector(mu, nu) @ gain.T @ saxes.T   # s^T C r
-        envelope = half + np.hypot(half, cross)   # max over theta
-        worst = max(worst, float(np.max(envelope[:-1] - envelope[1:])))
+    with m = s^T M0 s, from the rotation form (M0, C) of site_B +
+    bond_right, on a batch of 12 random fields and axes."""
+    h, mu, nu, eta = rng.uniform((0.05, 0.0, 0.0, 0.0),
+                                 (2.0, np.pi, 2.0 * np.pi, 2.0 * np.pi),
+                                 size=(12, 4)).T
+    forms = sum(protocol_mod.rotation_forms(
+        ground_state(ModelParams(h=h, k=1.0))))   # site_B + bond_right
+    tilt = np.linspace(0.0, np.pi / 2.0, 13) + 0.0 * eta[:, None]
+    saxes = np.moveaxis(ops.axis_vector(tilt, eta[:, None]), 0, -1)
+    half = 0.5 * np.einsum("dai,dij,daj->da", saxes, forms[:, 0], saxes)
+    cross = np.einsum("dai,dij,jd->da", saxes, forms[:, 1],
+                      ops.axis_vector(mu, nu))   # s^T C r
+    envelope = half + np.hypot(half, cross)   # max over theta
+    worst = _worst(0.0, envelope[:, :-1] - envelope[:, 1:])
     return _result("extracted energy monotone in feedback tilt", worst, 1e-10)
 
 

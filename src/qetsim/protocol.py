@@ -22,9 +22,9 @@ Batches: every function here takes ground states of an array-valued field
 (vectors of shape (..., 16)) and/or array-valued angles and returns
 results of their broadcast shape, on one code path.  The measurement and
 the rotation act on the vectors (:func:`project`, :func:`rotate`).  The
-ledger reads no closed form: its measured energies are unit-coupling
-matrix elements scaled by h and k, and its reductions the single-projector
-forms of :func:`rotation_forms`, which the oracle reads too.
+ledger reads no closed form and projects no state: its injected energy
+r^T Q r and its reductions are forms of one cached bilinear table, the
+latter those of :func:`rotation_forms`, which the oracle reads too.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class EnergyLedger:
 
     ground            term energies of the initial state
     after_measurement total energy after the measurement (outcome-averaged)
-    injected          after_measurement - ground energy, >= 0
+    injected          r^T Q r = after_measurement - ground energy >= 0
     after_feedback    total energy after the conditioned rotation
     extracted         after_measurement - after_feedback
     extracted_site    part of `extracted` from Bob's site term
@@ -130,7 +130,6 @@ class EdgeCorrelators:
 
 # sigma^x, sigma^y, sigma^z of one site, flattened, one per column
 _PAULI_COLUMNS = np.array([ops.local_pauli(ax).ravel() for ax in "xyz"]).T
-_OUTCOME_AXIS = np.array(OUTCOMES)
 
 
 def _sigma_dot(axis):
@@ -148,13 +147,6 @@ def _outcomes(n):
         raise ValueError(f"measurement outcome must be +1 or -1, "
                          f"got {n.tolist()}")
     return n[..., None, None]
-
-
-def _both_outcomes(pp: ProtocolParams, v):
-    """Outcomes +1, -1 on a leading axis, ahead of every batch axis of `pp`
-    and of the (..., 16) vectors v."""
-    batch = max(v.ndim - 1, np.broadcast(*vars(pp).values()).ndim)
-    return _OUTCOME_AXIS.reshape((2,) + (1,) * batch)
 
 
 def project(pp: ProtocolParams, n, v):
@@ -195,24 +187,42 @@ def measurement_energy_closed(state: GroundState, pp: ProtocolParams):
 
 @functools.cache
 def _row_table():
-    """The bilinear table of :func:`rotation_forms`, (36, 256) complex,
-    built on first use (not at import) and read-only.  Row 18 t + 9 b +
-    3 p + j holds the 16 x 16 operator O, flattened, whose Re <psi|O|psi>
-    is entry (p, j) of the cost block M0 (b = 0) or the gain matrix C
-    (b = 1) of the unit-coupling term t (0: site_B, 1: bond_right)."""
+    """The bilinear table of the ledger, (54, 256) complex, built on first
+    use (not at import) and read-only.  Row 18 b + 9 c + 3 p + j holds the
+    16 x 16 operator O, flattened, whose Re <psi|O|psi> is entry (p, j) of
+    block b for the unit-coupling terms of coupling c (0: h, 1: k): M0 (b =
+    0) and C (b = 1) of the term at B (site_B, bond_right), Q (b = 2) of
+    the term at A (site_A, bond_left)."""
     terms = build_hamiltonian(ModelParams(h=1.0, k=1.0))
     sigma_a = [ops.pauli(ops.SITE_A, ax) for ax in "xyz"]
     sigma_b = [ops.pauli(ops.SITE_B, ax) for ax in "xyz"]
-    rows = []
-    for term in (terms.site_b, terms.bond_right):
-        rows += [term * (p == q) - 0.5 * (sigma_b[p] @ term @ sigma_b[q]
-                                          + sigma_b[q] @ term @ sigma_b[p])
-                 for p in range(3) for q in range(3)]
-        rows += [-0.5j * sigma_a[i] @ (term @ sigma_b[p] - sigma_b[p] @ term)
-                 for p in range(3) for i in range(3)]
-    table = np.reshape(rows, (36, ops.DIM * ops.DIM))
+    at_b = (terms.site_b, terms.bond_right)
+    at_a = (terms.site_a, terms.bond_left)
+    rows = [t * (p == q) - 0.5 * (sigma_b[p] @ t @ sigma_b[q]
+                                  + sigma_b[q] @ t @ sigma_b[p])
+            for t in at_b for p in range(3) for q in range(3)]
+    rows += [-0.5j * sigma_a[i] @ (t @ sigma_b[p] - sigma_b[p] @ t)
+             for t in at_b for p in range(3) for i in range(3)]
+    rows += [0.25 * (sigma_a[i] @ t @ sigma_a[j] + sigma_a[j] @ t
+                     @ sigma_a[i]) - 0.5 * t * (i == j)
+             for t in at_a for i in range(3) for j in range(3)]
+    table = np.reshape(rows, (54, ops.DIM * ops.DIM))
     table.flags.writeable = False
     return table
+
+
+def _ledger_forms(state: GroundState, blocks):
+    """``(site, bond)``: blocks (M0, C, Q)[:blocks] of :func:`_row_table`,
+    each (..., blocks, 3, 3), from one product of their rows with conj(psi)
+    (x) psi, scaled by h and k; the rotation forms need only M0 and C."""
+    v = state.vector
+    pair = (v.conj()[..., :, None] * v[..., None, :]).reshape(
+        v.shape[:-1] + (ops.DIM * ops.DIM,))
+    entries = (_row_table()[:18 * blocks] @ pair[..., None]).real.reshape(
+        v.shape[:-1] + (blocks, 2, 3, 3))
+    h, k = np.asarray(state.params.h), np.asarray(state.params.k)
+    return (h[..., None, None, None] * entries[..., 0, :, :],
+            k[..., None, None, None] * entries[..., 1, :, :])
 
 
 def rotation_forms(state: GroundState):
@@ -234,48 +244,40 @@ def rotation_forms(state: GroundState):
 
     Each entry is thus Re <psi|O|psi> of a fixed operator (O = T delta_pq -
     (sigma_B^p T sigma_B^q + sigma_B^q T sigma_B^p) / 2 in M0, -(i/2)
-    sigma_A^i [T, sigma_B^p] in C): one product of the cached
-    :func:`_row_table` with conj(psi) (x) psi, scaled by h and k.  Its rows
-    are sums of Pauli products, so where the algebra cancels an entry is an
-    exact 0 (site_B: M0's (z, z), (x, y), (y, x) and C's z-row; bond_right:
-    M0's (x, x), (y, z), (z, y) and C's x-row).  Nothing assumes psi real.
+    sigma_A^i [T, sigma_B^p] in C), a row of the cached table that
+    :func:`_ledger_forms` contracts.  The rows are sums of Pauli products,
+    so where the algebra cancels an entry is an exact 0 (site_B: M0's (z,
+    z), (x, y), (y, x) and C's z-row; bond_right: M0's (x, x), (y, z), (z,
+    y) and C's x-row).  Nothing assumes psi real.
     """
-    v = state.vector
-    pair = (v.conj()[..., :, None] * v[..., None, :]).reshape(
-        v.shape[:-1] + (ops.DIM * ops.DIM,))
-    entries = (_row_table() @ pair[..., None]).real.reshape(
-        v.shape[:-1] + (2, 2, 3, 3))
-    h, k = np.asarray(state.params.h), np.asarray(state.params.k)
-    return (h[..., None, None, None] * entries[..., 0, :, :, :],
-            k[..., None, None, None] * entries[..., 1, :, :, :])
-
-
-def _reductions(forms, pp: ProtocolParams):
-    """y^T K(r) y = sin^2 theta s^T M0 s + sin 2 theta s^T C r of each
-    (..., 2, 3, 3) form (M0, C) of `forms`, at the angles of `pp`."""
-    r, s = (np.moveaxis(np.asarray(axis), 0, -1)[..., None]
-            for axis in (pp.measure_axis, pp.feedback_axis))
-    st = np.swapaxes(s, -1, -2)
-    sin_sq, sin2 = np.sin(pp.theta)**2, np.sin(2.0 * pp.theta)
-    return [sin_sq * (st @ form[..., 0, :, :] @ s)[..., 0, 0]
-            + sin2 * (st @ form[..., 1, :, :] @ r)[..., 0, 0]
-            for form in forms]
+    return _ledger_forms(state, 2)
 
 
 def run_protocol(state: GroundState, pp: ProtocolParams) -> EnergyLedger:
-    """Full ledger of one round (or a batch): the measured energy from
-    P_A(n)|psi>, both outcomes at once on a leading axis, and the reductions
-    from :func:`rotation_forms`, not as differences of O(h) energies;
-    `extracted` = site + bond, `after_feedback` = after_measurement - it."""
-    v = state.vector
+    """Full ledger of one round (or a batch) from one table product
+    (:func:`_ledger_forms`), not from differences of O(h + k) energies.
+
+    As sum_n P_A(n) T P_A(n) - T = ((r.sigma_A) T (r.sigma_A) - T) / 2,
+    `injected` = r^T Q r over the terms T at A (site_A, bond_left), Q_ij =
+    Re <psi|(sigma_A^i T sigma_A^j + sigma_A^j T sigma_A^i) / 2 - delta_ij
+    T|psi> / 2, whose rows are exact zeros where the Pauli algebra cancels
+    (site_A's (z, z), bond_left's (x, x)); the reductions are y^T K(r) y =
+    sin^2 theta s^T M0 s + sin 2 theta s^T C r (:func:`rotation_forms`).
+    """
+    forms = _ledger_forms(state, 3)
+    r, s = (np.moveaxis(np.asarray(axis), 0, -1)[..., None]
+            for axis in (pp.measure_axis, pp.feedback_axis))
+    rt, st = np.swapaxes(r, -1, -2), np.swapaxes(s, -1, -2)
+    sin_sq, sin2 = np.sin(pp.theta)**2, np.sin(2.0 * pp.theta)
+    injected = (rt @ sum(forms)[..., 2, :, :] @ r)[..., 0, 0]
+    site, bond = (sin_sq * (st @ form[..., 0, :, :] @ s)[..., 0, 0]
+                  + sin2 * (st @ form[..., 1, :, :] @ r)[..., 0, 0]
+                  for form in forms)
     ground = term_expectations(state)
-    after_measurement = term_expectations(
-        state, project(pp, _both_outcomes(pp, v), v)).total.sum(axis=0)
-    site, bond = _reductions(rotation_forms(state), pp)
+    after_measurement = ground.total + injected
     extracted = site + bond
     return EnergyLedger(
-        ground=ground, after_measurement=after_measurement,
-        injected=after_measurement - ground.total,
+        ground=ground, after_measurement=after_measurement, injected=injected,
         after_feedback=after_measurement - extracted, extracted=extracted,
         extracted_site=site, extracted_bond=bond)
 

@@ -1,7 +1,8 @@
 """Relative accuracy of the closed forms, the closed-form reductions at
-both optima, the protocol ledger at both optima and the oracle against a
-60-digit reference, the oracle's upper bound against that reference, and
-the bond terms of the oracle and of the ledger against the closed form.
+both optima, the protocol ledger at both optima, the ledger's injected
+energy on four measurement axes and the oracle against a 60-digit
+reference, the oracle's upper bound against that reference, and the bond
+terms of the oracle and of the ledger against the closed form.
 
 The reference solves the characteristic cubic in mpmath and evaluates the
 textbook formulas (alpha = 2k/(E + k - 2h), beta = 2k/(E + k + 2h),
@@ -18,18 +19,26 @@ from qetsim.model import (MAX_FIELD_RATIO, MAX_PARAMETER, ModelParams,
                           energy_decomposition, ground_state)
 from qetsim.optimize import (TARGET_EXTRACTED, TARGET_SITE, brute_force_max,
                              max_extracted_energy, max_site_reduction)
-from qetsim.protocol import correlators_closed, reduction_closed, run_protocol
+from qetsim.protocol import (ProtocolParams, correlators_closed,
+                             reduction_closed, run_protocol)
 
 mpmath = pytest.importorskip("mpmath")
 
 RATIOS = np.logspace(-6.0, np.log10(MAX_FIELD_RATIO), 41)
 SCALES = (1e-100, 1.0, 1e100)
 BOUND = 1e-13
+# Alice's measurement axes (mu, nu): x, y, z and an oblique one
+MEASUREMENTS = {name: ProtocolParams(mu, nu, 0.0, 0.0, 0.0)
+                for name, (mu, nu) in (("x", (np.pi / 2.0, 0.0)),
+                                       ("y", (np.pi / 2.0, np.pi / 2.0)),
+                                       ("z", (0.0, 0.0)),
+                                       ("oblique", (1.0, 2.0)))}
 
 
 @functools.lru_cache(maxsize=None)
 def _reference(h, k):
-    """E, alpha, beta, xx, yy, xxz, e_B and both maxima to 60 digits."""
+    """E, alpha, beta, xx, yy, xxz, e_B, both maxima and the injected
+    energy on each of MEASUREMENTS to 60 digits."""
     with mpmath.workdps(60):
         h, k = mpmath.mpf(h), mpmath.mpf(k)
         t = h / k
@@ -42,12 +51,19 @@ def _reference(h, k):
         z2 = 1 / (4 + 2 * alpha**2 + 2 * beta**2)
         xx, yy = 4 * z2 * (1 + alpha * beta), 4 * z2 * (1 - alpha * beta)
         site = 2 * h * z2 * (alpha**2 - beta**2)
+        bond_left = 4 * k * z2 * (alpha + beta)
         # sqrt(e_B^2 + g^2) - |e_B|, in its cancellation-free form
         maximum = lambda g: g * g / (mpmath.sqrt(site**2 + g * g) + abs(site))
+        # -(1 - r_z^2) e_A - (1 - r_x^2) e_L at the library's float axis
+        injected = {}
+        for name, pp in MEASUREMENTS.items():
+            rx2, ry2, rz2 = (mpmath.mpf(float(c))**2 for c in pp.measure_axis)
+            injected[f"injected_{name}"] = (-(rx2 + ry2) * site
+                                            - (ry2 + rz2) * bond_left)
         return {"energy": e, "alpha": alpha, "beta": beta, "xx": xx, "yy": yy,
                 "xxz": 4 * z2 * (alpha - beta), "site": site,
                 "extracted_max": maximum(h * yy),
-                "site_reduction_max": maximum(h * xx)}
+                "site_reduction_max": maximum(h * xx), **injected}
 
 
 def _library(state):
@@ -143,6 +159,24 @@ def test_ledger_at_the_optima(k):
     closed = reduction_closed(state, max_site_reduction(state).params)[1]
     error = np.abs(at_site.extracted_bond / closed - 1.0)
     assert error.max() <= BOUND, (error.max(), hs[int(error.argmax())] / k)
+
+
+def _injected_bound(name, ratio):
+    # on x, injected is -e_A alone, and the table's <sigma_z_A> is a sum
+    # over the state's amplitudes that cancels like alpha^2 - beta^2 at
+    # h << k
+    return BOUND * max(1.0, 1.0 / ratio) if name == "injected_x" else BOUND
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_injected_relative_accuracy(k):
+    # run_protocol's injected = r^T Q r is a form of the table, not a
+    # difference of O(h + k) totals
+    hs = _fields(k)
+    state = ground_state(ModelParams(h=np.array(hs), k=k))
+    got = {f"injected_{name}": run_protocol(state, pp).injected
+           for name, pp in MEASUREMENTS.items()}
+    assert _beyond_bound(hs, k, got, _injected_bound) == {}
 
 
 @pytest.mark.parametrize("k", SCALES)

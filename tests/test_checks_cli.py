@@ -67,31 +67,40 @@ class TestChecks:
     def test_negated_cost_block_breaks_the_tilt_check(self, monkeypatch):
         # with M0 -> -M0 the envelope m/2 + hypot(m/2, s^T C r) falls as the
         # feedback axis tilts away from z
-        original = optimize_mod._row_engine
+        original = protocol_mod.rotation_forms
 
-        def negated(state, target):
-            (cost, gain), bond = original(state, target)
-            return (-cost, gain), bond
+        def negated(state):
+            return tuple(form * np.array([-1.0, 1.0])[:, None, None]
+                         for form in original(state))
 
-        monkeypatch.setattr(optimize_mod, "_row_engine", negated)
+        monkeypatch.setattr(protocol_mod, "rotation_forms", negated)
         result = checks.check_monotone_feedback_tilt(np.random.default_rng(0))
         assert not result.passed
         assert result.residual > 1e3 * result.tolerance
 
     def test_negated_gain_blocks_break_the_ledger_checks(self, monkeypatch):
-        # with C -> -C in the shared rotation forms the ledger's reductions
+        # with C -> -C in the shared table's forms the ledger's reductions
         # leave the closed forms, and at the closed-form optima the ledger
         # no longer reproduces the maxima
-        original = protocol_mod.rotation_forms
+        original = protocol_mod._ledger_forms
 
-        def negated(state):
-            return tuple(form * np.array([1.0, -1.0])[:, None, None]
-                         for form in original(state))
+        def negated(state, blocks):
+            sign = np.array([1.0, -1.0, 1.0])[:blocks, None, None]
+            return tuple(form * sign for form in original(state, blocks))
 
-        monkeypatch.setattr(protocol_mod, "rotation_forms", negated)
+        monkeypatch.setattr(protocol_mod, "_ledger_forms", negated)
         assert not checks.check_protocol_two_routes(
             np.random.default_rng(0)).passed
         assert not checks.check_brute_force().passed
+
+    def test_negated_measurement_rows_break_the_ledger_check(self, monkeypatch):
+        # with Q -> -Q in the table, injected = r^T Q r turns negative and
+        # after_feedback leaves the pointwise sum over projected states
+        table = protocol_mod._row_table() * np.repeat([1.0, 1.0, -1.0],
+                                                      18)[:, None]
+        monkeypatch.setattr(protocol_mod, "_row_table", lambda: table)
+        assert not checks.check_protocol_two_routes(
+            np.random.default_rng(0)).passed
 
     def test_negative_mutual_information_fails(self, monkeypatch):
         original = thermo_mod.second_law_report

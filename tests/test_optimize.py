@@ -417,9 +417,10 @@ class TestBruteForce:
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
     def test_rotation_form_matches_run_protocol(self, h, k, target):
         # two routes: y^T K(r) y of the target and of the bond term, and
-        # run_protocol's ledger, which reads the same forms, against
+        # run_protocol's ledger, which reads the same table, against
         # sum_n <P_n psi| U_n^+ T U_n |psi>, taken pointwise from project
-        # and rotate, at random (r, s, theta)
+        # and rotate, at random (r, s, theta); and the ledger's injected
+        # energy against sum_n <P_n psi|H|P_n psi> - <psi|H|psi>
         state = gs(h, k)
         engine, bond = optimize._row_engine(state, target)
         rng = np.random.default_rng(16)
@@ -453,6 +454,9 @@ class TestBruteForce:
             quadratic = np.einsum("ni,nij,nj->n", y, form_at(form, r), y)
             assert np.abs(quadratic - expected).max() < 1e-13 * (h + k)
             assert np.abs(read - expected).max() < 1e-13 * (h + k)
+        injected = (np.einsum("nmi,ij,nmj->m", pv.conj(), terms.total, pv).real
+                    - np.vdot(v, terms.total @ v).real)
+        assert np.abs(ledger.injected - injected).max() < 1e-13 * (h + k)
 
     @pytest.mark.parametrize("target", [TARGET_EXTRACTED, TARGET_SITE])
     @pytest.mark.parametrize("h, k", SCAN_FIELDS)
@@ -530,7 +534,7 @@ class TestBruteForce:
 class TestRowTable:
     def test_table_is_cached_read_only(self):
         table = protocol._row_table()
-        assert table.shape == (36, 256)
+        assert table.shape == (54, 256)
         assert protocol._row_table() is table
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1.0

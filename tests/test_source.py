@@ -27,3 +27,27 @@ def test_no_per_element_vectorize():
             if name == "vectorize":
                 offenders.append(f"{path.name}:{node.lineno}")
     assert sorted(offenders) == []
+
+
+def test_no_private_names_of_other_modules():
+    # a module reads only the public names of its siblings, so a private
+    # name can change without a search of the whole package
+    offenders = []
+    for path in Path(qetsim.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("qetsim")):
+                if node.module in (None, "qetsim"):
+                    siblings.update(alias.asname or alias.name
+                                    for alias in node.names)
+                offenders += [f"{path.name}:{node.lineno}"
+                              for alias in node.names
+                              if alias.name.startswith("_")]
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id in siblings
+                      and node.attr.startswith("_")]
+    assert sorted(offenders) == []

@@ -53,22 +53,24 @@ larger of 2h and 2k, with interior bond c and edge bond e,
 with the Fibonacci polynomials F_m(w/c) = (e^(m phi) - (-1)^m e^(-m phi))
 / (2 cosh phi), sinh phi = w / (2c).  For even L the four terms are
 positive, and c^(L-1) cancels against the bond products.  The integrals run
-on a trapezoid grid in log w, so a solve costs O(1) per grid node at any
-length, and both integrands are positive, which makes the correlators
-accurate relative to their own size.  Over h/k from 1e-6 to 1e4 and even L
-from 4 to 1000, |yy| is within 6e-14 relative of the same sums at a
-quarter of the step, and |xx| within 8e-16 (comment on `_STEP`); below
-h/k = 0.05 both are within 8e-16.  `ground_covariance` and
-`ground_energy_from_filling` keep the dense SVD B = U diag(s) V^T,
-Q = U V^T, as the independent second route that the checks compare
-against.
+on the trapezoid lattice t_i = i _STEP in t = log w, whose nodes do not
+depend on L: the node arrays that depend only on the field (w, phi, (w/e)^2
+and the coefficients of the bracket of D(w)) are cached per field and
+shared by every length, so a further length costs 18 array operations at
+O(1) per node.  Both integrands are positive, which makes the
+correlators accurate relative to their own size: over h/k from 1e-6 to 1e4,
+k from 1e-3 to 1e3 and even L from 4 to 1000, |xx| and |yy| are within
+9e-16 relative of the same integrals at step 1/16 (comment on `_STEP`).
+`ground_covariance` and `ground_energy_from_filling` keep the dense SVD
+B = U diag(s) V^T, Q = U V^T, as the independent second route that the
+checks compare against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -186,13 +188,16 @@ def ground_energy_from_filling(spec: ChainSpec) -> float:
     return float(-0.5 * s.sum())
 
 
-# trapezoid step in t = log w.  Aliasing is ~exp(-pi^2 / step) = 7e-18 of
-# the pole terms, which cancel to a much smaller |yy| in long chains: against
-# step 1/16 (h/k 0.05 to 2 in steps of 0.05 and 1e-6 to 1e4 log-spaced, even
-# L 4 to 1000) |yy| is off by up to 5.9e-14 relative (at h/k = 0.55,
-# L = 1000), |xx| by 7.8e-16.  A step that is not a power of two (0.1) also
-# puts np.arange's spacing, and so both correlators, off by ~1e-14 relative.
-_STEP = 0.25
+# trapezoid step in t = log w, on the lattice t_i = i _STEP: each node is
+# one rounding of i times the step, for every L and every field.  Against
+# step 1/16 (h/k 0.05 to 2 in steps of 0.05 and 1e-6 to 1e4 log-spaced,
+# even L 4 to 1000, k 1e-3 to 1e3) |xx| is within 6.6e-16 relative and
+# |yy| within 8.7e-16.  Step 0.25 left |yy| off by up to 5.9e-14 (h/k =
+# 0.55, L = 1000): the pole terms alias by ~exp(-pi^2 / step) of their own
+# size, and they cancel to a much smaller |yy| in long chains.  A grid from
+# np.arange(t0, .., step) is spaced by (t0 + step) - t0, not by the step
+# that multiplies the sum, which put a step of 0.1 off by ~1e-14 relative.
+_STEP = 0.2
 # the grid runs from _MARGIN times a lower bound on the smallest singular
 # value to 1/_MARGIN times an upper bound on the largest; beyond both ends
 # the integrands are geometric in t, up to relative corrections _MARGIN^2,
@@ -207,6 +212,12 @@ _EDGE_FLOOR = 1e-100
 # raised to it, so that no bond and no grid node underflows; the edge
 # correlators are then below ~1e-250 and are resolved only absolutely
 _BOND_FLOOR = 1e-250
+# one set of cached node arrays per field serves every chain of up to this
+# many rows of B (L below 2^21): it starts at the lowest node any of them
+# needs.  A longer chain starts lower and gets its own set
+_LATTICE_SIZE = 2 ** 20
+# index of the highest lattice node, at or above 2 / _MARGIN (s_max <= 2)
+_TOP_INDEX = math.ceil(math.log(2.0 / _MARGIN) / _STEP)
 
 
 def _log_smallest_singular_bound(c, e, size):
@@ -222,12 +233,41 @@ def _log_smallest_singular_bound(c, e, size):
     return -max(-log_c, -log_e, log_c - 2.0 * log_e) - math.log(size)
 
 
+def _lowest_index(c, e, size):
+    """Index of the lattice node at or below _MARGIN times the lower bound
+    on the smallest singular value of B with `size` rows."""
+    return math.floor((_log_smallest_singular_bound(c, e, size)
+                       + math.log(_MARGIN)) / _STEP)
+
+
+@lru_cache(maxsize=8)
+def _field_nodes(c, e, lowest):
+    """Read-only arrays over the lattice nodes `lowest` .. _TOP_INDEX that
+    depend on the bonds c and e but not on L: w, phi, u2 = (w / e)^2 and
+    the coefficients of expm1(-2 L phi), 1 + e^(-2 (L-1) phi) and
+    expm1(-2 (L-2) phi) in the bracket of `edge_correlators`."""
+    w = np.exp(np.arange(lowest, _TOP_INDEX + 1) * _STEP)
+    x = w / c
+    cosh2 = np.hypot(x, 2.0)   # 2 cosh phi
+    exp_phi = 0.5 * (x + cosh2)   # sinh phi + cosh phi
+    u2 = (w / e) ** 2
+    p2 = 1.0 + u2   # p_2 / e^2
+    w_cosh2 = w / cosh2
+    nodes = (w, np.arcsinh(0.5 * x), u2, -p2 * w_cosh2 * exp_phi,
+             (p2 * (e * e / c) + c * u2) / cosh2, -w_cosh2 / exp_phi)
+    for array in nodes:
+        array.flags.writeable = False
+    return nodes
+
+
 def edge_correlators(spec: ChainSpec):
     """(<i b_0 b_{L-1}>, <i c_0 c_{L-1}>) in the filled-sea ground state.
 
     Evaluates the two resolvent integrals of the module docstring with the
     transfer-matrix form of D(w), at a cost per grid node independent of
-    L.  For odd L both pairs sit on one sublattice, so both are exactly 0.0.
+    L; the node arrays that depend only on the field are cached and shared
+    by every length.  For odd L both pairs sit on one sublattice, so both
+    are exactly 0.0.
     """
     _require_field(spec)
     length = spec.length
@@ -238,25 +278,21 @@ def edge_correlators(spec: ChainSpec):
     top = max(spec.h, spec.k)
     c = max(spec.k / top, _BOND_FLOOR)
     e = max(spec.h / top, _EDGE_FLOOR)
-    t = np.arange(_log_smallest_singular_bound(c, e, length // 2 + 1)
-                  + math.log(_MARGIN),
-                  math.log(2.0 / _MARGIN) + _STEP, _STEP)   # s_max <= 2
-    w = np.exp(t)
-    x = w / c
-    phi = np.arcsinh(0.5 * x)
-    cosh2 = np.hypot(x, 2.0)   # 2 cosh phi
-    # F_m(x) e^(-(L-1) phi) for m = L, L - 1 and L - 2: no term overflows,
-    # and expm1 keeps 1 - e^(-2 m phi) accurate at small phi
-    f_top = -np.expm1(-2 * length * phi) * np.exp(phi) / cosh2
-    f_mid = (1.0 + np.exp(-2 * (length - 1) * phi)) / cosh2
-    f_low = -np.expm1(-2 * (length - 2) * phi) * np.exp(-phi) / cosh2
+    size = length // 2 + 1
+    lowest = _lowest_index(c, e, max(size, _LATTICE_SIZE))
+    start = _lowest_index(c, e, size) - lowest
+    w, phi, u2, a_top, a_mid, a_low = (
+        array[start:] for array in _field_nodes(c, e, lowest))
     # the bracket of D(w) over e^2 e^((L-1) phi), so that no term underflows
-    # at the smallest edge bond either; p_2 / e^2 = 1 + u2
-    u2 = (w / e) ** 2
-    bracket = ((1.0 + u2) * (w * f_top + e * e / c * f_mid)
-               + c * u2 * f_mid + w * f_low)
+    # at the smallest edge bond either: F_m(x) e^(-(L-1) phi) for m = L,
+    # L - 1 and L - 2 times their coefficients; no term overflows, and
+    # expm1 keeps 1 - e^(-2 m phi) accurate at small phi
+    decay = np.exp(-(length - 1) * phi)
+    bracket = (a_top * np.expm1(-2 * length * phi)
+               + a_mid * (1.0 + decay * decay)
+               + a_low * np.expm1(-2 * (length - 2) * phi))
     # integrands in t, w f(w): w e^2 / [..] for xx, w^3 / [..] for yy
-    g_xx = w * np.exp(-(length - 1) * phi) / bracket
+    g_xx = w * decay / bracket
     g_yy = g_xx * u2
 
     def integral(g, rise, fall):
@@ -291,6 +327,22 @@ class LengthScan:
     r_squared: float | None
 
 
+def _power_law_fit(points):
+    """(slope, r_squared) of the least-squares line through (log L, log d)
+    of the (L, d) points, in the centered closed form; r_squared is 1.0
+    when every log d is the same."""
+    log_l = [math.log(L) for L, _ in points]
+    log_d = [math.log(d) for _, d in points]
+    mean_l = sum(log_l) / len(log_l)
+    mean_d = sum(log_d) / len(log_d)
+    dl = [x - mean_l for x in log_l]
+    dd = [y - mean_d for y in log_d]
+    slope = sum(x * y for x, y in zip(dl, dd)) / sum(x * x for x in dl)
+    ss_res = sum((y - slope * x) ** 2 for x, y in zip(dl, dd))
+    ss_tot = sum(y * y for y in dd)
+    return slope, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+
+
 def correlators_vs_length(h: float, k: float, lengths) -> LengthScan:
     """Edge correlators for each length, plus the power-law fit.
 
@@ -318,12 +370,6 @@ def correlators_vs_length(h: float, k: float, lengths) -> LengthScan:
     # to 0.0 has no logarithm
     fit = [(L, d) for L, d in zip(lengths, yy) if L % 2 == 0 and d > 0.0]
     if len({L for L, _ in fit}) > 1:
-        log_l, log_d = np.log(np.asarray(fit, dtype=float)).T
-        slope, intercept = np.polyfit(log_l, log_d, 1)
-        fitted = slope * log_l + intercept
-        ss_res = float(((log_d - fitted) ** 2).sum())
-        ss_tot = float(((log_d - log_d.mean()) ** 2).sum())
-        slope = float(slope)
-        r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+        slope, r_squared = _power_law_fit(fit)
     return LengthScan(h=h, k=k, lengths=tuple(lengths), xx_abs=tuple(xx),
                       yy_abs=tuple(yy), slope=slope, r_squared=r_squared)

@@ -61,7 +61,10 @@ class ModelParams:
             raise ValueError(f"coupling k must be positive, got {self.k}")
         if h_lo < 0:
             raise ValueError(f"edge field h must be non-negative, got {self.h}")
-        if np.any(self.h > MAX_PARAMETER * self.k):
+        # an element over the limit implies h_hi > MAX_PARAMETER k_lo, so
+        # the elementwise test is needed only where that scalar one holds
+        if (h_hi > MAX_PARAMETER * k_lo
+                and np.any(self.h > MAX_PARAMETER * self.k)):
             raise ValueError(f"h/k must be at most {MAX_PARAMETER:g}, "
                              f"got h={self.h}, k={self.k}")
         if k_lo < 1.0 / MAX_PARAMETER:

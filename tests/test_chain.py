@@ -1,9 +1,11 @@
+import math
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+from qetsim import chain
 from qetsim.chain import (SMALL_FIELD, build_chain, correlators_vs_length,
                           edge_correlators, ground_covariance,
                           ground_energy_from_filling)
@@ -223,6 +225,93 @@ class TestGroundCovariance:
         assert 0.0 < abs(cc) < abs(shorter[1]) < 1.0
 
 
+def fine_reference(L, h, k, step=1.0 / 16.0, margin=40.0):
+    """(|<i b_0 b_{L-1}>|, |<i c_0 c_{L-1}>|) for even L: the resolvent
+    integrals of the module docstring, summed on a trapezoid grid in t =
+    log w with the given step.  The grid reaches `margin` beyond a bound
+    on each end of the singular values of B, where the integrands have
+    fallen by e^-margin, so no tail is added."""
+    top = max(h, k)
+    c, e = k / top, h / top
+    low = math.log(min(e * e / c, e, c)) - math.log(L) - margin
+    high = math.log(2.0) + margin
+    t = np.arange(math.floor(low / step), math.ceil(high / step) + 1) * step
+    w = np.exp(t)
+    phi = np.arcsinh(0.5 * w / c)
+
+    def fib(m):
+        # F_m(w / c) e^(-(L-1) phi), without overflow at any w
+        tail = (-np.expm1(-2 * m * phi) if m % 2 == 0
+                else 1.0 + np.exp(-2 * m * phi))
+        return np.exp((m - L + 1) * phi) * tail / (2.0 * np.cosh(phi))
+
+    # D(w) / (c^(L-1) e^((L-1) phi)), the four positive terms
+    p2 = w * w + e * e
+    scaled = (w * fib(L) * p2 + c * w * w * fib(L - 1)
+              + e * e * fib(L - 1) * p2 / c + e * e * w * fib(L - 2))
+    g = w * np.exp(-(L - 1) * phi) / scaled   # dw = w dt
+    return (2.0 / math.pi * step * (e * e * g).sum(),
+            2.0 / math.pi * step * (w * w * g).sum())
+
+
+class TestQuadrature:
+    LENGTHS = (4, 50, 100, 200, 400, 700, 1000)
+    RATIOS = np.r_[np.logspace(-6.0, 4.0, 61), 0.05 * np.arange(1, 41)]
+
+    @pytest.mark.parametrize("k", [1e-3, 1.0, 1e3])
+    def test_relative_accuracy_against_a_finer_step(self, k):
+        # step 0.25 left |yy| off by up to 5.9e-14 (h/k = 0.55, L = 1000);
+        # where a magnitude underflows both sides read 0.0
+        worst = 0.0
+        for ratio in self.RATIOS:
+            for L in self.LENGTHS:
+                got = edge_correlators(build_chain(L, ratio * k, k))
+                for value, want in zip(got, fine_reference(L, ratio * k, k)):
+                    assert abs(abs(value) - want) <= 2e-15 * want, (ratio, L)
+                    if want > 0.0:
+                        worst = max(worst, abs(abs(value) - want) / want)
+        assert worst > 0.0
+
+    def test_bitwise_independent_of_cache_and_order(self):
+        cases = [(L, h, k) for k in (1e-3, 1.0) for h in (1e-6, 0.55, 7.0)
+                 for L in (4, 50, 1000, 2**22)]
+        cold = {}
+        for case in cases:
+            chain._field_nodes.cache_clear()
+            cold[case] = edge_correlators(build_chain(*case))
+        for order in (cases, cases[::-1],
+                      [cases[i] for i in np.random.default_rng(3).permutation(
+                          len(cases))]):
+            for case in order:
+                assert edge_correlators(build_chain(*case)) == cold[case]
+
+    def test_cache_is_bounded_and_read_only(self):
+        for h in np.linspace(0.05, 1.0, 40):
+            edge_correlators(build_chain(50, h, 1.0))
+        info = chain._field_nodes.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 16
+        nodes = chain._field_nodes(
+            1.0, 0.5, chain._lowest_index(1.0, 0.5, chain._LATTICE_SIZE))
+        for array in nodes:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_one_module_level_call_per_length(self, monkeypatch):
+        # perfbench traces one chain.edge_correlators span per length
+        seen = []
+        original = chain.edge_correlators
+
+        def counted(spec):
+            seen.append(spec.length)
+            return original(spec)
+
+        monkeypatch.setattr(chain, "edge_correlators", counted)
+        scan = correlators_vs_length(0.5, 1.0, [100, 4, 5, 50, 100])
+        assert seen == [4, 5, 50, 100, 100]
+        assert scan.lengths == tuple(seen)
+
+
 class TestLengthScan:
     def test_zero_field_limit_is_unit_xx(self):
         scan = correlators_vs_length(0.0, 1.0, [4, 16, 64])
@@ -289,3 +378,32 @@ class TestLengthScan:
     def test_rejects_tiny_lengths(self):
         with pytest.raises(ValueError):
             correlators_vs_length(0.5, 1.0, [1, 4])
+
+    @pytest.mark.parametrize("h", [0.0, 1e-3, 0.05, 0.5, 2.0, 30.0])
+    def test_fit_matches_polyfit(self, h):
+        for lengths in ([4, 50, 100, 200, 400, 700, 1000], [4, 6, 8],
+                        [50, 100, 400], [4, 5, 50, 100]):
+            scan = correlators_vs_length(h, 1.0, lengths)
+            fit = [(L, d) for L, d in zip(scan.lengths, scan.yy_abs)
+                   if L % 2 == 0]
+            log_l, log_d = np.log(np.asarray(fit, dtype=float)).T
+            slope, intercept = np.polyfit(log_l, log_d, 1)
+            ss_res = ((log_d - slope * log_l - intercept) ** 2).sum()
+            ss_tot = ((log_d - log_d.mean()) ** 2).sum()
+            assert abs(scan.slope - slope) <= 1e-13 * abs(slope)
+            assert (abs(scan.r_squared - (1.0 - ss_res / ss_tot))
+                    <= 1e-13 * scan.r_squared)
+
+    def test_degenerate_fits(self, monkeypatch):
+        # two lengths: the line passes through both points
+        for lengths in ([4, 50], [50, 1000]):
+            scan = correlators_vs_length(0.5, 1.0, lengths)
+            assert scan.r_squared == 1.0
+            slope = (math.log(scan.yy_abs[1] / scan.yy_abs[0])
+                     / math.log(lengths[1] / lengths[0]))
+            assert abs(scan.slope - slope) <= 1e-13 * abs(slope)
+        # ss_tot = 0: every |yy| the same
+        monkeypatch.setattr(chain, "edge_correlators",
+                            lambda spec: (0.5, -0.25))
+        scan = correlators_vs_length(0.5, 1.0, [4, 50, 100, 1000])
+        assert scan.slope == 0.0 and scan.r_squared == 1.0

@@ -78,6 +78,12 @@ class TestChecks:
         assert not result.passed
         assert result.residual > 1e3 * result.tolerance
 
+    def test_tilt_check_reports_the_signed_largest_fall(self):
+        # the envelope rises strictly, so its largest fall is negative
+        result = checks.check_monotone_feedback_tilt(np.random.default_rng(0))
+        assert result.passed
+        assert result.residual < 0.0
+
     def test_negated_gain_blocks_break_the_ledger_checks(self, monkeypatch):
         # with C -> -C in the shared table's forms the ledger's reductions
         # leave the closed forms, and at the closed-form optima the ledger

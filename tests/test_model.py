@@ -66,6 +66,16 @@ class TestParams:
         with pytest.raises(ValueError, match="h/k"):
             ModelParams(h=h, k=k)
 
+    def test_ratio_bound_is_elementwise(self):
+        # the scalar pre-test h_max > 1e100 k_min passes in both cases; only
+        # the elementwise ratio decides
+        with pytest.raises(ValueError, match="h/k"):
+            ModelParams(h=np.array([1.0, 1e50, 2.0]),
+                        k=np.array([1.0, 1e-51, 1.0]))
+        params = ModelParams(h=np.array([1e-60, 1e50]),
+                             k=np.array([1e-100, 1.0]))
+        assert params.h[1] == 1e50
+
     @pytest.mark.parametrize("h, k", [(np.nan, 1.0), (np.inf, 1.0),
                                       (0.5, np.nan), (0.5, np.inf),
                                       (1e101, 1.0), (0.5, 1e101),

@@ -5,8 +5,9 @@ The maxima of the extracted energy and of Bob's local energy reduction
 have closed forms driven by two different edge correlators.  A global
 maximisation that never touches those formulas (Alice's measurement axis
 and Bob's rotation angle maximised exactly for each feedback axis, and
-the feedback axis found by a fixed-point iteration of 3 x 3 eigensolves
-that also proves an upper bound) lands on the same values.
+the feedback axis found by a fixed-point iteration of 3 x 3 Jacobi
+eigensolves that stops once a Cholesky test proves its value the maximum
+up to a factor 1 + 2^-44) lands on the same values.
 """
 
 import numpy as np

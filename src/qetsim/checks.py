@@ -236,8 +236,9 @@ def check_brute_force(rng=None, fields=(0.1, 0.5, 1.5)):
     claimed optimal parameters (so sign errors in the closed-form angles
     cannot hide behind an even power), the closed form lies in its
     bracket [value, upper_bound], and it converged; the detail reports
-    the range of fixed-point rounds."""
-    worst = 0.0
+    the range of fixed-point rounds and the widest relative bracket,
+    (upper_bound - value) / value."""
+    worst = widest = 0.0
     unconverged = []
     rounds = []
     for h in fields:
@@ -255,9 +256,12 @@ def check_brute_force(rng=None, fields=(0.1, 0.5, 1.5)):
                         abs(direct - closed_cert.value),
                         closed_cert.value - cert.upper_bound)
             rounds.append(cert.rounds)
+            gap = cert.upper_bound - cert.value
+            widest = max(widest, gap / cert.value if cert.value else gap)
             if not (cert.converged and cert.rounds > 0):
                 unconverged.append(f"h={h:g} {target}")
-    detail = f"{min(rounds)}-{max(rounds)} fixed-point rounds"
+    detail = (f"{min(rounds)}-{max(rounds)} fixed-point rounds, widest "
+              f"bracket {widest:.1e}")
     if unconverged:
         worst = np.inf
         detail = f"not converged: {', '.join(unconverged)}; {detail}"

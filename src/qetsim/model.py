@@ -222,7 +222,7 @@ def ground_energy(params: ModelParams):
     tt = 4.0 * (t * t)
     x = x - ((((x + 1.0) * x - (5.0 + tt)) * x + (tt - 5.0))
              / ((3.0 * x + 2.0) * x - (5.0 + tt)))
-    x = np.where(t > 0.0, x, -SQRT5)
+    x = np.where(t > 0.0, x, -SQRT5)[()]   # a scalar for a scalar field
     slack = 2.0 * _EPS * abs(x)
     assert ((x >= -3.0 - 2.0 * t - slack) & (x <= slack - SQRT5)).all(), \
         f"root {x} outside the bracket [-3 - 2 h/k, -sqrt(5)]"

@@ -41,20 +41,26 @@ any fixed grid spacing once the edge field is large.
   (:func:`_axis_maximum`).  The global maximum is the root of
   lambda_max(C C^T + lambda M0) = lambda^2, reached by Dinkelbach's
   parametric iteration (W. Dinkelbach, Management Science 13, 492
-  (1967)), one 3 x 3 eigensolve a round; the confirming round also proves
-  an upper bound (:func:`_fixed_point`).  An unconverged certificate
-  fails :func:`qetsim.checks.check_brute_force`.
+  (1967)).  Each round's feedback axis is the top eigenvector of C C^T +
+  lambda M0 by a cyclic 3 x 3 Jacobi (:func:`_jacobi_axis`; J. Demmel and
+  K. Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)), and the
+  iteration stops at the first round whose value a Cholesky test proves
+  to be the maximum up to a factor 1 + 2^-44 (:func:`_certifies`,
+  :func:`_fixed_point`), all on Python floats.  An uncertified
+  certificate fails :func:`qetsim.checks.check_brute_force`.
 * Structure.  On physical states M0 and C C^T are diagonal, by the
   parity symmetry (sigma_z on every site) and complex conjugation (a real
-  psi), so the maximum is the best of three per-axis closed forms: the
-  paper's two formulae.  The iteration does not assume this; it takes 2
-  or 3 rounds on physical states, at most 10 on random (M0 <= 0, C).
-* Tightness.  The bound's slack is rounding of order u |C|_F^2, the size
-  of the terms that cancel in C C^T + lambda M0.  (upper - value) / value
-  is below 1e-11 for 0.05 k <= h <= 1.5 k and 7.5e-9 at h = 1e-6 k; at
-  h = 100 k it is 7e-2 (``extracted``) and 1.3e-6 (``site_reduction``),
-  at 1e4 k 4e5 and 15, while the value stays relatively accurate
-  (tests/test_accuracy.py).
+  psi), so the maximum is the best of three per-axis closed forms, the
+  paper's two formulae, and Jacobi makes no rotation.  The iteration does
+  not assume this; it takes 1 round (``site_reduction``) or 1 to 2
+  (``extracted``) on physical states, at most 11 on the tests' random
+  (M0 <= 0, C).
+* Tightness.  The bound is value (1 + 2^-44), 5.7e-14 relative, at every
+  h/k: the test reads the entries of Lambda^2 I - Lambda M0 and C, which
+  do not cancel, so its rounding slack is a fixed share of them.  It is
+  proven for the forms as computed, so against the 60-digit maximum it
+  shares the value's error: below 1e-13 relative up to h = 100 k, and up
+  to 2e-12 for ``extracted`` beyond (tests/test_accuracy.py).
 """
 
 from __future__ import annotations
@@ -87,6 +93,13 @@ _AXES_SITE = ProtocolParams.from_vectors(_X, _Y, 0.0)
 _AXIS_MEASUREMENTS = {name: ProtocolParams.from_vectors(vec, _Z, 0.0)
                       for name, vec in (("x", _X), ("y", _Y), ("z", _Z))}
 
+# the fixed point's certificate (:func:`_certifies`): its diagonal shift,
+# 128 u, and the first relative width it tries, 512 u (u = 2^-53)
+_SHIFT = 2.0**-46
+_SLACK = 2.0**-44
+# the entries (00, 01, 02, 11, 12, 22) of a symmetric 3 x 3 matrix
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -97,11 +110,11 @@ class Certificate:
     negative at the site-reduction optimum for h > 0).
 
     `upper_bound` is proven: the maximum over all five angles lies in
-    [value, upper_bound] (:func:`_fixed_point`); a closed form is exact,
-    so there it is the value.  `converged` and `rounds` describe the
-    oracle's fixed point: whether it stopped rising within its round
-    limit, and its rounds (one 3 x 3 eigensolve each, the confirming one
-    included); closed forms: converged, 0 rounds.
+    [value, upper_bound] (:func:`_certifies`); a closed form is exact, so
+    there it is the value.  `converged` and `rounds` describe the oracle's
+    fixed point: whether it certified its value within its round limit
+    (else `upper_bound` is inf), and its rounds, one 3 x 3 eigensolve
+    each; closed forms: converged, 0 rounds.
     """
 
     target: str
@@ -207,50 +220,177 @@ def _axis_maximum(costs, columns, s):
     return value, gains, amplitude, m
 
 
+def _jacobi_axis(a00, a01, a02, a11, a12, a22):
+    """Top eigenvector of the symmetric [[a00, a01, a02], [a01, a11, a12],
+    [a02, a12, a22]] on Python floats, by cyclic Jacobi rotations
+    (Rutishauser's update; an off-diagonal entry that, taken 100 times,
+    adds nothing to either of its diagonal entries is zeroed unrotated),
+    ties going to the last axis.  Where the off-diagonal entries are exact
+    zeros, as on physical states, it makes no rotation and returns a
+    coordinate axis.  It only proposes an axis to :func:`_fixed_point`,
+    whose bound does not rest on it, so its sweep limit needs no margin."""
+    a = [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]
+    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for _ in range(50):   # sweeps; a 3 x 3 matrix takes a handful
+        rotated = False
+        for p, q, o in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            apq = a[p][q]
+            if apq == 0.0:
+                continue
+            app, aqq = a[p][p], a[q][q]
+            tiny = 100.0 * abs(apq)
+            if abs(app) + tiny == abs(app) and abs(aqq) + tiny == abs(aqq):
+                a[p][q] = a[q][p] = 0.0
+                continue
+            rotated = True
+            # tan of the angle that zeroes a[p][q], the smaller root
+            theta = 0.5 * (aqq - app) / apq
+            t = math.copysign(1.0 / (abs(theta) + math.hypot(1.0, theta)),
+                              theta)
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            sin = t * c
+            tau = sin / (1.0 + c)
+            a[p][p], a[q][q] = app - t * apq, aqq + t * apq
+            a[p][q] = a[q][p] = 0.0
+            for row in (a[o], *v):
+                gp, gq = row[p], row[q]
+                row[p] = gp - sin * (gq + gp * tau)
+                row[q] = gq + sin * (gp - gq * tau)
+            a[p][o], a[q][o] = a[o][p], a[o][q]
+        if not rotated:
+            break
+    top = 2
+    if a[1][1] > a[top][top]:
+        top = 1
+    if a[0][0] > a[top][top]:
+        top = 0
+    return [v[0][top], v[1][top], v[2][top]]
+
+
+def _certifies(form, rows, bound):
+    """Whether Lambda = `bound` is proven to bound lambda(s) at every
+    feedback axis s, for the forms as given: `form` the entries (00, 01,
+    02, 11, 12, 22) of M0's symmetric part, `rows` those of C.
+
+    For a unit s, Lambda > 0 bounds lambda(s) iff q = Lambda^2 - m Lambda
+    - A^2 >= 0, as lambda(s) is the larger root of q and the smaller is <=
+    0.  At x = (s, -C^T s), x^T K x = q for the 6 x 6
+
+        K = [[Lambda^2 I - Lambda M0, C], [C^T, I]],
+
+    so K >= 0 proves the bound: the test ||L^-1 C||_2 <= 1, L the Cholesky
+    factor of Lambda^2 I - Lambda M0.  It is decided by one Cholesky
+    factorization of K - sigma E^2, E = diag(e), e_i^2 = Lambda^2 +
+    Lambda |M0_ii| (i <= 3) and 1 below: the leading block's factor L, X =
+    L^-1 C by forward substitution, then the factor of (1 - sigma) I - X^T
+    X; it passes if every pivot is positive.  With M0 <= 0 no entry
+    cancels, and no eigenvalue is taken.
+
+    Rounding slack, u = 2^-53, barring underflow and overflow (the
+    accepted parameters keep clear of both): the matrix formed differs
+    from K - sigma E^2 by F, |F_ij| <= 3u e_i e_j (1 + O(u)): three
+    roundings on the leading diagonal, whose terms are at most e_i^2; two
+    on -Lambda M0_ij, whose size a completed factorization bounds by e_i
+    e_j (1 + O(u)); C and the unit block are exact.  If the factorization
+    completes, the computed factor satisfies L L^T = K - sigma E^2 + F +
+    D, |D| <= gamma_7 |L||L^T| <= 7u e e^T (1 + O(u)) (N. J. Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3;
+    the row norms of L are at most e_i (1 + O(u))).  So for any x, x^T K
+    x >= sigma sum e_i^2 x_i^2 - 10u (1 + O(u)) (sum e_i |x_i|)^2, and by
+    Cauchy-Schwarz over six terms K >= 0 once sigma > 60u (1 + O(u));
+    sigma = 2^-46 = 128u.
+
+    At Lambda = lambda* (1 + delta), along the optimal x the margin delta
+    (2 lambda* - m) lambda* meets the shift's sigma (2 lambda* - m + g)
+    lambda*, g = sum_i |M0_ii| s_i^2, which is -m for a diagonal M0: there
+    the test passes for delta a little above 2 sigma, and the first width
+    tried, 2^-44 = 4 sigma, leaves a factor 2.
+
+    Without a gain the objective is m sin^2 theta, and a zero `bound` is
+    certified where C = 0 and M0 is diagonal with no positive entry.
+    """
+    m00, m01, m02, m11, m12, m22 = form
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = rows
+    if not bound:
+        return (not any((*rows[0], *rows[1], *rows[2], m01, m02, m12))
+                and max(m00, m11, m22) <= 0.0)
+    square = bound * bound
+    t0, t1, t2 = bound * m00, bound * m11, bound * m22
+    pivot = square - t0 - _SHIFT * (square + abs(t0))
+    if not pivot > 0.0:
+        return False
+    l00 = math.sqrt(pivot)
+    l10, l20 = -bound * m01 / l00, -bound * m02 / l00
+    pivot = square - t1 - _SHIFT * (square + abs(t1)) - l10 * l10
+    if not pivot > 0.0:
+        return False
+    l11 = math.sqrt(pivot)
+    l21 = (-bound * m12 - l20 * l10) / l11
+    pivot = square - t2 - _SHIFT * (square + abs(t2)) - l20 * l20 - l21 * l21
+    if not pivot > 0.0:
+        return False
+    l22 = math.sqrt(pivot)
+    x00, x01, x02 = c00 / l00, c01 / l00, c02 / l00
+    x10, x11, x12 = ((c10 - l10 * x00) / l11, (c11 - l10 * x01) / l11,
+                     (c12 - l10 * x02) / l11)
+    x20, x21, x22 = ((c20 - l20 * x00 - l21 * x10) / l22,
+                     (c21 - l20 * x01 - l21 * x11) / l22,
+                     (c22 - l20 * x02 - l21 * x12) / l22)
+    pivot = 1.0 - _SHIFT - x00 * x00 - x10 * x10 - x20 * x20
+    if not pivot > 0.0:
+        return False
+    n00 = math.sqrt(pivot)
+    n10 = (-x00 * x01 - x10 * x11 - x20 * x21) / n00
+    n20 = (-x00 * x02 - x10 * x12 - x20 * x22) / n00
+    pivot = 1.0 - _SHIFT - x01 * x01 - x11 * x11 - x21 * x21 - n10 * n10
+    if not pivot > 0.0:
+        return False
+    n21 = (-x01 * x02 - x11 * x12 - x21 * x22 - n20 * n10) / math.sqrt(pivot)
+    return (1.0 - _SHIFT - x02 * x02 - x12 * x12 - x22 * x22 - n20 * n20
+            - n21 * n21 > 0.0)
+
+
 def _fixed_point(cost, gain, max_rounds=100):
     """Dinkelbach's iteration for the maximum of y^T K(r) y over all five
-    angles, with a proven upper bound.
+    angles, with a proven upper bound, on Python floats: no numpy call
+    after reading (M0, C).
 
     F(lambda) = max_s (A^2 + lambda m - lambda^2) = lambda_max(C C^T +
     lambda M0) - lambda^2 is >= 0 up to the global maximum lambda* and < 0
     above it, as each s's quadratic is >= 0 exactly on [0, lambda(s)].
     From lambda = 0, each round takes s as the top eigenvector of C C^T +
-    lambda M0 and moves lambda to lambda(s), which does not fall (that s's
-    quadratic is F(lambda) >= 0 at lambda); it stops at the first round
-    that does not rise.
-
-    Bound: with mu the last round's top eigenvalue at lambda and t >= the
-    top eigenvalue of M0 (Gershgorin: max_i M0_ii + sum_(j != i) |M0_ij|,
-    at least 0; 0 for a diagonal M0 <= 0), F(lambda') <= mu + delta +
-    (lambda' - lambda) t - lambda'^2 for lambda' >= lambda, so lambda* <=
-    sqrt(mu + delta) + t.  delta bounds the rounding of mu: forming the
-    matrix errs by (n + 2) u (|C||C|^T + lambda |M0|) entrywise and a
-    backward-stable eigensolver by p(n) u of its norm; taking p(n) = 6n,
-    delta = 8 n u (|C|_F^2 + lambda |M0|_F), with n = 3 and u = 2^-53.
+    lambda M0 (:func:`_jacobi_axis`) and moves lambda to lambda(s) where
+    that is higher (that s's quadratic is F(lambda) >= 0 at lambda, so
+    only rounding lowers it).  It stops at the first round whose value
+    passes :func:`_certifies` at Lambda = value (1 + 2^-44): the
+    eigensolver only proposes axes, and the bound rests on the certificate
+    alone.  A round that does not rise doubles the width tried, for forms
+    whose poorly scaled M0 keeps the test from deciding at 2^-44 (no
+    physical state), and ends the iteration at a value of 0.
 
     Returns ``(value, upper, s, (C^T s, A, m), rounds, converged)``, s
-    (floats) attaining the value; converged: stopped within `max_rounds`.
+    (floats) attaining the value; converged: certified within
+    `max_rounds`, else `upper` is inf.
     """
-    gram = gain @ gain.T
-    costs, columns = cost.tolist(), gain.T.tolist()
-    value, best = 0.0, None
+    costs, rows = cost.tolist(), gain.tolist()
+    columns = list(zip(*rows))
+    form = [0.5 * (costs[i][j] + costs[j][i]) for i, j in _UPPER]
+    gram = [_dot(rows[i], rows[j]) for i, j in _UPPER]
+    value, best, slack = 0.0, None, _SLACK
     for rounds in range(1, max_rounds + 1):
         at = value
-        w, v = np.linalg.eigh(gram + at * cost)
-        s = v[:, -1].tolist()
+        s = _jacobi_axis(*[g + at * m for g, m in zip(gram, form)])
         rise, *parts = _axis_maximum(costs, columns, s)
         if best is None or rise > at:
             best, value = (s, parts), rise
-        if rise <= at:
+        elif not value:
             break
-    (a, b, c), (d, e, f), (g, h, i) = costs
-    spread = max(0.0, a + abs(b) + abs(c), e + abs(d) + abs(f),
-                 i + abs(g) + abs(h))
-    size = math.hypot(*columns[0], *columns[1], *columns[2])**2 + at * \
-        math.hypot(*costs[0], *costs[1], *costs[2])
-    # delta = 8 n u size, n = 3, u = 2^-53
-    upper = math.sqrt(max(0.0, float(w[-1]) + 24 * 2.0**-53 * size)) + spread
-    return value, upper, *best, rounds, rise <= at
+        else:
+            slack *= 2.0
+        upper = value * (1.0 + slack)
+        if _certifies(form, rows, upper):
+            return value, upper, *best, rounds, True
+    return value, math.inf, *best, rounds, False
 
 
 def validate_resolution(resolution: int) -> None:

@@ -1,8 +1,9 @@
 """Relative accuracy of the closed forms, the closed-form reductions at
 both optima, the protocol ledger at both optima, the ledger's injected
 energy on four measurement axes and the oracle against a 60-digit
-reference, the oracle's upper bound against that reference, and the bond
-terms of the oracle and of the ledger against the closed form.
+reference, the oracle's upper bound against that reference and against
+sampled axes of random forms, and the bond terms of the oracle and of
+the ledger against the closed form.
 
 The reference solves the characteristic cubic in mpmath and evaluates the
 textbook formulas (alpha = 2k/(E + k - 2h), beta = 2k/(E + k + 2h),
@@ -11,10 +12,12 @@ far fewer than the 60 digits carried.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
 
+from qetsim import optimize
 from qetsim.model import (MAX_FIELD_RATIO, MAX_PARAMETER, ModelParams,
                           energy_decomposition, ground_state)
 from qetsim.optimize import (TARGET_EXTRACTED, TARGET_SITE, brute_force_max,
@@ -190,3 +193,49 @@ def test_oracle_upper_bound_is_above_the_reference(k):
             bound = brute_force_max(state, target).upper_bound
             assert _reference(h, k)[name] <= bound * (
                 1.0 + _oracle_bound(name, h / k)), (name, h / k)
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_oracle_upper_bound_is_tight(k):
+    # the bracket [value, upper_bound] is 2^-44 = 5.7e-14 wide at every
+    # h/k, so the bound is as close to the 60-digit maximum as the value
+    # is, plus at most 1e-13
+    for h in _fields(k):
+        state = ground_state(ModelParams(h=h, k=k))
+        for name, target in (("extracted_max", TARGET_EXTRACTED),
+                             ("site_reduction_max", TARGET_SITE)):
+            cert = brute_force_max(state, target)
+            assert cert.upper_bound - cert.value <= BOUND * cert.value
+            reference = _reference(h, k)[name]
+            excess = float((cert.upper_bound - reference) / reference)
+            assert excess <= _oracle_bound(name, h / k) + BOUND, (name, h / k)
+
+
+def test_random_forms_bound_is_never_below_a_sampled_axis():
+    # 300 random (M0 <= 0, C) at scales 1e-3..1e3, M0 with eigenvalues
+    # spread over six decades in a turned basis, so that rounding in its
+    # diagonal widens the bracket for some: the certified bound is at
+    # least the best of 20000 sampled feedback axes s, each maximised over
+    # r and theta as A^2 / (hypot(A, m/2) - m/2), A^2 = s^T C C^T s and m
+    # = s^T M0 s from the axes' pair products s_i s_j; the bracket is 2^-44
+    # wide, doubled once per round that did not rise
+    rng = np.random.default_rng(27)
+    axes = rng.normal(size=(20000, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    i, j = np.triu_indices(3)
+    pairs = axes[:, i] * axes[:, j] * np.where(i == j, 1.0, 2.0)
+    widths = []
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        turn = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        cost = -scale * (turn * 10.0 ** rng.uniform(-4.0, 2.0, 3)) @ turn.T
+        gain = scale * rng.normal(size=(3, 3))
+        value, upper, *_, converged = optimize._fixed_point(cost, gain)
+        squared, half = (pairs @ np.stack([(gain @ gain.T)[i, j],
+                                           0.5 * cost[i, j]], axis=1)).T
+        squared = np.maximum(squared, 0.0)
+        sampled = (squared / (np.hypot(np.sqrt(squared), half) - half)).max()
+        assert converged and value <= upper and sampled <= upper
+        widths.append(math.log2(upper / value - 1.0))
+    assert all(abs(w - round(w)) < 1e-2 for w in widths)
+    assert round(min(widths)) == -44 and round(max(widths)) > -44

@@ -119,15 +119,15 @@ class TestChecks:
         assert not checks.check_second_law().passed
 
     def test_unconverged_oracle_fails(self, monkeypatch):
-        # at h = 0.5 both targets rise in the first round and confirm in
-        # the second, so one round stalls
+        # at h = 0.3 the extracted target's first axis, the one of largest
+        # gain, is not its best, so one round cannot certify a bound
         original = optimize_mod._fixed_point
 
         def stalled(*args, **kwargs):
             return original(*args, **kwargs, max_rounds=1)
 
         monkeypatch.setattr(optimize_mod, "_fixed_point", stalled)
-        result = checks.check_brute_force(fields=(0.5,))
+        result = checks.check_brute_force(fields=(0.3,))
         assert not result.passed
         assert "not converged" in result.detail
 

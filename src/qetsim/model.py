@@ -217,7 +217,9 @@ def ground_energy(params: ModelParams):
     h, k = np.asarray(params.h, dtype=float), np.asarray(params.k, dtype=float)
     t = h / k
     r = np.hypot(4.0 / 3.0, t * (2.0 / _SQRT3))
-    phi = np.arccos((140.0 / 27.0) / r**3 - 2.0 / r)
+    # np.power, not r**3: a 0-d r would be a numpy scalar, whose ** calls
+    # the C library's pow instead of numpy's loop
+    phi = np.arccos((140.0 / 27.0) / np.power(r, 3) - 2.0 / r)
     x = 2.0 * r * np.cos((phi + 2.0 * np.pi) / 3.0) - 1.0 / 3.0
     tt = 4.0 * (t * t)
     x = x - ((((x + 1.0) * x - (5.0 + tt)) * x + (tt - 5.0))

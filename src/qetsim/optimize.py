@@ -33,8 +33,8 @@ any fixed grid spacing once the edge field is large.
 
 * Row stage.  Both targets are single-projector contractions of the
   terms next to Bob's site, which vanish at theta = 0: the rotation forms
-  (M0, C) of site_B and bond_right, from one product of the protocol
-  ledger's cached (54, 256) table with conj(psi) (x) psi
+  (M0, C) of site_B and bond_right, from one product of the first 36
+  rows of the protocol ledger's cached table with conj(psi) (x) psi
   (:func:`qetsim.protocol.rotation_forms`, :func:`_row_engine`).
 * Fixed point.  At a feedback axis s the maximum over r and theta is
   lambda(s) = m/2 + hypot(A, m/2), with A = |C^T s| and m = s^T M0 s

@@ -24,7 +24,9 @@ results of their broadcast shape, on one code path.  The measurement and
 the rotation act on the vectors (:func:`project`, :func:`rotate`).  The
 ledger reads no closed form and projects no state: its injected energy
 r^T Q r and its reductions are forms of one cached bilinear table, the
-latter those of :func:`rotation_forms`, which the oracle reads too.
+latter those of :func:`rotation_forms`, which the oracle reads too.  The
+outcome probabilities and Bob's measured qubit are read the same way,
+from the 15 Pauli moments of A and B (:func:`pauli_moments`).
 """
 
 from __future__ import annotations
@@ -169,9 +171,19 @@ def rotate(pp: ProtocolParams, n, v):
     return out.reshape(out.shape[:-2] + (ops.DIM,))
 
 
+def outcome_moments(state: GroundState, pp: ProtocolParams, n):
+    """``(p, u)`` of Alice's outcome n from the moments (a, b, T) of
+    :func:`pauli_moments`: p = (1 + n r.a)/2 and u = b + n T^T r, with
+    which the outcome leaves Bob the qubit (1 + u.sigma / (2 p))/2."""
+    a, b, t = pauli_moments(state)
+    n = _outcomes(n)[..., 0]  # shaped to scale (..., 3) vectors
+    r = np.moveaxis(np.asarray(pp.measure_axis), 0, -1)
+    p = 0.5 * (1.0 + n[..., 0] * (r * a).sum(axis=-1))
+    return p, b + n * (r[..., :, None] * t).sum(axis=-2)
+
+
 def outcome_probability(state: GroundState, pp: ProtocolParams, n):
-    v = state.vector
-    return (v.conj() * project(pp, n, v)).sum(axis=-1).real
+    return outcome_moments(state, pp, n)[0]
 
 
 def measurement_energy_closed(state: GroundState, pp: ProtocolParams):
@@ -187,12 +199,14 @@ def measurement_energy_closed(state: GroundState, pp: ProtocolParams):
 
 @functools.cache
 def _row_table():
-    """The bilinear table of the ledger, (54, 256) complex, built on first
+    """The bilinear table of the ledger, (69, 256) complex, built on first
     use (not at import) and read-only.  Row 18 b + 9 c + 3 p + j holds the
     16 x 16 operator O, flattened, whose Re <psi|O|psi> is entry (p, j) of
     block b for the unit-coupling terms of coupling c (0: h, 1: k): M0 (b =
     0) and C (b = 1) of the term at B (site_B, bond_right), Q (b = 2) of
-    the term at A (site_A, bond_left)."""
+    the term at A (site_A, bond_left).  Rows 54 to 68 hold the Pauli
+    moments: sigma_A^i (54 + i), sigma_B^j (57 + j) and sigma_A^i
+    sigma_B^j (60 + 3 i + j)."""
     terms = build_hamiltonian(ModelParams(h=1.0, k=1.0))
     sigma_a = [ops.pauli(ops.SITE_A, ax) for ax in "xyz"]
     sigma_b = [ops.pauli(ops.SITE_B, ax) for ax in "xyz"]
@@ -206,20 +220,35 @@ def _row_table():
     rows += [0.25 * (sigma_a[i] @ t @ sigma_a[j] + sigma_a[j] @ t
                      @ sigma_a[i]) - 0.5 * t * (i == j)
              for t in at_a for i in range(3) for j in range(3)]
-    table = np.reshape(rows, (54, ops.DIM * ops.DIM))
+    rows += sigma_a + sigma_b + [sa @ sb for sa in sigma_a for sb in sigma_b]
+    table = np.reshape(rows, (69, ops.DIM * ops.DIM))
     table.flags.writeable = False
     return table
+
+
+def _contract(state: GroundState, rows):
+    """Re <psi|O|psi> of the table's rows O in the slice `rows`, shape (...,
+    rows, 1), from one product with conj(psi) (x) psi."""
+    v = state.vector
+    pair = (v.conj()[..., :, None] * v[..., None, :]).reshape(
+        v.shape[:-1] + (ops.DIM * ops.DIM,))
+    return (_row_table()[rows] @ pair[..., None]).real
+
+
+def pauli_moments(state: GroundState):
+    """``(a, b, T)``: a_i = <sigma_A^i> and b_j = <sigma_B^j>, shape (...,
+    3), and T_ij = <sigma_A^i sigma_B^j>, shape (..., 3, 3): rows 54 to 68
+    of :func:`_row_table`."""
+    m = _contract(state, slice(54, 69))[..., 0]
+    return m[..., :3], m[..., 3:6], m[..., 6:].reshape(m.shape[:-1] + (3, 3))
 
 
 def _ledger_forms(state: GroundState, blocks):
     """``(site, bond)``: blocks (M0, C, Q)[:blocks] of :func:`_row_table`,
     each (..., blocks, 3, 3), from one product of their rows with conj(psi)
     (x) psi, scaled by h and k; the rotation forms need only M0 and C."""
-    v = state.vector
-    pair = (v.conj()[..., :, None] * v[..., None, :]).reshape(
-        v.shape[:-1] + (ops.DIM * ops.DIM,))
-    entries = (_row_table()[:18 * blocks] @ pair[..., None]).real.reshape(
-        v.shape[:-1] + (blocks, 2, 3, 3))
+    entries = _contract(state, slice(18 * blocks)).reshape(
+        state.vector.shape[:-1] + (blocks, 2, 3, 3))
     h, k = np.asarray(state.params.h), np.asarray(state.params.k)
     return (h[..., None, None, None] * entries[..., 0, :, :],
             k[..., None, None, None] * entries[..., 1, :, :])

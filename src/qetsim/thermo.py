@@ -27,6 +27,10 @@ budget identity
 where I_QC is the information gain of the measurement.  All entropies use
 the natural logarithm.
 
+The second route to Bob's qubit is the Pauli moments (a, b, T) of
+:func:`qetsim.protocol.pauli_moments`: rho_i = (1 + b.sigma)/2 and rho_m(n)
+= (1 + b_n.sigma)/2 with b_n = (b + n T^T r)/(1 + n r.a).
+
 Batches: every function here takes ground states of an array-valued field
 (vectors of shape (..., 16)) and returns results of its shape, on one
 code path; 2 x 2 states have shape (..., 2, 2).  An outcome with
@@ -46,37 +50,45 @@ import numpy as np
 from . import operators as ops
 from .model import GroundState, ModelParams, energy_decomposition, ground_state
 from .optimize import max_site_reduction
-from .protocol import (OUTCOMES, ProtocolParams, correlators_closed, project,
-                       run_protocol)
+from .protocol import (OUTCOMES, ProtocolParams, correlators_closed,
+                       outcome_moments, pauli_moments, run_protocol)
 
 # outcomes with probability below this are unreachable: weighted by zero
 # rather than divided by
 PROBABILITY_FLOOR = 1e-14
 
+# sigma^x, sigma^y, sigma^z of one site, flattened, one per row
+_PAULI_ROWS = np.array([ops.local_pauli(ax).ravel() for ax in "xyz"])
+
 # measurement along x, the site-reduction optimum; converted once
 _MEASURE_X = ProtocolParams.from_vectors((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
 
 
-def _trace_out_a_c(v):
-    """Bob's 2 x 2 block of |v><v| for (..., 16) vectors: the partial trace
-    over A, C1 and C2."""
-    m = v.reshape(v.shape[:-1] + (8, 2))
-    return np.einsum("...xb,...xc->...bc", m, m.conj())
+def _both_outcomes(*batch):
+    """OUTCOMES on a leading axis that broadcasts against `batch`."""
+    return np.reshape(OUTCOMES, (2,) + (1,) * np.broadcast(*batch).ndim)
+
+
+def _qubit(b):
+    """The qubit (1 + b.sigma)/2 of Bloch vectors b, shape (..., 3); each
+    entry is one component of b, so the product rounds nothing."""
+    rho = 0.5 * (ops.IDENTITY2.ravel() + b @ _PAULI_ROWS)
+    return rho.reshape(b.shape[:-1] + (2, 2))
 
 
 def reduced_state_initial(state: GroundState) -> np.ndarray:
-    """Bob's qubit state: partial trace of the ground state over A, C1, C2."""
-    return _trace_out_a_c(state.vector)
+    """Bob's qubit state (1 + b.sigma)/2 from the moments b_j =
+    <sigma_B^j>."""
+    return _qubit(pauli_moments(state)[1])
 
 
 def reduced_state_measured(state: GroundState, pp: ProtocolParams, n):
-    """(Bob's post-measurement state, outcome probability) by partial trace;
-    an unreachable outcome gives an unnormalised placeholder state."""
-    pv = project(pp, n, state.vector)
-    # <pv|pv> as a (1 x 16) @ (16 x 1) product: the summation order of vdot
-    p = (pv.conj()[..., None, :] @ pv[..., None])[..., 0, 0].real
-    scale = np.sqrt(np.where(p < PROBABILITY_FLOOR, 1.0, p))
-    return _trace_out_a_c(pv / scale[..., None]), p
+    """(Bob's post-measurement state, outcome probability) from the Pauli
+    moments: (1 + b_n.sigma)/2 with b_n = (b + n T^T r)/(2 p_n); an
+    unreachable outcome gives the placeholder b_n = b + n T^T r."""
+    p, u = outcome_moments(state, pp, n)
+    twice = 2.0 * np.where(p < PROBABILITY_FLOOR, 0.5, p)
+    return _qubit(u / twice[..., None]), p
 
 
 def measured_state_closed(state: GroundState, axis, n):
@@ -97,37 +109,46 @@ def measured_state_closed(state: GroundState, axis, n):
 
 def entropy_from_eigenvalues(lams):
     """Shannon entropy over the last axis with the 0 log 0 = 0 convention;
-    tiny negative eigenvalues from partial-trace roundoff are clipped to
-    zero."""
+    tiny negative eigenvalues from roundoff are clipped to zero."""
     lams = np.clip(np.asarray(lams, dtype=float), 0.0, 1.0)
     return -(lams * np.log(np.where(lams > 0.0, lams, 1.0))).sum(axis=-1)
 
 
 def von_neumann_entropy(rho):
-    return entropy_from_eigenvalues(np.linalg.eigvalsh(rho))
+    """Entropy of 2 x 2 states by lambda_+ = (tr rho + |b|)/2 and lambda_-
+    = det rho / lambda_+, relatively accurate where rho is diagonal."""
+    rho = np.asarray(rho)
+    d0, d1 = rho[..., 0, 0].real, rho[..., 1, 1].real
+    off = np.abs(rho[..., 0, 1])
+    lam_p = 0.5 * (d0 + d1 + np.hypot(d0 - d1, 2.0 * off))
+    lam_m = (d0 * d1 - off * off) / lam_p
+    return entropy_from_eigenvalues(np.stack([lam_p, lam_m], axis=-1))
 
 
 def kl_divergence(rho, sigma):
-    """tr rho (log rho - log sigma) for full-rank sigma."""
-    tr_rho_log_rho = -von_neumann_entropy(rho)
-    svals, svecs = np.linalg.eigh(sigma)
-    log_sigma = (svecs * np.log(svals)[..., None, :]) @ np.swapaxes(
-        svecs.conj(), -1, -2)
-    return tr_rho_log_rho - np.trace(rho @ log_sigma, axis1=-2, axis2=-1).real
+    """tr rho (log rho - log sigma) for a full-rank diagonal sigma, such as
+    the effective thermal state; log sigma is read from its diagonal."""
+    sigma = np.asarray(sigma)
+    if np.any(sigma[..., [0, 1], [1, 0]]):
+        raise ValueError("kl_divergence needs a diagonal sigma")
+    diagonal = np.diagonal(np.asarray(rho), axis1=-2, axis2=-1).real
+    log_sigma = np.log(np.diagonal(sigma, axis1=-2, axis2=-1).real)
+    return -von_neumann_entropy(rho) - (diagonal * log_sigma).sum(axis=-1)
 
 
-def _average_entropy(states):
-    """sum_n p_n S(rho_m(n)); unreachable outcomes weigh zero."""
-    return sum(np.where(p < PROBABILITY_FLOOR, 0.0, p) * von_neumann_entropy(rho)
-               for rho, p in states)
+def _average_entropy(rho, p):
+    """sum_n p_n S(rho_m(n)) over outcomes on the leading axis; unreachable
+    outcomes weigh zero."""
+    return (np.where(p < PROBABILITY_FLOOR, 0.0, p)
+            * von_neumann_entropy(rho)).sum(axis=0)
 
 
 def qc_mutual_information(state: GroundState, pp: ProtocolParams):
     """Information gain S(rho_i) - sum_n p_n S(rho_m(n)); non-negative and
     independent of the feedback half of `pp`."""
+    n = _both_outcomes(state.vector[..., 0], *pp.measure_axis)
     return (von_neumann_entropy(reduced_state_initial(state))
-            - _average_entropy(reduced_state_measured(state, pp, n)
-                               for n in OUTCOMES))
+            - _average_entropy(*reduced_state_measured(state, pp, n)))
 
 
 def measured_state_purity(state: GroundState):
@@ -181,8 +202,8 @@ def effective_temperature(state: GroundState) -> EffectiveThermal:
 def average_measured_entropy(state: GroundState, axis):
     """sum_n p_n S(rho_m(n)) from the closed forms, for one measurement axis
     or for axis components of shape (3, ...)."""
-    return _average_entropy(measured_state_closed(state, axis, n)
-                            for n in OUTCOMES)
+    n = _both_outcomes(state.alpha, *axis)
+    return _average_entropy(*measured_state_closed(state, axis, n))
 
 
 def entropy_minimization_scan(state: GroundState, n_polar: int = 64,

@@ -1,9 +1,10 @@
 """Relative accuracy of the closed forms, the closed-form reductions at
 both optima, the protocol ledger at both optima, the ledger's injected
-energy on four measurement axes and the oracle against a 60-digit
-reference, the oracle's upper bound against that reference and against
-sampled axes of random forms, and the bond terms of the oracle and of
-the ledger against the closed form.
+energy on four measurement axes, the thermo layer on the thermo
+command's grid and the oracle against a 60-digit reference, the oracle's
+upper bound against that reference and against sampled axes of random
+forms, and the bond terms of the oracle and of the ledger against the
+closed form.
 
 The reference solves the characteristic cubic in mpmath and evaluates the
 textbook formulas (alpha = 2k/(E + k - 2h), beta = 2k/(E + k + 2h),
@@ -24,6 +25,8 @@ from qetsim.optimize import (TARGET_EXTRACTED, TARGET_SITE, brute_force_max,
                              max_extracted_energy, max_site_reduction)
 from qetsim.protocol import (ProtocolParams, correlators_closed,
                              reduction_closed, run_protocol)
+from qetsim.thermo import (effective_temperature, measured_eigenvalues,
+                           reduced_state_initial, thermo_sweep)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -63,10 +66,23 @@ def _reference(h, k):
             rx2, ry2, rz2 = (mpmath.mpf(float(c))**2 for c in pp.measure_axis)
             injected[f"injected_{name}"] = (-(rx2 + ry2) * site
                                             - (ry2 + rz2) * bond_left)
+        # Bob's diagonal state, the x-axis measured eigenvalues and the
+        # second-law terms D(rho_i || sigma_B) and I_QC over beta_eff
+        r0, r1 = 2 * z2 * (1 + beta**2), 2 * z2 * (1 + alpha**2)
+        g = mpmath.sqrt(1 - 16 * z2**2 * (alpha - beta)**2)
+        lam_p, lam_m = (1 + g) / 2, (1 - g) / 2
+        beta_eff = mpmath.log(lam_p / lam_m) / (2 * h)
+        entropy = lambda p, q: -p * mpmath.log(p) - q * mpmath.log(q)
+        kl = r0 * mpmath.log(r0 / lam_p) + r1 * mpmath.log(r1 / lam_m)
         return {"energy": e, "alpha": alpha, "beta": beta, "xx": xx, "yy": yy,
                 "xxz": 4 * z2 * (alpha - beta), "site": site,
                 "extracted_max": maximum(h * yy),
-                "site_reduction_max": maximum(h * xx), **injected}
+                "site_reduction_max": maximum(h * xx), **injected,
+                "r0": r0, "r1": r1, "lambda_plus": lam_p,
+                "lambda_minus": lam_m, "beta_eff": beta_eff,
+                "kl_over_beta": kl / beta_eff,
+                "info_over_beta": (entropy(r0, r1) - entropy(lam_p, lam_m))
+                / beta_eff}
 
 
 def _library(state):
@@ -112,6 +128,32 @@ def test_reduction_closed_at_the_optima(k):
     at_site, _ = reduction_closed(state, max_site_reduction(state).params)
     got = {"extracted_max": site + bond, "site_reduction_max": at_site}
     assert _beyond_bound(hs, k, got) == {}
+
+
+def _thermo_bound(name, ratio):
+    # D and I_QC are differences of nearly equal entropies (ROADMAP item 1
+    # removes the cancellation); 1e-11 is the worst error of D/beta_eff
+    # on these fields by partial traces (5.4e-12), the route before the
+    # moments, rounded up to the next half decade
+    return 1e-11 if name == "kl_over_beta" else BOUND
+
+
+@pytest.mark.parametrize("k", (1e-3, 1.0, 1e3))
+def test_thermo_relative_accuracy(k):
+    # the thermo command's README grid, h = 0.05 k .. 3 k in 60 steps:
+    # Bob's state from the moments, the measured eigenvalues, beta_eff and
+    # the two budget columns of the sweep
+    hs = list(np.linspace(0.05, 3.0, 60) * k)
+    state = ground_state(ModelParams(h=np.array(hs), k=k))
+    rho = reduced_state_initial(state)
+    lam_p, lam_m = measured_eigenvalues(state)
+    rows = thermo_sweep(hs, k=k)
+    got = {"r0": rho[:, 0, 0].real, "r1": rho[:, 1, 1].real,
+           "lambda_plus": lam_p, "lambda_minus": lam_m,
+           "beta_eff": effective_temperature(state).beta,
+           "kl_over_beta": [row.kl_over_beta for row in rows],
+           "info_over_beta": [row.info_over_beta for row in rows]}
+    assert _beyond_bound(hs, k, got, _thermo_bound) == {}
 
 
 def _oracle_bound(name, ratio):

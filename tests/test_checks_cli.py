@@ -102,11 +102,20 @@ class TestChecks:
     def test_negated_measurement_rows_break_the_ledger_check(self, monkeypatch):
         # with Q -> -Q in the table, injected = r^T Q r turns negative and
         # after_feedback leaves the pointwise sum over projected states
-        table = protocol_mod._row_table() * np.repeat([1.0, 1.0, -1.0],
-                                                      18)[:, None]
+        table = protocol_mod._row_table() * np.repeat(
+            [1.0, 1.0, -1.0, 1.0], [18, 18, 18, 15])[:, None]
         monkeypatch.setattr(protocol_mod, "_row_table", lambda: table)
         assert not checks.check_protocol_two_routes(
             np.random.default_rng(0)).passed
+
+    def test_negated_correlation_moments_break_the_thermo_check(self,
+                                                               monkeypatch):
+        # with T -> -T in the table's moment rows, each outcome leaves Bob
+        # the other outcome's qubit, which the closed form tells apart
+        table = protocol_mod._row_table() * np.repeat([1.0, -1.0],
+                                                      [60, 9])[:, None]
+        monkeypatch.setattr(protocol_mod, "_row_table", lambda: table)
+        assert not checks.check_thermo_states(np.random.default_rng(0)).passed
 
     def test_negative_mutual_information_fails(self, monkeypatch):
         original = thermo_mod.second_law_report

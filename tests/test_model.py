@@ -264,6 +264,19 @@ class TestBatch:
                     assert np.array_equal(getattr(batch, field)[i],
                                           getattr(single, field)), (field, h)
 
+    def test_ground_energy_scalar_is_the_batch_element(self):
+        # a scalar field makes the cubic's radius a numpy scalar, whose **
+        # would call the C library's pow rather than numpy's loop; the root
+        # must still be the batch element bit for bit (with r**3 it was an
+        # ulp off at h = 0.04045969397320562 k, among others)
+        rng = np.random.default_rng(68)
+        for k in (1e-3, 1.0, 1e3):
+            hs = k * np.append(10.0 ** rng.uniform(-6.0, 4.0, 2000),
+                               0.04045969397320562)
+            batch = ground_energy(ModelParams(h=hs, k=k))
+            scalar = [ground_energy(ModelParams(h=float(h), k=k)) for h in hs]
+            assert np.array_equal(batch, scalar), k
+
     def test_batch_shape_broadcasts(self):
         batch = ground_state(ModelParams(h=self.HS.reshape(2, 3)))
         assert batch.energy.shape == (2, 3)

@@ -5,7 +5,7 @@ import pytest
 
 from qetsim.model import ModelParams, energy_decomposition, ground_state
 from qetsim.optimize import max_extracted_energy, max_site_reduction
-from qetsim.protocol import ProtocolParams, run_protocol
+from qetsim.protocol import ProtocolParams, project, run_protocol
 from qetsim.thermo import (average_measured_entropy, effective_temperature,
                            entropy_from_eigenvalues,
                            entropy_minimization_scan, kl_divergence,
@@ -80,6 +80,30 @@ class TestReducedStates:
                 rho_c, p_c = measured_state_closed(state, pp.measure_axis, n)
                 assert abs(p - p_c) < 1e-12
                 assert np.allclose(rho, rho_c, atol=1e-12)
+
+    def test_moments_match_partial_traces(self):
+        # the reference: Bob's 2 x 2 block of |P psi><P psi| traced over A,
+        # C1 and C2, on ground states and on random complex vectors, which
+        # have every Pauli moment
+        rng = np.random.default_rng(28)
+        states = [gs(h) for h in (0.01, 0.1, 0.7, 1.5, 10.0)]
+        for _ in range(5):
+            v = rng.normal(size=16) + 1j * rng.normal(size=16)
+            states.append(dataclasses.replace(states[0],
+                                              vector=v / np.linalg.norm(v)))
+        for state in states:
+            m = state.vector.reshape(8, 2)
+            assert np.abs(reduced_state_initial(state)
+                          - m.T @ m.conj()).max() < 1e-15
+            pp = ProtocolParams(mu=rng.uniform(0, np.pi),
+                                nu=rng.uniform(0, 2 * np.pi),
+                                xi=0.0, eta=0.0, theta=0.0)
+            for n in (1, -1):
+                pm = project(pp, n, state.vector).reshape(8, 2)
+                p = np.vdot(pm, pm).real
+                rho, prob = reduced_state_measured(state, pp, n)
+                assert abs(prob - p) < 1e-15
+                assert np.abs(rho - pm.T @ pm.conj() / p).max() < 1e-14
 
     def test_unreachable_outcome_reported(self):
         state = gs(0.5)
@@ -288,6 +312,45 @@ class TestSecondLaw:
     def test_divergence_decays_faster_than_information(self):
         rows = thermo_sweep([2.0], k=1.0)
         assert rows[0].kl_over_beta < 0.05 * rows[0].info_over_beta
+
+
+class TestNoLinalg:
+    def test_thermo_calls_no_linalg(self, monkeypatch):
+        # Bob's states come from the Pauli moments or the closed forms and
+        # every 2 x 2 entropy from its eigenvalues in closed form, so the
+        # thermo layer makes no numpy.linalg call
+        state, single = gs(np.array([0.05, 0.7, 2.5])), gs(0.7)
+        rho = reduced_state_initial(state)
+        sigma = effective_temperature(state).sigma
+        calls = [
+            lambda: list(vars(second_law_report(state)).values()),
+            lambda: [value for row in thermo_sweep([0.3, 1.1], k=1.0)
+                     for value in vars(row).values()],
+            lambda: [qc_mutual_information(state, X_AXIS),
+                     qc_mutual_information(single, TestBatch.GENERAL)],
+            lambda: [entropy_minimization_scan(single)],
+            lambda: [von_neumann_entropy(rho)],
+            lambda: [kl_divergence(rho, sigma)],
+        ]
+        expected = [call() for call in calls]
+
+        def linalg(*args, **kwargs):
+            raise AssertionError("the thermo layer called numpy.linalg")
+
+        for name in np.linalg.__all__:
+            monkeypatch.setattr(np.linalg, name, linalg)
+        with pytest.raises(AssertionError, match="numpy.linalg"):
+            np.linalg.eigvalsh(np.eye(2))
+        for call, want in zip(calls, expected):
+            got = call()
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_kl_divergence_refuses_a_non_diagonal_sigma(self):
+        rho = reduced_state_initial(gs(0.7))
+        sigma = np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)
+        with pytest.raises(ValueError, match="diagonal"):
+            kl_divergence(rho, sigma)
 
 
 class TestSweep:

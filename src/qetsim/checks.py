@@ -377,8 +377,8 @@ def check_chain_field_dependence(rng=None):
 
 
 def check_thermo_states(rng):
-    """Reduced states from the Pauli moments match the closed forms; states
-    of unreachable outcomes are not compared."""
+    """Reduced states from Bob's blocks of the protocol table match the
+    closed forms; states of unreachable outcomes are not compared."""
     gs, pp = _random_batch(rng, 200)
     rho_i = thermo_mod.reduced_state_initial(gs)
     diagonal = 2.0 * gs.norm[:, None]**2 * np.stack(

@@ -25,8 +25,8 @@ the rotation act on the vectors (:func:`project`, :func:`rotate`).  The
 ledger reads no closed form and projects no state: its injected energy
 r^T Q r and its reductions are forms of one cached bilinear table, the
 latter those of :func:`rotation_forms`, which the oracle reads too.  The
-outcome probabilities and Bob's measured qubit are read the same way,
-from the 15 Pauli moments of A and B (:func:`pauli_moments`).
+outcome probabilities and Bob's qubit are read the same way
+(:func:`bob_blocks`).
 """
 
 from __future__ import annotations
@@ -171,19 +171,18 @@ def rotate(pp: ProtocolParams, n, v):
     return out.reshape(out.shape[:-2] + (ops.DIM,))
 
 
-def outcome_moments(state: GroundState, pp: ProtocolParams, n):
-    """``(p, u)`` of Alice's outcome n from the moments (a, b, T) of
-    :func:`pauli_moments`: p = (1 + n r.a)/2 and u = b + n T^T r, with
-    which the outcome leaves Bob the qubit (1 + u.sigma / (2 p))/2."""
-    a, b, t = pauli_moments(state)
-    n = _outcomes(n)[..., 0]  # shaped to scale (..., 3) vectors
-    r = np.moveaxis(np.asarray(pp.measure_axis), 0, -1)
-    p = 0.5 * (1.0 + n[..., 0] * (r * a).sum(axis=-1))
-    return p, b + n * (r[..., :, None] * t).sum(axis=-2)
+def outcome_block(blocks, pp: ProtocolParams, n):
+    """``(p, rho)``: the qubit rho = <P_A(n) (x) |k><j|_B> = (M_0 + n r.M)/2
+    that Alice's outcome n leaves Bob, unnormalised, and its trace p, the
+    outcome's probability clipped to [0, 1]; M from :func:`bob_blocks`."""
+    r = np.moveaxis(np.asarray(pp.measure_axis), 0, -1)[..., None, None]
+    rho = 0.5 * (blocks[..., 0, :, :]
+                 + _outcomes(n) * (r * blocks[..., 1:, :, :]).sum(axis=-3))
+    return np.clip(np.trace(rho, axis1=-2, axis2=-1).real, 0.0, 1.0), rho
 
 
 def outcome_probability(state: GroundState, pp: ProtocolParams, n):
-    return outcome_moments(state, pp, n)[0]
+    return outcome_block(bob_blocks(state), pp, n)[0]
 
 
 def measurement_energy_closed(state: GroundState, pp: ProtocolParams):
@@ -199,14 +198,14 @@ def measurement_energy_closed(state: GroundState, pp: ProtocolParams):
 
 @functools.cache
 def _row_table():
-    """The bilinear table of the ledger, (69, 256) complex, built on first
+    """The bilinear table of the ledger, (70, 256) complex, built on first
     use (not at import) and read-only.  Row 18 b + 9 c + 3 p + j holds the
     16 x 16 operator O, flattened, whose Re <psi|O|psi> is entry (p, j) of
     block b for the unit-coupling terms of coupling c (0: h, 1: k): M0 (b =
     0) and C (b = 1) of the term at B (site_B, bond_right), Q (b = 2) of
-    the term at A (site_A, bond_left).  Rows 54 to 68 hold the Pauli
-    moments: sigma_A^i (54 + i), sigma_B^j (57 + j) and sigma_A^i
-    sigma_B^j (60 + 3 i + j)."""
+    the term at A (site_A, bond_left).  Row 54 + 4 mu + 2 j + k holds
+    sigma_A^mu (x) |k><j|_B (mu = 0 the identity, then x, y, z), whose
+    <psi|O|psi> is entry (j, k) of block mu of :func:`bob_blocks`."""
     terms = build_hamiltonian(ModelParams(h=1.0, k=1.0))
     sigma_a = [ops.pauli(ops.SITE_A, ax) for ax in "xyz"]
     sigma_b = [ops.pauli(ops.SITE_B, ax) for ax in "xyz"]
@@ -220,34 +219,37 @@ def _row_table():
     rows += [0.25 * (sigma_a[i] @ t @ sigma_a[j] + sigma_a[j] @ t
                      @ sigma_a[i]) - 0.5 * t * (i == j)
              for t in at_a for i in range(3) for j in range(3)]
-    rows += sigma_a + sigma_b + [sa @ sb for sa in sigma_a for sb in sigma_b]
-    table = np.reshape(rows, (69, ops.DIM * ops.DIM))
+    rows += [sa @ ops.site_operator(ops.SITE_B, unit.T)
+             for sa in [ops.IDENTITY] + sigma_a
+             for unit in np.eye(4).reshape(4, 2, 2)]
+    table = np.reshape(rows, (70, ops.DIM * ops.DIM))
     table.flags.writeable = False
     return table
 
 
 def _contract(state: GroundState, rows):
-    """Re <psi|O|psi> of the table's rows O in the slice `rows`, shape (...,
+    """<psi|O|psi> of the table's rows O in the slice `rows`, shape (...,
     rows, 1), from one product with conj(psi) (x) psi."""
     v = state.vector
     pair = (v.conj()[..., :, None] * v[..., None, :]).reshape(
         v.shape[:-1] + (ops.DIM * ops.DIM,))
-    return (_row_table()[rows] @ pair[..., None]).real
+    return _row_table()[rows] @ pair[..., None]
 
 
-def pauli_moments(state: GroundState):
-    """``(a, b, T)``: a_i = <sigma_A^i> and b_j = <sigma_B^j>, shape (...,
-    3), and T_ij = <sigma_A^i sigma_B^j>, shape (..., 3, 3): rows 54 to 68
-    of :func:`_row_table`."""
-    m = _contract(state, slice(54, 69))[..., 0]
-    return m[..., :3], m[..., 3:6], m[..., 6:].reshape(m.shape[:-1] + (3, 3))
+def bob_blocks(state: GroundState):
+    """M_mu = <sigma_A^mu (x) |k><j|_B>, entry (j, k), mu = 0 (the
+    identity), x, y, z, shape (..., 4, 2, 2): Bob's qubit M_0 (the partial
+    trace over A, C1 and C2) and its correlations with sigma_A.  Each
+    diagonal entry of M_0 sums squares, so it keeps relative accuracy."""
+    return _contract(state, slice(54, 70)).reshape(
+        state.vector.shape[:-1] + (4, 2, 2))
 
 
 def _ledger_forms(state: GroundState, blocks):
     """``(site, bond)``: blocks (M0, C, Q)[:blocks] of :func:`_row_table`,
     each (..., blocks, 3, 3), from one product of their rows with conj(psi)
     (x) psi, scaled by h and k; the rotation forms need only M0 and C."""
-    entries = _contract(state, slice(18 * blocks)).reshape(
+    entries = _contract(state, slice(18 * blocks)).real.reshape(
         state.vector.shape[:-1] + (blocks, 2, 3, 3))
     h, k = np.asarray(state.params.h), np.asarray(state.params.k)
     return (h[..., None, None, None] * entries[..., 0, :, :],

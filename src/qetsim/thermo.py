@@ -27,9 +27,9 @@ budget identity
 where I_QC is the information gain of the measurement.  All entropies use
 the natural logarithm.
 
-The second route to Bob's qubit is the Pauli moments (a, b, T) of
-:func:`qetsim.protocol.pauli_moments`: rho_i = (1 + b.sigma)/2 and rho_m(n)
-= (1 + b_n.sigma)/2 with b_n = (b + n T^T r)/(1 + n r.a).
+The second route to Bob's qubit reads it off the protocol's table: the
+blocks M_mu = <sigma_A^mu (x) |k><j|_B> of :func:`qetsim.protocol.bob_blocks`
+give rho_i = M_0 and rho_m(n) = (M_0 + n r.M)/(2 p_n).
 
 Batches: every function here takes ground states of an array-valued field
 (vectors of shape (..., 16)) and returns results of its shape, on one
@@ -50,15 +50,12 @@ import numpy as np
 from . import operators as ops
 from .model import GroundState, ModelParams, energy_decomposition, ground_state
 from .optimize import max_site_reduction
-from .protocol import (OUTCOMES, ProtocolParams, correlators_closed,
-                       outcome_moments, pauli_moments, run_protocol)
+from .protocol import (OUTCOMES, ProtocolParams, bob_blocks,
+                       correlators_closed, outcome_block, run_protocol)
 
 # outcomes with probability below this are unreachable: weighted by zero
 # rather than divided by
 PROBABILITY_FLOOR = 1e-14
-
-# sigma^x, sigma^y, sigma^z of one site, flattened, one per row
-_PAULI_ROWS = np.array([ops.local_pauli(ax).ravel() for ax in "xyz"])
 
 # measurement along x, the site-reduction optimum; converted once
 _MEASURE_X = ProtocolParams.from_vectors((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
@@ -69,26 +66,21 @@ def _both_outcomes(*batch):
     return np.reshape(OUTCOMES, (2,) + (1,) * np.broadcast(*batch).ndim)
 
 
-def _qubit(b):
-    """The qubit (1 + b.sigma)/2 of Bloch vectors b, shape (..., 3); each
-    entry is one component of b, so the product rounds nothing."""
-    rho = 0.5 * (ops.IDENTITY2.ravel() + b @ _PAULI_ROWS)
-    return rho.reshape(b.shape[:-1] + (2, 2))
-
-
 def reduced_state_initial(state: GroundState) -> np.ndarray:
-    """Bob's qubit state (1 + b.sigma)/2 from the moments b_j =
-    <sigma_B^j>."""
-    return _qubit(pauli_moments(state)[1])
+    """Bob's qubit state: partial trace of the ground state over A, C1, C2."""
+    return bob_blocks(state)[..., 0, :, :]
+
+
+def _measured(blocks, pp: ProtocolParams, n):
+    p, rho = outcome_block(blocks, pp, n)
+    return rho / np.where(p < PROBABILITY_FLOOR, 1.0, p)[..., None, None], p
 
 
 def reduced_state_measured(state: GroundState, pp: ProtocolParams, n):
-    """(Bob's post-measurement state, outcome probability) from the Pauli
-    moments: (1 + b_n.sigma)/2 with b_n = (b + n T^T r)/(2 p_n); an
-    unreachable outcome gives the placeholder b_n = b + n T^T r."""
-    p, u = outcome_moments(state, pp, n)
-    twice = 2.0 * np.where(p < PROBABILITY_FLOOR, 0.5, p)
-    return _qubit(u / twice[..., None]), p
+    """(Bob's post-measurement state, outcome probability) from
+    :func:`qetsim.protocol.bob_blocks`; an unreachable outcome gives an
+    unnormalised placeholder state."""
+    return _measured(bob_blocks(state), pp, n)
 
 
 def measured_state_closed(state: GroundState, axis, n):
@@ -115,14 +107,21 @@ def entropy_from_eigenvalues(lams):
 
 
 def von_neumann_entropy(rho):
-    """Entropy of 2 x 2 states by lambda_+ = (tr rho + |b|)/2 and lambda_-
-    = det rho / lambda_+, relatively accurate where rho is diagonal."""
+    """Entropy of 2 x 2 unit-trace states: the binary entropy of lambda_-
+    = det rho / lambda_+, in which -lambda_+ log lambda_+ is -(1 - lambda_-)
+    log1p(-lambda_-), so that it keeps relative accuracy as lambda_- -> 0
+    (an unreachable outcome's zero placeholder has no entropy)."""
     rho = np.asarray(rho)
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError(f"von_neumann_entropy takes 2 x 2 states, got "
+                         f"shape {rho.shape}")
     d0, d1 = rho[..., 0, 0].real, rho[..., 1, 1].real
     off = np.abs(rho[..., 0, 1])
     lam_p = 0.5 * (d0 + d1 + np.hypot(d0 - d1, 2.0 * off))
-    lam_m = (d0 * d1 - off * off) / lam_p
-    return entropy_from_eigenvalues(np.stack([lam_p, lam_m], axis=-1))
+    lam_m = np.clip((d0 * d1 - off * off) / np.where(lam_p > 0.0, lam_p, 1.0),
+                    0.0, 0.5)
+    return (-lam_m * np.log(np.where(lam_m > 0.0, lam_m, 1.0))
+            - (1.0 - lam_m) * np.log1p(-lam_m))
 
 
 def kl_divergence(rho, sigma):
@@ -143,12 +142,16 @@ def _average_entropy(rho, p):
             * von_neumann_entropy(rho)).sum(axis=0)
 
 
+def _information(blocks, pp: ProtocolParams):
+    n = _both_outcomes(blocks[..., 0, 0, 0], *pp.measure_axis)
+    return (von_neumann_entropy(blocks[..., 0, :, :])
+            - _average_entropy(*_measured(blocks, pp, n)))
+
+
 def qc_mutual_information(state: GroundState, pp: ProtocolParams):
     """Information gain S(rho_i) - sum_n p_n S(rho_m(n)); non-negative and
     independent of the feedback half of `pp`."""
-    n = _both_outcomes(state.vector[..., 0], *pp.measure_axis)
-    return (von_neumann_entropy(reduced_state_initial(state))
-            - _average_entropy(*reduced_state_measured(state, pp, n)))
+    return _information(bob_blocks(state), pp)
 
 
 def measured_state_purity(state: GroundState):
@@ -248,8 +251,8 @@ class ThermoReport:
 
 
 def second_law_report(state: GroundState) -> ThermoReport:
-    rho_i = reduced_state_initial(state)
-    mutual = qc_mutual_information(state, _MEASURE_X)
+    blocks = bob_blocks(state)
+    rho_i, mutual = blocks[..., 0, :, :], _information(blocks, _MEASURE_X)
     thermal = effective_temperature(state)
     div = kl_divergence(rho_i, thermal.sigma)
     site_b = energy_decomposition(state).site_b

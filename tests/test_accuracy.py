@@ -131,17 +131,17 @@ def test_reduction_closed_at_the_optima(k):
 
 
 def _thermo_bound(name, ratio):
-    # D and I_QC are differences of nearly equal entropies (ROADMAP item 1
-    # removes the cancellation); 1e-11 is the worst error of D/beta_eff
-    # on these fields by partial traces (5.4e-12), the route before the
-    # moments, rounded up to the next half decade
+    # D is a difference of nearly equal terms whose logarithms of lambda_+
+    # lose relative accuracy (ROADMAP item 1 removes the cancellation);
+    # 1e-11 is the worst error of D/beta_eff on these fields by eigvalsh
+    # entropies (5.4e-12) rounded up to the next half decade
     return 1e-11 if name == "kl_over_beta" else BOUND
 
 
 @pytest.mark.parametrize("k", (1e-3, 1.0, 1e3))
 def test_thermo_relative_accuracy(k):
     # the thermo command's README grid, h = 0.05 k .. 3 k in 60 steps:
-    # Bob's state from the moments, the measured eigenvalues, beta_eff and
+    # Bob's state from the table, the measured eigenvalues, beta_eff and
     # the two budget columns of the sweep
     hs = list(np.linspace(0.05, 3.0, 60) * k)
     state = ground_state(ModelParams(h=np.array(hs), k=k))
@@ -154,6 +154,23 @@ def test_thermo_relative_accuracy(k):
            "kl_over_beta": [row.kl_over_beta for row in rows],
            "info_over_beta": [row.info_over_beta for row in rows]}
     assert _beyond_bound(hs, k, got, _thermo_bound) == {}
+
+
+@pytest.mark.parametrize("k", (1e-3, 1.0, 1e3))
+def test_thermo_information_at_large_fields(k):
+    # 300 k .. 1e4 k, where D/beta_eff has no correct digit (ROADMAP item
+    # 1): Bob's small occupation r1 sums squares and the entropies take
+    # lambda_- and log1p(-lambda_-), so I_QC/beta_eff is limited by the
+    # cancellation in lambda_- = (1 - g)/2 of beta_eff (1.9e-8 at worst
+    # over 40 fields per k); eigvalsh entropies were off by up to 1e-6 at
+    # 300 k and 5e-2 at 1e4 k
+    hs = list(np.geomspace(300.0, 1e4, 8) * k)
+    rho = reduced_state_initial(ground_state(ModelParams(h=np.array(hs), k=k)))
+    got = {"r1": rho[:, 1, 1].real,
+           "info_over_beta": [row.info_over_beta
+                              for row in thermo_sweep(hs, k=k)]}
+    assert _beyond_bound(hs, k, got, lambda name, ratio: 1e-7 if name
+                         == "info_over_beta" else BOUND) == {}
 
 
 def _oracle_bound(name, ratio):

@@ -103,17 +103,17 @@ class TestChecks:
         # with Q -> -Q in the table, injected = r^T Q r turns negative and
         # after_feedback leaves the pointwise sum over projected states
         table = protocol_mod._row_table() * np.repeat(
-            [1.0, 1.0, -1.0, 1.0], [18, 18, 18, 15])[:, None]
+            [1.0, 1.0, -1.0, 1.0], [18, 18, 18, 16])[:, None]
         monkeypatch.setattr(protocol_mod, "_row_table", lambda: table)
         assert not checks.check_protocol_two_routes(
             np.random.default_rng(0)).passed
 
-    def test_negated_correlation_moments_break_the_thermo_check(self,
-                                                               monkeypatch):
-        # with T -> -T in the table's moment rows, each outcome leaves Bob
-        # the other outcome's qubit, which the closed form tells apart
+    def test_negated_correlation_blocks_break_the_thermo_check(self,
+                                                              monkeypatch):
+        # with M_i -> -M_i in the rows of Bob's blocks, each outcome leaves
+        # Bob the other outcome's qubit, which the closed form tells apart
         table = protocol_mod._row_table() * np.repeat([1.0, -1.0],
-                                                      [60, 9])[:, None]
+                                                      [58, 12])[:, None]
         monkeypatch.setattr(protocol_mod, "_row_table", lambda: table)
         assert not checks.check_thermo_states(np.random.default_rng(0)).passed
 

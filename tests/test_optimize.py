@@ -534,7 +534,7 @@ class TestBruteForce:
 class TestRowTable:
     def test_table_is_cached_read_only(self):
         table = protocol._row_table()
-        assert table.shape == (69, 256)
+        assert table.shape == (70, 256)
         assert protocol._row_table() is table
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1.0

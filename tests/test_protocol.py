@@ -61,6 +61,18 @@ class TestProjector:
         total = sum(outcome_probability(state, pp, n) for n in (1, -1))
         assert abs(total - 1.0) < 1e-12
 
+    def test_probabilities_are_clipped_to_the_unit_interval(self):
+        # on A's +1 eigenstate of r.sigma, p_- = (|psi|^2 - <r.sigma_A>)/2
+        # rounds to -1.1e-16 at these angles; it is clipped to 0
+        pp = ProtocolParams(mu=0.1, nu=0.1, xi=0.0, eta=0.0, theta=0.0)
+        local = sum(c * ops.local_pauli(ax)
+                    for c, ax in zip(pp.measure_axis, "xyz"))
+        vector = np.zeros(16, dtype=complex)
+        vector[[0, 8]] = np.linalg.eigh(local)[1][:, 1]
+        state = dataclasses.replace(gs(0.5), vector=vector)
+        assert outcome_probability(state, pp, -1) == 0.0
+        assert 0.0 < outcome_probability(state, pp, 1) <= 1.0
+
     def test_invalid_outcome(self):
         pp = ProtocolParams(mu=0.0, nu=0.0, xi=0.0, eta=0.0, theta=0.0)
         with pytest.raises(ValueError):

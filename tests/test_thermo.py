@@ -81,10 +81,10 @@ class TestReducedStates:
                 assert abs(p - p_c) < 1e-12
                 assert np.allclose(rho, rho_c, atol=1e-12)
 
-    def test_moments_match_partial_traces(self):
+    def test_table_states_match_partial_traces(self):
         # the reference: Bob's 2 x 2 block of |P psi><P psi| traced over A,
         # C1 and C2, on ground states and on random complex vectors, which
-        # have every Pauli moment
+        # fill every entry of Bob's blocks
         rng = np.random.default_rng(28)
         states = [gs(h) for h in (0.01, 0.1, 0.7, 1.5, 10.0)]
         for _ in range(5):
@@ -316,7 +316,7 @@ class TestSecondLaw:
 
 class TestNoLinalg:
     def test_thermo_calls_no_linalg(self, monkeypatch):
-        # Bob's states come from the Pauli moments or the closed forms and
+        # Bob's states come from the protocol table or the closed forms and
         # every 2 x 2 entropy from its eigenvalues in closed form, so the
         # thermo layer makes no numpy.linalg call
         state, single = gs(np.array([0.05, 0.7, 2.5])), gs(0.7)
@@ -345,6 +345,10 @@ class TestNoLinalg:
             got = call()
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_von_neumann_entropy_refuses_a_4_x_4_state(self):
+        with pytest.raises(ValueError, match="2 x 2"):
+            von_neumann_entropy(np.eye(4) / 4.0)
 
     def test_kl_divergence_refuses_a_non_diagonal_sigma(self):
         rho = reduced_state_initial(gs(0.7))

@@ -380,12 +380,14 @@ def check_thermo_states(rng):
     """Reduced states from Bob's blocks of the protocol table match the
     closed forms; states of unreachable outcomes are not compared."""
     gs, pp = _random_batch(rng, 200)
-    rho_i = thermo_mod.reduced_state_initial(gs)
+    blocks = protocol_mod.bob_blocks(gs)
+    rho_i = blocks[..., 0, :, :]
     diagonal = 2.0 * gs.norm[:, None]**2 * np.stack(
         [1.0 + gs.beta**2, 1.0 + gs.alpha**2], axis=-1)
     # both outcomes on a leading axis
     n = np.array([[1], [-1]])
-    rho, prob = thermo_mod.reduced_state_measured(gs, pp, n)
+    prob, rho = protocol_mod.outcome_block(blocks, pp, n)
+    rho = rho / np.maximum(prob, thermo_mod.PROBABILITY_FLOOR)[..., None, None]
     rho_c, prob_c = thermo_mod.measured_state_closed(gs, pp.measure_axis, n)
     reachable = np.minimum(prob, prob_c) >= thermo_mod.PROBABILITY_FLOOR
     worst = _worst(np.abs(rho_i - diagonal[..., None] * np.eye(2)),
@@ -431,18 +433,16 @@ def check_entropy_minimization(rng=None):
     worst = 0.0
     for h in (0.1, 0.5, 1.5):
         gs = ground_state(ModelParams(h=h, k=1.0))
-        best_axis = thermo_mod.entropy_minimization_scan(gs, n_polar=64,
-                                                         n_azimuth=128)
+        best_axis = thermo_mod.entropy_minimization_scan(gs)
         cosine = abs(float(best_axis @ np.array([1.0, 0.0, 0.0])))
         angular = np.arccos(np.clip(cosine, -1.0, 1.0))
-        worst = max(worst, angular / (np.pi / 63.0))
+        worst = max(worst, angular / (np.pi / (thermo_mod.SCAN_GRID[0] - 1)))
         x_axis = thermo_mod.average_measured_entropy(gs, (1.0, 0.0, 0.0))
         z_axis = thermo_mod.average_measured_entropy(gs, (0.0, 0.0, 1.0))
         if not z_axis > x_axis:
             worst = max(worst, 10.0)
-        lam = thermo_mod.measured_eigenvalues(gs)
-        worst = max(worst, abs(x_axis - thermo_mod.entropy_from_eigenvalues(lam))
-                    / 1e-12)
+        worst = max(worst, abs(x_axis - thermo_mod.binary_entropy(
+            thermo_mod.measured_eigenvalues(gs)[1])) / 1e-12)
     return _result("entropy minimised by the x-axis measurement", worst, 1.0,
                    detail=_RATIO)
 

@@ -84,6 +84,10 @@ _TARGETS = (TARGET_EXTRACTED, TARGET_SITE)
 MIN_RESOLUTION = 64
 MAX_RESOLUTION = 1024
 
+# h / k on the landmarks' grid: 0.005, 0.010, ..., 1 (stop half a step on)
+_LANDMARK_SPACING = 0.005
+_LANDMARK_GRID = np.arange(_LANDMARK_SPACING, 1.0025, _LANDMARK_SPACING)
+
 # angles of the constant axes of the closed forms, computed once: the
 # conversion from vectors costs more than the closed forms themselves.
 # The theta of these parameters is a placeholder.
@@ -488,17 +492,16 @@ class PeakEstimate:
     ratio_to_injected: float
 
 
-def peak_extracted_energy(k: float = 1.0, spacing: float = 0.005) -> PeakEstimate:
+def peak_extracted_energy(k: float = 1.0) -> PeakEstimate:
     """Peak of the extracted-energy maximum over h, by quadratic
     interpolation around the best point of a uniform grid."""
-    hs = np.arange(spacing, 1.0 + spacing / 2.0, spacing) * k
+    hs = _LANDMARK_GRID * k
     vals = max_extracted_energy(ground_state(ModelParams(h=hs, k=k))).value
-    i = int(vals.argmax())
-    i = min(max(i, 1), len(hs) - 2)
+    i = min(max(int(vals.argmax()), 1), len(hs) - 2)
     y0, y1, y2 = vals[i - 1:i + 2]
     denom = y0 - 2.0 * y1 + y2
     shift = 0.5 * (y0 - y2) / denom if denom != 0.0 else 0.0
-    h_peak = hs[i] + shift * spacing * k
+    h_peak = hs[i] + shift * _LANDMARK_SPACING * k
     state = ground_state(ModelParams(h=float(h_peak), k=k))
     value = max_extracted_energy(state).value
     ratio = value / injected_energy(state, "y")
@@ -506,18 +509,17 @@ def peak_extracted_energy(k: float = 1.0, spacing: float = 0.005) -> PeakEstimat
                         ratio_to_injected=float(ratio))
 
 
-def crossover_field(k: float = 1.0, spacing: float = 0.005) -> float:
+def crossover_field(k: float = 1.0) -> float:
     """Field where the x-axis measurement cost overtakes the site-reduction
     maximum, by quadratic interpolation of their difference."""
-    hs = np.arange(spacing, 1.0 + spacing / 2.0, spacing) * k
+    hs = _LANDMARK_GRID * k
     states = ground_state(ModelParams(h=hs, k=k))
     gaps = injected_energy(states, "x") - max_site_reduction(states).value
     signs = np.sign(gaps)
     flips = np.where(np.diff(signs) != 0)[0]
     if flips.size == 0:
         raise RuntimeError("no crossover in the scanned field range")
-    i = int(flips[0])
-    i = min(max(i, 1), len(hs) - 2)
+    i = min(max(int(flips[0]), 1), len(hs) - 2)
     coeffs = np.polyfit(hs[i - 1:i + 2], gaps[i - 1:i + 2], 2)
     roots = np.roots(coeffs)
     real = roots[np.abs(roots.imag) < 1e-12].real

@@ -57,8 +57,8 @@ from .protocol import (OUTCOMES, ProtocolParams, bob_blocks,
 # rather than divided by
 PROBABILITY_FLOOR = 1e-14
 
-# measurement along x, the site-reduction optimum; converted once
-_MEASURE_X = ProtocolParams.from_vectors((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
+# (polar, azimuthal) axes of the entropy-minimisation grid
+SCAN_GRID = (64, 128)
 
 
 def _both_outcomes(*batch):
@@ -99,18 +99,19 @@ def measured_state_closed(state: GroundState, axis, n):
     return np.moveaxis(rho, (0, 1), (-2, -1)), p
 
 
-def entropy_from_eigenvalues(lams):
-    """Shannon entropy over the last axis with the 0 log 0 = 0 convention;
-    tiny negative eigenvalues from roundoff are clipped to zero."""
-    lams = np.clip(np.asarray(lams, dtype=float), 0.0, 1.0)
-    return -(lams * np.log(np.where(lams > 0.0, lams, 1.0))).sum(axis=-1)
+def binary_entropy(lam_m):
+    """Entropy -lam_m log lam_m - (1 - lam_m) log1p(-lam_m) of a qubit with
+    smaller eigenvalue lam_m, elementwise; relatively accurate as lam_m -> 0,
+    0 log 0 = 0, and lam_m is clipped to [0, 1/2] against roundoff."""
+    lam_m = np.clip(lam_m, 0.0, 0.5)
+    return (-lam_m * np.log(np.where(lam_m > 0.0, lam_m, 1.0))
+            - (1.0 - lam_m) * np.log1p(-lam_m))
 
 
 def von_neumann_entropy(rho):
     """Entropy of 2 x 2 unit-trace states: the binary entropy of lambda_-
-    = det rho / lambda_+, in which -lambda_+ log lambda_+ is -(1 - lambda_-)
-    log1p(-lambda_-), so that it keeps relative accuracy as lambda_- -> 0
-    (an unreachable outcome's zero placeholder has no entropy)."""
+    = det rho / lambda_+ (an unreachable outcome's zero placeholder has no
+    entropy)."""
     rho = np.asarray(rho)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"von_neumann_entropy takes 2 x 2 states, got "
@@ -118,10 +119,8 @@ def von_neumann_entropy(rho):
     d0, d1 = rho[..., 0, 0].real, rho[..., 1, 1].real
     off = np.abs(rho[..., 0, 1])
     lam_p = 0.5 * (d0 + d1 + np.hypot(d0 - d1, 2.0 * off))
-    lam_m = np.clip((d0 * d1 - off * off) / np.where(lam_p > 0.0, lam_p, 1.0),
-                    0.0, 0.5)
-    return (-lam_m * np.log(np.where(lam_m > 0.0, lam_m, 1.0))
-            - (1.0 - lam_m) * np.log1p(-lam_m))
+    return binary_entropy((d0 * d1 - off * off)
+                          / np.where(lam_p > 0.0, lam_p, 1.0))
 
 
 def kl_divergence(rho, sigma):
@@ -209,16 +208,15 @@ def average_measured_entropy(state: GroundState, axis):
     return _average_entropy(*measured_state_closed(state, axis, n))
 
 
-def entropy_minimization_scan(state: GroundState, n_polar: int = 64,
-                              n_azimuth: int = 128) -> np.ndarray:
-    """Scan the axis sphere for the minimum average measured entropy and
-    return the unit vector of the grid minimiser.
+def entropy_minimization_scan(state: GroundState) -> np.ndarray:
+    """Scan the `SCAN_GRID` axes of the sphere for the minimum average
+    measured entropy and return the unit vector of the grid minimiser.
 
     The minimiser is the x axis (or its antipode, which is the same
     measurement) up to grid resolution.
     """
-    polar = np.linspace(0.0, np.pi, n_polar)
-    azimuth = np.linspace(0.0, 2.0 * np.pi, n_azimuth, endpoint=False)
+    polar = np.linspace(0.0, np.pi, SCAN_GRID[0])
+    azimuth = np.linspace(0.0, 2.0 * np.pi, SCAN_GRID[1], endpoint=False)
     axes = ops.axis_vector(*np.meshgrid(polar, azimuth, indexing="ij"))
     values = average_measured_entropy(state, axes)
     i, j = np.unravel_index(int(values.argmin()), values.shape)
@@ -251,15 +249,15 @@ class ThermoReport:
 
 
 def second_law_report(state: GroundState) -> ThermoReport:
+    cert = max_site_reduction(state)   # measures along x
     blocks = bob_blocks(state)
-    rho_i, mutual = blocks[..., 0, :, :], _information(blocks, _MEASURE_X)
+    rho_i, mutual = blocks[..., 0, :, :], _information(blocks, cert.params)
     thermal = effective_temperature(state)
     div = kl_divergence(rho_i, thermal.sigma)
     site_b = energy_decomposition(state).site_b
     # nonequilibrium free energy of rho_i minus the equilibrium free energy
     free_energy_gap = ((site_b - von_neumann_entropy(rho_i) / thermal.beta)
                        - (-np.log(thermal.partition) / thermal.beta))
-    cert = max_site_reduction(state)
     ledger = run_protocol(state, cert.params)
     return ThermoReport(
         mutual_information=mutual,
@@ -288,7 +286,7 @@ def purity_from_entropy(state: GroundState):
     """g recovered from the thermal bookkeeping:
     g = (log Z_eff - S(rho_m)) / log sqrt(lambda_+ / lambda_-)."""
     lam_p, lam_m = measured_eigenvalues(state)
-    s_m = entropy_from_eigenvalues(np.stack([lam_p, lam_m], axis=-1))
+    s_m = binary_entropy(lam_m)
     thermal = effective_temperature(state)
     return ((np.log(thermal.partition) - s_m)
             / np.log(np.sqrt(lam_p / lam_m)))

@@ -117,6 +117,21 @@ class TestChecks:
         monkeypatch.setattr(protocol_mod, "_row_table", lambda: table)
         assert not checks.check_thermo_states(np.random.default_rng(0)).passed
 
+    def test_thermo_check_contracts_each_state_once(self, monkeypatch):
+        # rho_i and both outcomes' qubits come from one bob_blocks call,
+        # seen through the protocol module and through thermo's import
+        calls = []
+        original = protocol_mod.bob_blocks
+
+        def spy(state):
+            calls.append(state)
+            return original(state)
+
+        monkeypatch.setattr(protocol_mod, "bob_blocks", spy)
+        monkeypatch.setattr(thermo_mod, "bob_blocks", spy)
+        assert checks.check_thermo_states(np.random.default_rng(0)).passed
+        assert len(calls) == 1
+
     def test_negative_mutual_information_fails(self, monkeypatch):
         original = thermo_mod.second_law_report
 

@@ -6,9 +6,8 @@ import pytest
 from qetsim.model import ModelParams, energy_decomposition, ground_state
 from qetsim.optimize import max_extracted_energy, max_site_reduction
 from qetsim.protocol import ProtocolParams, project, run_protocol
-from qetsim.thermo import (average_measured_entropy, effective_temperature,
-                           entropy_from_eigenvalues,
-                           entropy_minimization_scan, kl_divergence,
+from qetsim.thermo import (average_measured_entropy, binary_entropy,
+                           effective_temperature, entropy_minimization_scan, kl_divergence,
                            measured_eigenvalues, measured_state_closed,
                            measured_state_purity, purity_from_energy,
                            purity_from_entropy, qc_mutual_information,
@@ -149,7 +148,9 @@ class TestBatch:
     @pytest.mark.parametrize("h", FIELDS)
     def test_states_and_information(self, h):
         def states(state):
-            out = [reduced_state_initial(state), measured_state_purity(state)]
+            out = [reduced_state_initial(state), measured_state_purity(state),
+                   *measured_eigenvalues(state),
+                   binary_entropy(measured_eigenvalues(state)[1])]
             for pp in (X_AXIS, self.GENERAL):
                 for n in (1, -1):
                     out.extend(reduced_state_measured(state, pp, n))
@@ -175,8 +176,21 @@ class TestBatch:
 
 class TestEntropy:
     def test_zero_eigenvalue_convention(self):
-        assert entropy_from_eigenvalues([1.0, 0.0]) == 0.0
-        assert entropy_from_eigenvalues([1.0 + 1e-13, -1e-13]) == 0.0
+        assert binary_entropy(0.0) == 0.0
+        assert binary_entropy(-1e-13) == 0.0
+
+    def test_binary_entropy_batch_is_elementwise(self):
+        lam_m = np.array([[0.0, -1e-13, 1e-300, 2.5e-61],
+                          [1e-17, 0.1, 0.3, 0.5]])
+        batch = binary_entropy(lam_m)
+        assert batch.shape == lam_m.shape
+        for idx in np.ndindex(lam_m.shape):
+            assert batch[idx] == binary_entropy(float(lam_m[idx]))
+        assert batch[0, 0] == batch[0, 1] == 0.0
+        assert batch[1, 3] == pytest.approx(np.log(2.0), abs=1e-15)
+        # -lam log lam + lam + O(lam^2): relative accuracy as lam -> 0
+        assert batch[0, 3] == pytest.approx(2.5e-61 * (1.0 - np.log(2.5e-61)),
+                                            rel=1e-14)
 
     def test_continuity_towards_pure(self):
         values = [von_neumann_entropy(reduced_state_measured(gs(h), X_AXIS, 1)[0])
@@ -229,7 +243,7 @@ class TestEffectiveTemperature:
         for h in (0.1, 0.9, 2.2):
             state = gs(h)
             thermal = effective_temperature(state)
-            measured = entropy_from_eigenvalues(measured_eigenvalues(state))
+            measured = binary_entropy(measured_eigenvalues(state)[1])
             assert abs(von_neumann_entropy(thermal.sigma) - measured) < 1e-12
 
     def test_partition_function(self):
@@ -252,7 +266,7 @@ class TestEntropyMinimization:
         state = gs(0.5)
         value = average_measured_entropy(state, (1.0, 0.0, 0.0))
         assert abs(value
-                   - entropy_from_eigenvalues(measured_eigenvalues(state))) < 1e-12
+                   - binary_entropy(measured_eigenvalues(state)[1])) < 1e-12
 
     def test_polar_axis_strictly_worse(self):
         state = gs(0.5)

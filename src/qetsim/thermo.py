@@ -154,15 +154,16 @@ def qc_mutual_information(state: GroundState, pp: ProtocolParams):
 
 
 def measured_state_purity(state: GroundState):
-    """Bloch-vector length g of the x-axis measured state."""
-    z2 = state.norm**2
-    return np.sqrt(1.0 - 16.0 * z2**2 * (state.alpha - state.beta) ** 2)
+    """Bloch-vector length g of the x-axis measured state: 1 - g^2 = 4 det
+    rho_m = 16 Z^4 (alpha - beta)^2 is the square of the closed-form xxz."""
+    return np.sqrt(1.0 - correlators_closed(state).xxz**2)
 
 
 def measured_eigenvalues(state: GroundState):
-    """(lambda_+, lambda_-) of the x-axis measured state; n-independent."""
-    g = measured_state_purity(state)
-    return 0.5 * (1.0 + g), 0.5 * (1.0 - g)
+    """(lambda_+, lambda_-) of the x-axis measured state; n-independent.
+    lambda_- = q / (2 (1 + g)), q = xxz^2 = 1 - g^2, does not cancel."""
+    g, q = measured_state_purity(state), correlators_closed(state).xxz**2
+    return 0.5 * (1.0 + g), q / (2.0 * (1.0 + g))
 
 
 @dataclass(frozen=True)
@@ -177,19 +178,19 @@ class EffectiveThermal:
 def effective_temperature(state: GroundState) -> EffectiveThermal:
     """Effective inverse temperature of Bob's site for h > 0.
 
-    Where the measured state is pure, at h = 0 or where lambda_- rounds to
-    zero at huge h, the matching temperature is zero (beta diverges) and no
-    thermal description exists; that singular case raises, for a batch if
-    any element is singular, instead of propagating infinities.
+    Where lambda_- is 0 or subnormal (h = 0, h/k below ~2e-154) the measured
+    state is pure to double precision and beta diverges; that case raises,
+    for a batch if any element is singular, instead of returning infinities.
     """
     lam_p, lam_m = measured_eigenvalues(state)
-    pure = np.flatnonzero(~(lam_m > 0.0))
+    pure = np.flatnonzero(~(lam_m >= np.finfo(float).tiny))
     if pure.size:
         h, k, lam = (np.broadcast_to(x, np.shape(lam_m)).flat[pure[0]]
                      for x in (state.params.h, state.params.k, lam_m))
         raise ValueError(f"effective temperature is undefined at h = {h:g}, "
-                         f"k = {k:g}: lambda_- = {lam:g} is not positive "
-                         f"(the measured state is pure), beta diverges")
+                         f"k = {k:g}: lambda_- = {lam:g} is not positive or "
+                         f"is subnormal (the measured state is pure to "
+                         f"double precision), beta diverges")
     return EffectiveThermal(
         beta=np.log(np.sqrt(lam_p / lam_m)) / state.params.h,
         partition=1.0 / np.sqrt(lam_p * lam_m),
@@ -286,9 +287,8 @@ def purity_from_entropy(state: GroundState):
     """g recovered from the thermal bookkeeping:
     g = (log Z_eff - S(rho_m)) / log sqrt(lambda_+ / lambda_-)."""
     lam_p, lam_m = measured_eigenvalues(state)
-    s_m = binary_entropy(lam_m)
     thermal = effective_temperature(state)
-    return ((np.log(thermal.partition) - s_m)
+    return ((np.log(thermal.partition) - binary_entropy(lam_m))
             / np.log(np.sqrt(lam_p / lam_m)))
 
 

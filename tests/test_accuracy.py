@@ -1,10 +1,11 @@
 """Relative accuracy of the closed forms, the closed-form reductions at
 both optima, the protocol ledger at both optima, the ledger's injected
 energy on four measurement axes, the thermo layer on the thermo
-command's grid and the oracle against a 60-digit reference, the oracle's
-upper bound against that reference and against sampled axes of random
-forms, and the bond terms of the oracle and of the ledger against the
-closed form.
+command's grid, at small and at large fields, the x-axis measured
+eigenvalues over the whole range and the oracle against a 60-digit
+reference, the oracle's upper bound against that reference and against
+sampled axes of random forms, and the bond terms of the oracle and of
+the ledger against the closed form.
 
 The reference solves the characteristic cubic in mpmath and evaluates the
 textbook formulas (alpha = 2k/(E + k - 2h), beta = 2k/(E + k + 2h),
@@ -154,6 +155,33 @@ def test_thermo_relative_accuracy(k):
            "kl_over_beta": [row.kl_over_beta for row in rows],
            "info_over_beta": [row.info_over_beta for row in rows]}
     assert _beyond_bound(hs, k, got, _thermo_bound) == {}
+
+
+@pytest.mark.parametrize("k", (1e-3, 1.0, 1e3))
+def test_thermo_at_small_fields(k):
+    # 1e-6 k .. 0.05 k, where lambda_- = (1 - g)/2 and the raw difference
+    # alpha - beta cancelled (2e-6 relative in info_over_beta at 1e-6 k):
+    # q = 1 - g^2 from 2 (h/k) alpha beta and lambda_- = q / (2 (1 + g))
+    hs = list(np.geomspace(1e-6, 0.05, 8) * k)
+    state = ground_state(ModelParams(h=np.array(hs), k=k))
+    rows = thermo_sweep(hs, k=k)
+    got = {"lambda_minus": measured_eigenvalues(state)[1],
+           "beta_eff": effective_temperature(state).beta,
+           "kl_over_beta": [row.kl_over_beta for row in rows],
+           "info_over_beta": [row.info_over_beta for row in rows]}
+    assert _beyond_bound(hs, k, got) == {}
+
+
+@pytest.mark.parametrize("k", (1e-3, 1.0, 1e3))
+def test_thermo_eigenvalues_over_the_range(k):
+    # lambda_- = q / (2 (1 + g)) with q = xxz^2 and beta_eff from it keep
+    # relative accuracy from 1e-6 k to 1e4 k; (1 - g)/2 was off by 6e-5 at
+    # 1e-6 k and 8e-9 at 1e4 k
+    hs = list(np.geomspace(1e-6, 1e4, 21) * k)
+    state = ground_state(ModelParams(h=np.array(hs), k=k))
+    got = {"lambda_minus": measured_eigenvalues(state)[1],
+           "beta_eff": effective_temperature(state).beta}
+    assert _beyond_bound(hs, k, got) == {}
 
 
 @pytest.mark.parametrize("k", (1e-3, 1.0, 1e3))

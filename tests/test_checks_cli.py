@@ -402,7 +402,8 @@ class TestCli:
 @pytest.mark.parametrize("command, field", [("sweep", "1e16"),
                                             ("sweep", "1e50"),
                                             ("thermo", "1e16"),
-                                            ("thermo", "1e30")])
+                                            ("thermo", "1e30"),
+                                            ("thermo", "1e-158")])
 def test_unresolvable_field_exits_2_without_rows(command, field):
     env = dict(os.environ,
                PYTHONPATH=str(Path(qetsim.__file__).resolve().parents[1]))

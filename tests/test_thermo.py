@@ -7,10 +7,11 @@ from qetsim.model import ModelParams, energy_decomposition, ground_state
 from qetsim.optimize import max_extracted_energy, max_site_reduction
 from qetsim.protocol import ProtocolParams, project, run_protocol
 from qetsim.thermo import (average_measured_entropy, binary_entropy,
-                           effective_temperature, entropy_minimization_scan, kl_divergence,
-                           measured_eigenvalues, measured_state_closed,
-                           measured_state_purity, purity_from_energy,
-                           purity_from_entropy, qc_mutual_information,
+                           effective_temperature, entropy_minimization_scan,
+                           kl_divergence, measured_eigenvalues,
+                           measured_state_closed, measured_state_purity,
+                           purity_from_energy, purity_from_entropy,
+                           qc_mutual_information,
                            reduced_state_initial, reduced_state_measured,
                            second_law_report, thermo_sweep,
                            von_neumann_entropy)
@@ -170,8 +171,9 @@ class TestBatch:
         self.assert_elementwise(thermal, np.where(h == 0.0, 0.9, h))
 
     def test_pure_element_raises(self):
+        # h = 0, where the measured state is exactly pure, as a batch element
         with pytest.raises(ValueError, match="not positive"):
-            effective_temperature(gs(np.array([0.5, 1e30])))
+            effective_temperature(gs(np.array([0.5, 0.0])))
 
 
 class TestEntropy:
@@ -227,9 +229,17 @@ class TestEffectiveTemperature:
             effective_temperature(gs(0.0))
 
     def test_pure_measured_state_is_singular(self):
-        # at h = 1e30 lambda_- rounds to zero, and beta would divide by it
+        # lambda_- = 0 exactly at h = 0, and beta would divide by it; at
+        # h = 1e30 lambda_- = q / (2 (1 + g)) is 2.5e-61, not 0
         with pytest.raises(ValueError, match="not positive"):
-            effective_temperature(gs(1e30))
+            effective_temperature(gs(0.0))
+        # beta h = log sqrt(lambda_+ / lambda_-) = log(2e30)
+        beta = effective_temperature(gs(1e30)).beta
+        assert beta == pytest.approx(np.log(2e30) / 1e30, rel=1e-12)
+        # at h = 1e-158 lambda_- is subnormal and lambda_+ / lambda_-
+        # overflows: refused, not a zero budget
+        with pytest.raises(ValueError, match="subnormal"):
+            effective_temperature(gs(np.array([0.5, 1e-158])))
 
     def test_pinned_beta(self):
         thermal = effective_temperature(gs(0.5))

@@ -9,8 +9,11 @@ the ledger against the closed form.
 
 The reference solves the characteristic cubic in mpmath and evaluates the
 textbook formulas (alpha = 2k/(E + k - 2h), beta = 2k/(E + k + 2h),
-xx = 4 Z^2 (1 + alpha beta), xxz = 4 Z^2 (alpha - beta), ...) whose cancellation at large h/k costs
-far fewer than the 60 digits carried.
+xx = 4 Z^2 (1 + alpha beta), xxz = 4 Z^2 (alpha - beta), ...) whose
+cancellation at large h/k costs far fewer than the 60 digits carried.  The
+differences that vanish as h -> 0 take cancellation-free forms: alpha -
+beta = 2 (h/k) alpha beta, alpha^2 - beta^2 = (alpha - beta)(alpha + beta)
+and lambda_- = q / (2 (1 + g)), q = 1 - g^2 = 16 Z^4 (alpha - beta)^2.
 """
 
 import functools
@@ -57,7 +60,8 @@ def _reference(h, k):
         beta = 2 * k / (e + k + 2 * h)
         z2 = 1 / (4 + 2 * alpha**2 + 2 * beta**2)
         xx, yy = 4 * z2 * (1 + alpha * beta), 4 * z2 * (1 - alpha * beta)
-        site = 2 * h * z2 * (alpha**2 - beta**2)
+        difference = 2 * t * alpha * beta   # alpha - beta
+        site = 2 * h * z2 * difference * (alpha + beta)
         bond_left = 4 * k * z2 * (alpha + beta)
         # sqrt(e_B^2 + g^2) - |e_B|, in its cancellation-free form
         maximum = lambda g: g * g / (mpmath.sqrt(site**2 + g * g) + abs(site))
@@ -70,13 +74,14 @@ def _reference(h, k):
         # Bob's diagonal state, the x-axis measured eigenvalues and the
         # second-law terms D(rho_i || sigma_B) and I_QC over beta_eff
         r0, r1 = 2 * z2 * (1 + beta**2), 2 * z2 * (1 + alpha**2)
-        g = mpmath.sqrt(1 - 16 * z2**2 * (alpha - beta)**2)
-        lam_p, lam_m = (1 + g) / 2, (1 - g) / 2
+        q = 16 * z2**2 * difference**2
+        g = mpmath.sqrt(1 - q)
+        lam_p, lam_m = (1 + g) / 2, q / (2 * (1 + g))
         beta_eff = mpmath.log(lam_p / lam_m) / (2 * h)
         entropy = lambda p, q: -p * mpmath.log(p) - q * mpmath.log(q)
         kl = r0 * mpmath.log(r0 / lam_p) + r1 * mpmath.log(r1 / lam_m)
         return {"energy": e, "alpha": alpha, "beta": beta, "xx": xx, "yy": yy,
-                "xxz": 4 * z2 * (alpha - beta), "site": site,
+                "xxz": 4 * z2 * difference, "site": site,
                 "extracted_max": maximum(h * yy),
                 "site_reduction_max": maximum(h * xx), **injected,
                 "r0": r0, "r1": r1, "lambda_plus": lam_p,
@@ -163,6 +168,20 @@ def test_thermo_at_small_fields(k):
     # alpha - beta cancelled (2e-6 relative in info_over_beta at 1e-6 k):
     # q = 1 - g^2 from 2 (h/k) alpha beta and lambda_- = q / (2 (1 + g))
     hs = list(np.geomspace(1e-6, 0.05, 8) * k)
+    state = ground_state(ModelParams(h=np.array(hs), k=k))
+    rows = thermo_sweep(hs, k=k)
+    got = {"lambda_minus": measured_eigenvalues(state)[1],
+           "beta_eff": effective_temperature(state).beta,
+           "kl_over_beta": [row.kl_over_beta for row in rows],
+           "info_over_beta": [row.info_over_beta for row in rows]}
+    assert _beyond_bound(hs, k, got) == {}
+
+
+@pytest.mark.parametrize("k", (1e-3, 1.0, 1e3))
+def test_thermo_at_tiny_fields(k):
+    # 1e-150 k .. 1e-6 k, down to where lambda_- ~ (h/k)^2 nears the
+    # smallest normal double and the measured state is all but pure
+    hs = list(np.geomspace(1e-150, 1e-6, 12) * k)
     state = ground_state(ModelParams(h=np.array(hs), k=k))
     rows = thermo_sweep(hs, k=k)
     got = {"lambda_minus": measured_eigenvalues(state)[1],

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qetsim
+from qetsim import chain as chain_mod
 from qetsim import checks, cli
 from qetsim import optimize as optimize_mod
 from qetsim import protocol as protocol_mod
@@ -83,6 +84,34 @@ class TestChecks:
         result = checks.check_monotone_feedback_tilt(np.random.default_rng(0))
         assert result.passed
         assert result.residual < 0.0
+
+    def test_random_check_reports_the_signed_largest_excess(self):
+        # no random protocol reaches a maximum, so the largest excess over
+        # one is negative
+        result = checks.check_random_never_beats_maxima(
+            np.random.default_rng(0))
+        assert result.passed
+        assert result.residual < 0.0
+
+    def test_nan_in_any_term_fails_its_check(self, monkeypatch):
+        # a NaN in a term other than the first fails its check: a check of
+        # one tolerance, one of two tolerances and one that loops over fields
+        original = protocol_mod.reduction_closed
+
+        def nan_site(state, pp):
+            site, bond = original(state, pp)
+            return np.full_like(site, np.nan), bond
+
+        for module, name, nan, fn in (
+                (protocol_mod, "reduction_closed", nan_site,
+                 checks.check_protocol_two_routes),
+                (thermo_mod, "purity_from_energy", lambda state: np.nan,
+                 checks.check_second_law),
+                (chain_mod, "ground_energy_from_filling", lambda spec: np.nan,
+                 checks.check_chain_against_exact)):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, nan)
+                assert fn(np.random.default_rng(0)).passed is False, name
 
     def test_negated_gain_blocks_break_the_ledger_checks(self, monkeypatch):
         # with C -> -C in the shared table's forms the ledger's reductions

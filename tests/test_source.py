@@ -51,3 +51,20 @@ def test_no_private_names_of_other_modules():
                       and node.value.id in siblings
                       and node.attr.startswith("_")]
     assert sorted(offenders) == []
+
+
+def test_checks_fold_through_one_rule():
+    # builtin max drops a NaN that is not its first argument, so checks.py
+    # folds with np.max, and only checks._result builds a CheckResult
+    tree = ast.parse((Path(qetsim.__file__).parent / "checks.py").read_text(
+        encoding="utf-8"))
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_result"
+              for node in ast.walk(fn)}
+    offenders = [f"checks.py:{node.lineno} {node.func.id}"
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and (node.func.id == "max" or node.func.id == "CheckResult"
+                      and id(node) not in inside)]
+    assert offenders == []

@@ -391,7 +391,7 @@ def check_second_law(rng=None):
         report = thermo_mod.second_law_report(gs)
         g = thermo_mod.measured_state_purity(gs)
         identities += [
-            abs(report.bound_rhs - report.site_reduction_max) / k,
+            report.budget_residual / k,
             abs(thermo_mod.purity_from_energy(gs) - g),
             abs(thermo_mod.purity_from_entropy(gs) - g),
             abs(report.work + report.heat - report.energy_change) / k,

@@ -31,6 +31,8 @@ from .optimize import (MAX_RESOLUTION, MIN_RESOLUTION, protocol_sweep,
 from .protocol import correlators_closed
 from .thermo import thermo_sweep
 
+MAX_STEPS = 10**6   # most --h-steps, refused before any array is allocated
+
 
 def _fmt(value):
     if value is None:
@@ -66,12 +68,13 @@ def _check_coupling(k):
 
 
 def _field_grid(h_min, h_max, steps, k):
-    """np.linspace(h_min, h_max, steps) * k; refused unless steps >= 2,
-    h_min <= h_max, and the ends, the span and both absolute end fields are
-    finite.  The finiteness check runs on Python floats, which overflow to
-    inf silently: numpy would warn about the overflow before the error."""
-    if steps < 2:
-        raise ValueError("--h-steps must be at least 2")
+    """np.linspace(h_min, h_max, steps) * k; refused unless 2 <= steps <=
+    MAX_STEPS (before anything is allocated), h_min <= h_max, and the ends,
+    the span and both absolute end fields are finite.  The finiteness check
+    runs on Python floats, which overflow to inf silently: numpy would warn
+    about the overflow before the error."""
+    if not 2 <= steps <= MAX_STEPS:
+        raise ValueError(f"--h-steps must be in [2, {MAX_STEPS}], got {steps}")
     if h_min > h_max:
         raise ValueError("--h-min must not exceed --h-max")
     if not all(map(math.isfinite, (h_min * k, h_max * k, h_max - h_min))):
@@ -81,24 +84,23 @@ def _field_grid(h_min, h_max, steps, k):
     return np.linspace(h_min, h_max, steps) * k
 
 
-def _closed_form_grid(args):
-    """The field grid of `sweep` and `thermo`, refused unless it lies in
-    the accurate range of the closed forms (see model.MAX_FIELD_RATIO).
-    --k is checked first, so the grid's product with k does not
-    overflow."""
+def _accepted_grid(args):
+    """The field grid of `spectrum`, `sweep` and `thermo`, refused unless
+    it lies in the range where their columns keep relative accuracy (see
+    model.MAX_FIELD_RATIO).  --k is checked first, so the grid's product
+    with k does not overflow."""
     _check_coupling(args.k)
     if not (0.0 <= args.h_min and args.h_max <= MAX_FIELD_RATIO):
         raise ValueError(f"--h-min and --h-max must be finite and in "
                          f"[0, {MAX_FIELD_RATIO:g}] (in units of k), where "
-                         f"the closed forms are accurate; "
+                         f"`{args.command}` keeps relative accuracy; "
                          f"got {args.h_min}, {args.h_max}")
     return _field_grid(args.h_min, args.h_max, args.h_steps, args.k)
 
 
 def cmd_spectrum(args):
-    _check_coupling(args.k)
     rows = []
-    for h in _field_grid(args.h_min, args.h_max, args.h_steps, args.k):
+    for h in _accepted_grid(args):
         levels = even_sector_spectrum(ModelParams(h=float(h), k=args.k))
         rows.append([float(h)] + [float(e) for e in levels])
     _write_csv(args.out, ["h"] + [f"E_{i}" for i in range(1, 9)], rows)
@@ -112,7 +114,7 @@ def cmd_sweep(args):
     rows = [[r.h, r.xx, r.yy, r.h_xx, r.h_yy, r.injected_axis_y,
              r.injected_axis_x, r.extracted_max, r.site_reduction_max,
              r.net_at_site_optimum]
-            for r in protocol_sweep(_closed_form_grid(args), k=args.k)]
+            for r in protocol_sweep(_accepted_grid(args), k=args.k)]
     _write_csv(args.out, header, rows)
     return 0
 
@@ -122,12 +124,8 @@ def cmd_thermo(args):
         raise ValueError("--h-min must be positive for the thermo sweep")
     header = ["h", "site_reduction_max", "rotation_cost", "correlator_gain",
               "kl_over_beta", "info_over_beta", "budget_residual"]
-    rows = []
-    for r in thermo_sweep(_closed_form_grid(args), k=args.k):
-        residual = abs(r.site_reduction_max - r.kl_over_beta - r.info_over_beta)
-        rows.append([r.h, r.site_reduction_max, r.rotation_cost,
-                     r.correlator_gain, r.kl_over_beta, r.info_over_beta,
-                     residual])
+    rows = [[getattr(r, name) for name in header]
+            for r in thermo_sweep(_accepted_grid(args), k=args.k)]
     _write_csv(args.out, header, rows)
     return 0
 
@@ -136,7 +134,7 @@ def _chain_fields(args):
     """--h alone, or the grid of --h-min and --h-max (either defaults to
     --h), times --k; a field or --k that ModelParams refuses is refused
     whatever the lengths.  --k is checked first and the product h k on
-    Python floats, as in `_closed_form_grid`, so the refusal names the
+    Python floats, as in `_accepted_grid`, so the refusal names the
     values given."""
     _check_coupling(args.k)
     if args.h_min is None and args.h_max is None:
@@ -166,7 +164,9 @@ def cmd_chain(args):
                 gs = ground_state(ModelParams(
                     h=chain_mod.effective_field(float(h), args.k), k=args.k))
                 c = correlators_closed(gs)
-                residual = max(abs(xx_abs - abs(c.xx)), abs(yy_abs - abs(c.yy)))
+                # np.maximum keeps a NaN, which _write_csv then refuses
+                residual = np.maximum(abs(xx_abs - abs(c.xx)),
+                                      abs(yy_abs - abs(c.yy)))
             rows.append([L, float(h), xx_abs, yy_abs, scan.slope,
                          scan.r_squared, residual])
     _write_csv(args.out, header, rows)

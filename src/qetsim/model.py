@@ -38,7 +38,7 @@ MAX_PARAMETER = 1e100
 # amplitudes, correlators and both maxima) keep 1e-13 relative accuracy
 # against a 60-digit reference, for k in [1/MAX_PARAMETER, MAX_PARAMETER]
 # (tests/test_accuracy.py).  ModelParams accepts the wider range above;
-# the `sweep` and `thermo` commands refuse fields outside this one.
+# `spectrum`, `sweep` and `thermo` refuse fields outside this one.
 MAX_FIELD_RATIO = 1e4
 
 

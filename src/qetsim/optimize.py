@@ -140,12 +140,16 @@ def _closed_certificate(target, site, gain, axes,
 
     Where |gain| << |site| (large h/k) the value hypot(site, gain) - |site|
     and 1 - cos 2 theta cancel, so they are taken as gain^2 /
-    (hypot(site, gain) + |site|) and 2 sin^2 theta."""
+    (hypot(site, gain) + |site|) and 2 sin^2 theta.  Below |gain| = 2^-500
+    gain^2 is subnormal or 0, so there the quotient is scaled by 2^500,
+    which is exact."""
     root = np.hypot(site, gain)
     zero = root == 0.0   # adding or multiplying by it is exact elsewhere
     sin2, cos2 = gain / (root + zero), -site / (root + zero) + zero
     theta = 0.5 * np.arctan2(sin2, cos2)
-    value = gain * gain / (root + abs(site) + zero)
+    scale = np.where(abs(gain) < 2.0**-500, 2.0**500, 1.0)
+    value = ((gain * scale) * (gain * scale)
+             / ((root + abs(site) + zero) * scale) / scale)
     return Certificate(
         target=target, params=ProtocolParams(axes.mu, axes.nu, axes.xi,
                                              axes.eta, theta),

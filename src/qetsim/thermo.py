@@ -235,15 +235,22 @@ class ThermoReport:
     The protocol quantities (work, energy_change, heat) are evaluated at
     the site-reduction optimum; with work counted as energy gained by
     Bob's system they satisfy work + heat = energy_change identically.
-    Every field has the shape of the state's field.
+    site_reduction_max = rotation_cost + correlator_gain = kl_over_beta +
+    info_over_beta, the last up to budget_residual.  Every field has the
+    shape of the state's field; `qetsim thermo` prints seven of them.
     """
 
+    h: float
     mutual_information: float
     beta_eff: float
     divergence: float
     free_energy_gap: float
-    bound_rhs: float
     site_reduction_max: float
+    rotation_cost: float     # e_B (1 - cos 2 theta) at the optimal angles
+    correlator_gain: float   # -h xx sin 2 theta at the optimal angles
+    kl_over_beta: float
+    info_over_beta: float
+    budget_residual: float
     work: float
     energy_change: float
     heat: float
@@ -256,17 +263,26 @@ def second_law_report(state: GroundState) -> ThermoReport:
     thermal = effective_temperature(state)
     div = kl_divergence(rho_i, thermal.sigma)
     site_b = energy_decomposition(state).site_b
+    gain = -state.params.h * correlators_closed(state).xx
     # nonequilibrium free energy of rho_i minus the equilibrium free energy
     free_energy_gap = ((site_b - von_neumann_entropy(rho_i) / thermal.beta)
                        - (-np.log(thermal.partition) / thermal.beta))
+    kl_over_beta, info_over_beta = div / thermal.beta, mutual / thermal.beta
     ledger = run_protocol(state, cert.params)
     return ThermoReport(
+        h=state.params.h,
         mutual_information=mutual,
         beta_eff=thermal.beta,
         divergence=div,
         free_energy_gap=free_energy_gap,
-        bound_rhs=(div + mutual) / thermal.beta,
         site_reduction_max=cert.value,
+        # 1 - cos 2 theta as 2 sin^2 theta, which does not cancel
+        rotation_cost=site_b * 2.0 * np.sin(cert.params.theta)**2,
+        # sin 2 theta = gain / hypot(e_B, gain), as in the certificate
+        correlator_gain=gain * (gain / np.hypot(site_b, gain)),
+        kl_over_beta=kl_over_beta,
+        info_over_beta=info_over_beta,
+        budget_residual=abs(cert.value - kl_over_beta - info_over_beta),
         work=-ledger.extracted,
         energy_change=-ledger.extracted_site,
         heat=ledger.extracted_bond,
@@ -292,36 +308,7 @@ def purity_from_entropy(state: GroundState):
             / np.log(np.sqrt(lam_p / lam_m)))
 
 
-@dataclass(frozen=True)
-class ThermoRow:
-    """One row of the second-law sweep."""
-
-    h: float
-    site_reduction_max: float
-    rotation_cost: float     # e_B (1 - cos 2 theta) at the optimal angles
-    correlator_gain: float   # -h xx sin 2 theta at the optimal angles
-    kl_over_beta: float
-    info_over_beta: float
-
-
 def thermo_sweep(h_values, k: float = 1.0):
-    rows = []
-    for h in h_values:
-        if h <= 0:
-            raise ValueError("the sweep needs h > 0 (beta diverges at h = 0)")
-        state = ground_state(ModelParams(h=float(h), k=k))
-        report = second_law_report(state)
-        cert = max_site_reduction(state)
-        site_b = energy_decomposition(state).site_b
-        gain = -float(h) * correlators_closed(state).xx
-        rows.append(ThermoRow(
-            h=float(h),
-            site_reduction_max=cert.value,
-            # 1 - cos 2 theta as 2 sin^2 theta, which does not cancel
-            rotation_cost=site_b * 2.0 * np.sin(cert.params.theta)**2,
-            # sin 2 theta = gain / hypot(e_B, gain), as in the certificate
-            correlator_gain=gain * (gain / np.hypot(site_b, gain)),
-            kl_over_beta=report.divergence / report.beta_eff,
-            info_over_beta=report.mutual_information / report.beta_eff,
-        ))
-    return rows
+    """One :class:`ThermoReport` per field, each from its own ground state."""
+    return [second_law_report(ground_state(ModelParams(h=float(h), k=k)))
+            for h in h_values]

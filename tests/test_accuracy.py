@@ -126,6 +126,17 @@ def test_closed_forms_relative_accuracy(k):
 
 
 @pytest.mark.parametrize("k", SCALES)
+def test_maxima_at_tiny_fields(k):
+    # 1e-150 k .. 1e-6 k; at k = 1e-100 the gains fall below 2^-500 from
+    # about 1e-50 k, where gain^2 is subnormal (unscaled, both maxima
+    # read 0.0 at 1e-70 k)
+    hs = list(np.geomspace(1e-150, 1e-6, 12) * k)
+    got = _library(ground_state(ModelParams(h=np.array(hs), k=k)))
+    got = {name: got[name] for name in ("extracted_max", "site_reduction_max")}
+    assert _beyond_bound(hs, k, got) == {}
+
+
+@pytest.mark.parametrize("k", SCALES)
 def test_reduction_closed_at_the_optima(k):
     # site + bond at the extracted optimum and site at the site optimum
     hs = _fields(k)

@@ -240,6 +240,22 @@ class TestCli:
         cli.main(["chain", "--h", "1e-9", "--L-list", "4", "--out", str(out)])
         assert float(out.read_text().splitlines()[1].split(",")[-1]) < 1e-15
 
+    def test_chain_nan_ed_residual_is_refused(self, tmp_path, capsys,
+                                              monkeypatch):
+        # a NaN in either magnitude's residual reaches the CSV check, which
+        # refuses it; builtin max dropped a NaN in its second argument
+        original = cli.correlators_closed
+
+        def nan_yy(state):
+            return dataclasses.replace(original(state), yy=float("nan"))
+
+        monkeypatch.setattr(cli, "correlators_closed", nan_yy)
+        out = tmp_path / "chain.csv"
+        assert cli.main(["chain", "--h", "0.5", "--L-list", "4,50",
+                         "--out", str(out)]) == 2
+        assert "ed_residual = nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_chain_single_length_has_no_fit(self, tmp_path):
         out = tmp_path / "chain.csv"
         with warnings.catch_warnings():
@@ -342,8 +358,13 @@ class TestCli:
     def test_bad_argument_exit_code(self, capsys):
         assert cli.main(["spectrum", "--h-steps", "1"]) == 2
         assert cli.main(["thermo", "--h-min", "0"]) == 2
+        # refused before the grid is allocated: its 8e18 bytes would raise
+        # a MemoryError, exit 1
+        steps = ["--h-steps", str(10**18)]
+        for command in ("spectrum", "sweep", "thermo"):
+            assert cli.main([command, *steps]) == 2
         # chain's field range goes through the same checks as the others
-        for args in (["--h-steps", "0"], ["--h-steps", "-3"],
+        for args in (["--h-steps", "0"], ["--h-steps", "-3"], steps,
                      ["--h-min", "0.3", "--h-max", "0.1"]):
             assert cli.main(["chain", "--h-min", "0.1", "--h-max", "0.2",
                              *args]) == 2
@@ -428,7 +449,8 @@ class TestCli:
                                                        rel=1e-12)
 
 
-@pytest.mark.parametrize("command, field", [("sweep", "1e16"),
+@pytest.mark.parametrize("command, field", [("spectrum", "1e16"),
+                                            ("sweep", "1e16"),
                                             ("sweep", "1e50"),
                                             ("thermo", "1e16"),
                                             ("thermo", "1e30"),

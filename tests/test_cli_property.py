@@ -36,8 +36,8 @@ def _table(text):
 
 
 def _assert_column_theorems(command, columns):
-    """The invariants each column obeys; thermo's wait for an accurate
-    relative entropy at large h/k."""
+    """The invariants each column obeys; thermo's entropy columns wait for
+    an accurate relative entropy at large h/k."""
     if command == "sweep":
         extracted = columns["extracted_max"]
         site = columns["site_reduction_max"]
@@ -47,6 +47,13 @@ def _assert_column_theorems(command, columns):
         # the final energy is never below the ground energy, and the
         # extracted optimum measures along y
         assert (extracted <= columns["injected_axis_y"]).all()
+    elif command == "thermo":
+        cost, gain = columns["rotation_cost"], columns["correlator_gain"]
+        site = columns["site_reduction_max"]
+        # weak: the cost underflows to 0 at h/k ~ 1e-150 with k = 1e-100
+        assert ((cost <= 0.0) & (0.0 <= site) & (site <= gain)).all()
+        # the optimum splits into Bob's site and correlator terms
+        assert (abs(cost + gain - site) <= 1e-12 * (abs(cost) + gain)).all()
     elif command == "spectrum":
         levels = np.stack([columns[f"E_{i}"] for i in range(1, 9)])
         assert (np.diff(levels, axis=0) >= 0.0).all()
@@ -83,7 +90,7 @@ def test_every_finite_grid_gives_rows_or_exit_2(command, h_min, h_max,
 
 
 @pytest.mark.parametrize("k", [1e-3, 1.0, 1e3])
-@pytest.mark.parametrize("command", ["sweep", "spectrum", "chain"])
+@pytest.mark.parametrize("command", ["sweep", "thermo", "spectrum", "chain"])
 def test_column_theorems_over_the_accepted_range(command, k):
     # 61 evenly spaced fields in each decade band of h/k from 1e-6 to 1e4
     for h_min, h_max in ((1e-6, 1e-3), (1e-3, 1.0), (1.0, 100.0),

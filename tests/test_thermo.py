@@ -288,7 +288,7 @@ class TestSecondLaw:
     @pytest.mark.parametrize("h", [0.05, 0.2, 0.5, 1.0, 2.0, 3.0])
     def test_budget_equality(self, h):
         report = second_law_report(gs(h))
-        assert abs(report.bound_rhs - report.site_reduction_max) < 1e-10
+        assert report.budget_residual < 1e-10
         assert report.mutual_information >= -1e-12
         assert report.divergence >= -1e-12
 

@@ -81,6 +81,9 @@ import numpy as np
 # above that.  The correlators depend on h through h^2: at 1e-6 they sit
 # within ~L h^2 (9e-10 at L = 1000) of the h -> 0 limit
 SMALL_FIELD = 1e-6
+# longest chain: at 2^1000 |yy| has underflowed to 0 and |xx| is 7.5e-301;
+# from ~3.8e306 (L - 1) phi overflows in `edge_correlators`
+MAX_LENGTH = 2**1000
 
 
 def effective_field(h, k):
@@ -138,6 +141,9 @@ def _check_field(h, k):
 def build_chain(length: int, h: float, k: float = 1.0) -> ChainSpec:
     if length < 2:
         raise ValueError(f"chain length must be at least 2, got {length}")
+    if length > MAX_LENGTH:
+        raise ValueError(f"chain length must be at most 2**1000, got "
+                         f"2**{math.log2(length):.2f}")
     _check_field(h, k)
     return ChainSpec(length=length, h=float(h), k=float(k))
 
@@ -355,8 +361,6 @@ def correlators_vs_length(h: float, k: float, lengths) -> LengthScan:
     lengths = sorted(int(L) for L in lengths)
     if not lengths:
         raise ValueError("at least one chain length is required")
-    if any(L < 2 for L in lengths):
-        raise ValueError("chain lengths must be at least 2")
     _check_field(h, k)
     h_eff = effective_field(h, k)
     xx = []

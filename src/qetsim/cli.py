@@ -32,6 +32,7 @@ from .protocol import correlators_closed
 from .thermo import thermo_sweep
 
 MAX_STEPS = 10**6   # most --h-steps, refused before any array is allocated
+TINY = sys.float_info.min   # smallest normal double, 2.2e-308
 
 
 def _fmt(value):
@@ -69,10 +70,10 @@ def _check_coupling(k):
 
 def _field_grid(h_min, h_max, steps, k):
     """np.linspace(h_min, h_max, steps) * k; refused unless 2 <= steps <=
-    MAX_STEPS (before anything is allocated), h_min <= h_max, and the ends,
-    the span and both absolute end fields are finite.  The finiteness check
-    runs on Python floats, which overflow to inf silently: numpy would warn
-    about the overflow before the error."""
+    MAX_STEPS (before anything is allocated), h_min <= h_max, the ends, the
+    span and both absolute end fields are finite, and each field nonzero in
+    units of k is a normal double.  The finiteness check runs on Python
+    floats, which overflow to inf silently: numpy would warn first."""
     if not 2 <= steps <= MAX_STEPS:
         raise ValueError(f"--h-steps must be in [2, {MAX_STEPS}], got {steps}")
     if h_min > h_max:
@@ -81,7 +82,13 @@ def _field_grid(h_min, h_max, steps, k):
         raise ValueError(f"--h-min, --h-max and --k must be finite, also "
                          f"as the fields h k and as the span; got {h_min}, "
                          f"{h_max}, {k}")
-    return np.linspace(h_min, h_max, steps) * k
+    grid = np.linspace(h_min, h_max, steps)
+    fields = grid * k
+    if np.any((grid != 0.0) & (abs(fields) < TINY)):
+        raise ValueError(f"every nonzero field h k must be at least {TINY:g} "
+                         f"(a normal double); --h-min, --h-max and --k give "
+                         f"one below it: {h_min}, {h_max}, {k}")
+    return fields
 
 
 def _accepted_grid(args):
@@ -142,6 +149,10 @@ def _chain_fields(args):
         if not math.isfinite(field):
             raise ValueError(f"--h and --k must be finite, also as the field "
                              f"h k; got {args.h}, {args.k}")
+        if args.h != 0.0 and abs(field) < TINY:
+            raise ValueError(f"a nonzero field h k must be at least {TINY:g} "
+                             f"(a normal double); got --h {args.h}, "
+                             f"--k {args.k}")
         ModelParams(h=field, k=args.k)
         return np.array([field])
     fields = _field_grid(args.h if args.h_min is None else args.h_min,

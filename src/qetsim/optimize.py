@@ -101,6 +101,8 @@ _AXIS_MEASUREMENTS = {name: ProtocolParams.from_vectors(vec, _Z, 0.0)
 # 128 u, and the first relative width it tries, 512 u (u = 2^-53)
 _SHIFT = 2.0**-46
 _SLACK = 2.0**-44
+# most rounds of :func:`_fixed_point`, read at call time
+_MAX_ROUNDS = 100
 # the entries (00, 01, 02, 11, 12, 22) of a symmetric 3 x 3 matrix
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
@@ -358,7 +360,7 @@ def _certifies(form, rows, bound):
             - n21 * n21 > 0.0)
 
 
-def _fixed_point(cost, gain, max_rounds=100):
+def _fixed_point(cost, gain):
     """Dinkelbach's iteration for the maximum of y^T K(r) y over all five
     angles, with a proven upper bound, on Python floats: no numpy call
     after reading (M0, C).
@@ -378,14 +380,14 @@ def _fixed_point(cost, gain, max_rounds=100):
 
     Returns ``(value, upper, s, (C^T s, A, m), rounds, converged)``, s
     (floats) attaining the value; converged: certified within
-    `max_rounds`, else `upper` is inf.
+    `_MAX_ROUNDS`, else `upper` is inf.
     """
     costs, rows = cost.tolist(), gain.tolist()
     columns = list(zip(*rows))
     form = [0.5 * (costs[i][j] + costs[j][i]) for i, j in _UPPER]
     gram = [_dot(rows[i], rows[j]) for i, j in _UPPER]
     value, best, slack = 0.0, None, _SLACK
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, _MAX_ROUNDS + 1):
         at = value
         s = _jacobi_axis(*[g + at * m for g, m in zip(gram, form)])
         rise, *parts = _axis_maximum(costs, columns, s)

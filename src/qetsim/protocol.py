@@ -26,7 +26,7 @@ ledger reads no closed form and projects no state: its injected energy
 r^T Q r and its reductions are forms of one cached bilinear table, the
 latter those of :func:`rotation_forms`, which the oracle reads too.  The
 outcome probabilities and Bob's qubit are read the same way
-(:func:`bob_blocks`).
+(:func:`bob_blocks`, whose closed form is :func:`bob_blocks_closed`).
 """
 
 from __future__ import annotations
@@ -171,18 +171,19 @@ def rotate(pp: ProtocolParams, n, v):
     return out.reshape(out.shape[:-2] + (ops.DIM,))
 
 
-def outcome_block(blocks, pp: ProtocolParams, n):
+def outcome_block(blocks, axis, n):
     """``(p, rho)``: the qubit rho = <P_A(n) (x) |k><j|_B> = (M_0 + n r.M)/2
-    that Alice's outcome n leaves Bob, unnormalised, and its trace p, the
-    outcome's probability clipped to [0, 1]; M from :func:`bob_blocks`."""
-    r = np.moveaxis(np.asarray(pp.measure_axis), 0, -1)[..., None, None]
+    that Alice's outcome n along r (one axis, or components of shape (3,
+    ...)) leaves Bob, unnormalised, and its trace p, the outcome's
+    probability clipped to [0, 1]; M from either route to Bob's blocks."""
+    r = np.moveaxis(np.asarray(axis), 0, -1)[..., None, None]
     rho = 0.5 * (blocks[..., 0, :, :]
                  + _outcomes(n) * (r * blocks[..., 1:, :, :]).sum(axis=-3))
     return np.clip(np.trace(rho, axis1=-2, axis2=-1).real, 0.0, 1.0), rho
 
 
 def outcome_probability(state: GroundState, pp: ProtocolParams, n):
-    return outcome_block(bob_blocks(state), pp, n)[0]
+    return outcome_block(bob_blocks(state), pp.measure_axis, n)[0]
 
 
 def measurement_energy_closed(state: GroundState, pp: ProtocolParams):
@@ -243,6 +244,22 @@ def bob_blocks(state: GroundState):
     diagonal entry of M_0 sums squares, so it keeps relative accuracy."""
     return _contract(state, slice(54, 70)).reshape(
         state.vector.shape[:-1] + (4, 2, 2))
+
+
+def bob_blocks_closed(state: GroundState):
+    """The blocks of :func:`bob_blocks` in closed form, an X pattern: M_0 =
+    2 Z^2 diag(1 + beta^2, 1 + alpha^2), M_x = (xx/2) sigma^x, M_y = (yy/2)
+    sigma^y and M_z = 2 Z^2 diag(1 - beta^2, alpha^2 - 1), with xx and yy
+    from :func:`correlators_closed`; every other entry is an exact 0."""
+    d, a2, b2 = 2.0 * state.norm**2, state.alpha**2, state.beta**2
+    c = correlators_closed(state)
+    blocks = np.zeros(np.shape(d) + (4, 2, 2), dtype=complex)
+    re, im = blocks.real, blocks.imag   # views; sigma^y = [[0, i], [-i, 0]]
+    re[..., 0, 0, 0], re[..., 0, 1, 1] = d * (1.0 + b2), d * (1.0 + a2)
+    re[..., 1, 0, 1] = re[..., 1, 1, 0] = 0.5 * c.xx
+    im[..., 2, 0, 1], im[..., 2, 1, 0] = 0.5 * c.yy, -0.5 * c.yy
+    re[..., 3, 0, 0], re[..., 3, 1, 1] = d * (1.0 - b2), d * (a2 - 1.0)
+    return blocks
 
 
 def _ledger_forms(state: GroundState, blocks):

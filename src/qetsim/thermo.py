@@ -1,16 +1,17 @@
 """Local states, entropies, and the second-law budget of the protocol.
 
-Bob's local state before measurement is the diagonal qubit
+Bob's qubit and its correlations with spin A are the four blocks
+M_mu = <sigma_A^mu (x) |k><j|_B> (mu = 0 the identity, then x, y, z), an
+X pattern in closed form (:func:`qetsim.protocol.bob_blocks_closed`):
 
-    rho_i = 2 Z^2 diag(1 + beta^2, 1 + alpha^2),
+    M_0 = 2 Z^2 diag(1 + beta^2, 1 + alpha^2),   M_x = (xx/2) sigma^x,
+    M_z = 2 Z^2 diag(1 - beta^2, alpha^2 - 1),   M_y = (yy/2) sigma^y,
 
-and after a measurement along a general axis r with outcome n it becomes
-the 2x2 state with occupation weight w and coherence kappa,
-
-    rho_m(n) = [[1 - w, kappa], [conj(kappa), w]],
-    w     = 2 Z^2 ((1 - n r_z) + alpha^2 (1 + n r_z)) / (2 p_n),
-    kappa = 2 n Z^2 ((r_x + i r_y) + alpha beta (r_x - i r_y)) / (2 p_n),
-    p_n   = (1 + 2 n r_z (alpha^2 - beta^2) Z^2) / 2.
+and the protocol's table is the second route
+(:func:`qetsim.protocol.bob_blocks`).  Bob holds rho_i = M_0, and outcome
+n of a measurement of A along r leaves him rho_m(n) = (M_0 + n r.M)/(2
+p_n), p_n its trace: one outcome map for both routes
+(:func:`qetsim.protocol.outcome_block`).
 
 For the x-axis measurement the eigenvalues (1 +- g)/2 of rho_m do not
 depend on n, with purity radius g = sqrt(1 - 16 Z^4 (alpha - beta)^2).
@@ -27,18 +28,14 @@ budget identity
 where I_QC is the information gain of the measurement.  All entropies use
 the natural logarithm.
 
-The second route to Bob's qubit reads it off the protocol's table: the
-blocks M_mu = <sigma_A^mu (x) |k><j|_B> of :func:`qetsim.protocol.bob_blocks`
-give rho_i = M_0 and rho_m(n) = (M_0 + n r.M)/(2 p_n).
-
 Batches: every function here takes ground states of an array-valued field
 (vectors of shape (..., 16)) and returns results of its shape, on one
 code path; 2 x 2 states have shape (..., 2, 2).  An outcome with
-probability below `PROBABILITY_FLOOR` is unreachable: both reduced-state
-routes return a finite placeholder state for it, and every outcome
-average weights it by zero.  Two functions take one field at a time:
-:func:`thermo_sweep`, and :func:`entropy_minimization_scan`, whose batch
-is a grid of measurement axes.
+probability below `PROBABILITY_FLOOR` (on unnormalised states) is
+unreachable: the outcome map returns a finite placeholder state for it,
+and every outcome average weights it by zero.  :func:`thermo_sweep` and
+:func:`entropy_minimization_scan`, whose batch is a grid of measurement
+axes, take one field at a time.
 """
 
 from __future__ import annotations
@@ -51,19 +48,16 @@ from . import operators as ops
 from .model import GroundState, ModelParams, energy_decomposition, ground_state
 from .optimize import max_site_reduction
 from .protocol import (OUTCOMES, ProtocolParams, bob_blocks,
-                       correlators_closed, outcome_block, run_protocol)
+                       bob_blocks_closed, correlators_closed, outcome_block,
+                       run_protocol)
 
 # outcomes with probability below this are unreachable: weighted by zero
 # rather than divided by
 PROBABILITY_FLOOR = 1e-14
 
-# (polar, azimuthal) axes of the entropy-minimisation grid
-SCAN_GRID = (64, 128)
-
-
-def _both_outcomes(*batch):
-    """OUTCOMES on a leading axis that broadcasts against `batch`."""
-    return np.reshape(OUTCOMES, (2,) + (1,) * np.broadcast(*batch).ndim)
+# polar angles of the entropy scan on the x-z meridian; odd, so it holds
+# the x axis, the only point that r_z -> -r_z (a symmetry) maps to itself
+SCAN_POINTS = 129
 
 
 def reduced_state_initial(state: GroundState) -> np.ndarray:
@@ -71,8 +65,8 @@ def reduced_state_initial(state: GroundState) -> np.ndarray:
     return bob_blocks(state)[..., 0, :, :]
 
 
-def _measured(blocks, pp: ProtocolParams, n):
-    p, rho = outcome_block(blocks, pp, n)
+def _measured(blocks, axis, n):
+    p, rho = outcome_block(blocks, axis, n)
     return rho / np.where(p < PROBABILITY_FLOOR, 1.0, p)[..., None, None], p
 
 
@@ -80,23 +74,7 @@ def reduced_state_measured(state: GroundState, pp: ProtocolParams, n):
     """(Bob's post-measurement state, outcome probability) from
     :func:`qetsim.protocol.bob_blocks`; an unreachable outcome gives an
     unnormalised placeholder state."""
-    return _measured(bob_blocks(state), pp, n)
-
-
-def measured_state_closed(state: GroundState, axis, n):
-    """Same state from the (w, kappa) closed form for a general axis, or
-    for axis components of shape (3, ...); an unreachable outcome gives a
-    placeholder state."""
-    rx, ry, rz = axis
-    z2 = state.norm**2
-    alpha, beta = state.alpha, state.beta
-    denom = 1.0 + 2.0 * n * rz * (alpha**2 - beta**2) * z2
-    p = 0.5 * denom
-    denom = np.where(p < PROBABILITY_FLOOR, 1.0, denom)
-    w = 2.0 * z2 * ((1.0 - n * rz) + alpha**2 * (1.0 + n * rz)) / denom
-    kappa = 2.0 * n * z2 * ((rx + 1j * ry) + alpha * beta * (rx - 1j * ry)) / denom
-    rho = np.array([[1.0 - w, kappa], [np.conj(kappa), w]])
-    return np.moveaxis(rho, (0, 1), (-2, -1)), p
+    return _measured(bob_blocks(state), pp.measure_axis, n)
 
 
 def binary_entropy(lam_m):
@@ -134,17 +112,20 @@ def kl_divergence(rho, sigma):
     return -von_neumann_entropy(rho) - (diagonal * log_sigma).sum(axis=-1)
 
 
-def _average_entropy(rho, p):
-    """sum_n p_n S(rho_m(n)) over outcomes on the leading axis; unreachable
-    outcomes weigh zero."""
+def _average_entropy(blocks, axis):
+    """sum_n p_n S(rho_m(n)) of the blocks, for one measurement axis or
+    for axis components of shape (3, ...); unreachable outcomes weigh
+    zero."""
+    # both outcomes on a leading axis that broadcasts against the batch
+    ndim = np.broadcast(blocks[..., 0, 0, 0], *axis).ndim
+    rho, p = _measured(blocks, axis, np.reshape(OUTCOMES, (2,) + (1,) * ndim))
     return (np.where(p < PROBABILITY_FLOOR, 0.0, p)
             * von_neumann_entropy(rho)).sum(axis=0)
 
 
 def _information(blocks, pp: ProtocolParams):
-    n = _both_outcomes(blocks[..., 0, 0, 0], *pp.measure_axis)
     return (von_neumann_entropy(blocks[..., 0, :, :])
-            - _average_entropy(*_measured(blocks, pp, n)))
+            - _average_entropy(blocks, pp.measure_axis))
 
 
 def qc_mutual_information(state: GroundState, pp: ProtocolParams):
@@ -203,25 +184,19 @@ def effective_temperature(state: GroundState) -> EffectiveThermal:
 
 
 def average_measured_entropy(state: GroundState, axis):
-    """sum_n p_n S(rho_m(n)) from the closed forms, for one measurement axis
-    or for axis components of shape (3, ...)."""
-    n = _both_outcomes(state.alpha, *axis)
-    return _average_entropy(*measured_state_closed(state, axis, n))
+    """sum_n p_n S(rho_m(n)) from :func:`qetsim.protocol.bob_blocks_closed`,
+    for one measurement axis or for axis components of shape (3, ...)."""
+    return _average_entropy(bob_blocks_closed(state), axis)
 
 
 def entropy_minimization_scan(state: GroundState) -> np.ndarray:
-    """Scan the `SCAN_GRID` axes of the sphere for the minimum average
-    measured entropy and return the unit vector of the grid minimiser.
-
-    The minimiser is the x axis (or its antipode, which is the same
-    measurement) up to grid resolution.
-    """
-    polar = np.linspace(0.0, np.pi, SCAN_GRID[0])
-    azimuth = np.linspace(0.0, 2.0 * np.pi, SCAN_GRID[1], endpoint=False)
-    axes = ops.axis_vector(*np.meshgrid(polar, azimuth, indexing="ij"))
-    values = average_measured_entropy(state, axes)
-    i, j = np.unravel_index(int(values.argmin()), values.shape)
-    return axes[:, i, j]
+    """The unit vector of least average measured entropy among
+    `SCAN_POINTS` polar angles of the x-z meridian: the x axis.  The
+    meridian suffices: the outcome probabilities depend on r_z alone, and
+    the Bloch length of rho_m grows with r_x^2 xx^2 + r_y^2 yy^2, where
+    |xx| > |yy|, so at each polar angle azimuth 0 is the minimum."""
+    axes = ops.axis_vector(np.linspace(0.0, np.pi, SCAN_POINTS), 0.0)
+    return axes[:, int(average_measured_entropy(state, axes).argmin())]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Relative accuracy of the closed forms, the closed-form reductions at
-both optima, the protocol ledger at both optima, the ledger's injected
-energy on four measurement axes, the thermo layer on the thermo
-command's grid, at small and at large fields, the x-axis measured
+both optima, the closed-form blocks of Bob's qubit, the protocol ledger
+at both optima, the ledger's injected energy on four measurement axes,
+the thermo layer on the thermo command's grid, at small and at large fields, the x-axis measured
 eigenvalues over the whole range and the oracle against a 60-digit
 reference, the oracle's upper bound against that reference and against
 sampled axes of random forms, and the bond terms of the oracle and of
@@ -27,8 +27,9 @@ from qetsim.model import (MAX_FIELD_RATIO, MAX_PARAMETER, ModelParams,
                           energy_decomposition, ground_state)
 from qetsim.optimize import (TARGET_EXTRACTED, TARGET_SITE, brute_force_max,
                              max_extracted_energy, max_site_reduction)
-from qetsim.protocol import (ProtocolParams, correlators_closed,
-                             reduction_closed, run_protocol)
+from qetsim.protocol import (ProtocolParams, bob_blocks_closed,
+                             correlators_closed, reduction_closed,
+                             run_protocol)
 from qetsim.thermo import (effective_temperature, measured_eigenvalues,
                            reduced_state_initial, thermo_sweep)
 
@@ -84,7 +85,8 @@ def _reference(h, k):
                 "xxz": 4 * z2 * difference, "site": site,
                 "extracted_max": maximum(h * yy),
                 "site_reduction_max": maximum(h * xx), **injected,
-                "r0": r0, "r1": r1, "lambda_plus": lam_p,
+                "r0": r0, "r1": r1, "mz0": 2 * z2 * (1 - beta**2),
+                "mz1": 2 * z2 * (alpha**2 - 1), "lambda_plus": lam_p,
                 "lambda_minus": lam_m, "beta_eff": beta_eff,
                 "kl_over_beta": kl / beta_eff,
                 "info_over_beta": (entropy(r0, r1) - entropy(lam_p, lam_m))
@@ -145,6 +147,23 @@ def test_reduction_closed_at_the_optima(k):
     at_site, _ = reduction_closed(state, max_site_reduction(state).params)
     got = {"extracted_max": site + bond, "site_reduction_max": at_site}
     assert _beyond_bound(hs, k, got) == {}
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_bob_blocks_closed(k):
+    # M_0's diagonal and the halves of xx and yy that M_x and M_y hold,
+    # relative; M_z = 2 Z^2 diag(1 - beta^2, alpha^2 - 1) only absolutely,
+    # as alpha^2 - 1 crosses zero
+    hs = _fields(k)
+    blocks = bob_blocks_closed(ground_state(ModelParams(h=np.array(hs), k=k)))
+    got = {"r0": blocks[:, 0, 0, 0].real, "r1": blocks[:, 0, 1, 1].real,
+           "xx": 2.0 * blocks[:, 1, 0, 1].real,
+           "yy": 2.0 * blocks[:, 2, 0, 1].imag}
+    assert _beyond_bound(hs, k, got) == {}
+    for i, h in enumerate(hs):
+        for name, entry in (("mz0", blocks[i, 3, 0, 0]),
+                            ("mz1", blocks[i, 3, 1, 1])):
+            assert abs(entry - _reference(h, k)[name]) < 1e-15, (name, h / k)
 
 
 def _thermo_bound(name, ratio):

@@ -146,6 +146,17 @@ class TestChecks:
         monkeypatch.setattr(protocol_mod, "_row_table", lambda: table)
         assert not checks.check_thermo_states(np.random.default_rng(0)).passed
 
+    def test_swapped_correlators_break_the_thermo_check(self, monkeypatch):
+        # xx <-> yy in the closed form moves M_x and M_y off the table's
+        original = protocol_mod.correlators_closed
+
+        def swapped(state):
+            c = original(state)
+            return protocol_mod.EdgeCorrelators(xx=c.yy, yy=c.xx, xxz=c.xxz)
+
+        monkeypatch.setattr(protocol_mod, "correlators_closed", swapped)
+        assert not checks.check_thermo_states(np.random.default_rng(0)).passed
+
     def test_thermo_check_contracts_each_state_once(self, monkeypatch):
         # rho_i and both outcomes' qubits come from one bob_blocks call,
         # seen through the protocol module and through thermo's import
@@ -174,12 +185,7 @@ class TestChecks:
     def test_unconverged_oracle_fails(self, monkeypatch):
         # at h = 0.3 the extracted target's first axis, the one of largest
         # gain, is not its best, so one round cannot certify a bound
-        original = optimize_mod._fixed_point
-
-        def stalled(*args, **kwargs):
-            return original(*args, **kwargs, max_rounds=1)
-
-        monkeypatch.setattr(optimize_mod, "_fixed_point", stalled)
+        monkeypatch.setattr(optimize_mod, "_MAX_ROUNDS", 1)
         result = checks.check_brute_force(fields=(0.3,))
         assert not result.passed
         assert "not converged" in result.detail
@@ -334,6 +340,35 @@ class TestCli:
         assert f"--k={shown}" in err
         assert "h=" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        [command, "--k", "1e-100", "--h-min", "1e-300", "--h-max", "1e-299",
+         "--h-steps", "2"] for command in ("spectrum", "sweep", "thermo")] + [
+        ["chain", "--k", "1e-100", "--h", "1e-300", "--L-list", "4"],
+        ["chain", "--k", "1e-100", "--h-min", "1e-300", "--h-max", "1e-299",
+         "--L-list", "4"],
+        ["sweep", "--h-min", "0", "--h-max", "1e-320", "--h-steps", "2"]])
+    def test_underflowed_field_exit_code(self, tmp_path, capsys, argv):
+        # a nonzero field whose h k flushes to 0 or is subnormal is refused,
+        # naming the options; h = 0 itself stays accepted
+        out = tmp_path / "out.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "normal double" in err and "--k" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lengths", [["--L", str(10**400)],
+                                         ["--L-list", f"4,{2**1000 + 2}"]])
+    def test_chain_length_beyond_float_range_exit_code(self, tmp_path,
+                                                       capsys, lengths):
+        out = tmp_path / "chain.csv"
+        assert cli.main(["chain", *lengths, "--out", str(out)]) == 2
+        assert "at most 2**1000" in capsys.readouterr().err
+        assert not out.exists()
+        # the longest chain accepted, where |yy| has underflowed to 0
+        assert cli.main(["chain", "--L", str(2**1000), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split(",")[3] == \
+            "0.000000000000e+00"
 
     def test_chain_empty_length_list_exit_code(self, capsys):
         assert cli.main(["chain", "--L-list", ""]) == 2

@@ -13,9 +13,11 @@ def test_snapshot_writes_every_file(tmp_path):
     names = sorted(path.name for path in written)
     assert names == sorted(path.name for path in (tmp_path / "snap").iterdir())
     demos = list((SCRIPT.parents[1] / "demos").glob("*.py"))
-    assert len(names) == (len(tool["CSV_COMMANDS"])
-                          + len(tool["VERIFY_SEEDS"]) + len(demos))
-    for name in tool["CSV_COMMANDS"]:
+    csvs = [name for name, _ in tool["_csv_commands"]()]
+    # the benchmark's four CSV commands at each of its seeds
+    assert len(csvs) == len(tool["CSV_COMMANDS"]) + 4 * len(tool["BENCH_SEEDS"])
+    assert len(names) == len(csvs) + len(tool["VERIFY_SEEDS"]) + len(demos)
+    for name in csvs:
         header, *rows = (tmp_path / "snap" / name).read_text().splitlines()
         assert header.startswith(("h,", "L,")) and rows
     for seed in tool["VERIFY_SEEDS"]:

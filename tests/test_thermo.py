@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from qetsim.model import ModelParams, energy_decomposition, ground_state
+from qetsim.operators import axis_vector
 from qetsim.optimize import max_extracted_energy, max_site_reduction
-from qetsim.protocol import ProtocolParams, project, run_protocol
+from qetsim.protocol import (ProtocolParams, bob_blocks, bob_blocks_closed,
+                             outcome_block, project, run_protocol)
 from qetsim.thermo import (average_measured_entropy, binary_entropy,
                            effective_temperature, entropy_minimization_scan,
                            kl_divergence, measured_eigenvalues,
-                           measured_state_closed, measured_state_purity,
+                           measured_state_purity,
                            purity_from_energy, purity_from_entropy,
                            qc_mutual_information,
                            reduced_state_initial, reduced_state_measured,
@@ -69,17 +71,35 @@ class TestReducedStates:
         assert abs(von_neumann_entropy(rho)) < 1e-10
 
     def test_general_axis_closed_form(self):
+        # outcome n along r of the closed blocks is p_n [[1 - w, kappa],
+        # [conj(kappa), w]], the paper's qubit of occupation w and
+        # coherence kappa; below, w and kappa are p_n times those
         rng = np.random.default_rng(13)
         for _ in range(30):
             state = gs(rng.uniform(0.0, 3.0))
             pp = ProtocolParams(mu=rng.uniform(0, np.pi),
                                 nu=rng.uniform(0, 2 * np.pi),
                                 xi=0.0, eta=0.0, theta=0.0)
+            rx, ry, rz = pp.measure_axis
+            z2, a, b = state.norm**2, state.alpha, state.beta
             for n in (1, -1):
                 rho, p = reduced_state_measured(state, pp, n)
-                rho_c, p_c = measured_state_closed(state, pp.measure_axis, n)
+                p_c, rho_c = outcome_block(bob_blocks_closed(state),
+                                           pp.measure_axis, n)
                 assert abs(p - p_c) < 1e-12
-                assert np.allclose(rho, rho_c, atol=1e-12)
+                assert np.allclose(rho, rho_c / p_c, atol=1e-12)
+                w = z2 * ((1 - n * rz) + a**2 * (1 + n * rz))
+                kappa = n * z2 * ((rx + 1j * ry) + a * b * (rx - 1j * ry))
+                assert np.allclose(rho_c, [[p_c - w, kappa],
+                                           [np.conj(kappa), w]], atol=1e-15)
+
+    @pytest.mark.parametrize("k", [1e-3, 1.0, 1e3])
+    def test_table_holds_the_x_pattern(self, k):
+        # off the X pattern (M_0, M_z diagonal; M_x, M_y off-diagonal) the
+        # table's blocks are exact zeros on ground states, h/k in [1e-6, 1e4]
+        off = np.abs(bob_blocks_closed(gs(0.5))) == 0.0
+        state = gs(np.logspace(-6.0, 4.0, 41) * k, k)
+        assert (bob_blocks(state)[:, off] == 0.0).all()
 
     def test_table_states_match_partial_traces(self):
         # the reference: Bob's 2 x 2 block of |P psi><P psi| traced over A,
@@ -118,13 +138,6 @@ class TestReducedStates:
         expected = (von_neumann_entropy(reduced_state_initial(fake))
                     - p_p * von_neumann_entropy(rho_p))
         assert qc_mutual_information(fake, X_AXIS) == expected
-        # the closed-form route: 2 (alpha^2 - beta^2) Z^2 = 1 empties n = -1
-        # of a z-axis measurement
-        edge = dataclasses.replace(state, alpha=1.0, beta=0.0,
-                                   norm=np.sqrt(0.5))
-        rho_c, p_c = measured_state_closed(edge, (0.0, 0.0, 1.0), -1)
-        assert p_c < 1e-14
-        assert np.isfinite(rho_c).all()
 
 
 class TestBatch:
@@ -151,11 +164,13 @@ class TestBatch:
         def states(state):
             out = [reduced_state_initial(state), measured_state_purity(state),
                    *measured_eigenvalues(state),
-                   binary_entropy(measured_eigenvalues(state)[1])]
+                   binary_entropy(measured_eigenvalues(state)[1]),
+                   bob_blocks_closed(state)]
             for pp in (X_AXIS, self.GENERAL):
                 for n in (1, -1):
                     out.extend(reduced_state_measured(state, pp, n))
-                out.append(qc_mutual_information(state, pp))
+                out += [qc_mutual_information(state, pp),
+                        average_measured_entropy(state, pp.measure_axis)]
             return out
 
         self.assert_elementwise(states, h)
@@ -268,9 +283,10 @@ class TestEffectiveTemperature:
 
 class TestEntropyMinimization:
     def test_minimizer_is_x_axis(self):
-        best_axis = entropy_minimization_scan(gs(0.5))
-        cosine = abs(float(best_axis @ np.array([1.0, 0.0, 0.0])))
-        assert np.arccos(min(cosine, 1.0)) < np.pi / 63.0
+        # the meridian grid holds x exactly, with no tied mirror point
+        for h in (0.1, 0.5, 1.5, 10.0):
+            assert np.array_equal(entropy_minimization_scan(gs(h)),
+                                  axis_vector(np.pi / 2.0, 0.0)), h
 
     def test_minimum_value_matches_thermal_entropy(self):
         state = gs(0.5)
